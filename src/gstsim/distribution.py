@@ -186,9 +186,9 @@ def connection_transfer(state: NetworkState, a: QubitId, b: QubitId, c: QubitId)
         raise ValueError(
             f"qubits {a} and {b} are at different nodes; transfer must start locally"
         )
-    if state.graph.neighbors(b) != frozenset({c}):
+    if state.neighbors(b) != {c}:
         raise ValueError(f"qubit {b} must be entangled with {c} and nothing else")
-    if state.graph.has_edge(a, b):
+    if state.has_edge(a, b):
         raise ValueError(f"qubits {a} and {b} are already entangled")
     state.apply_cz(a, b)
     state.measure_y(a)
@@ -209,6 +209,39 @@ def make_local_copy(state: NetworkState, target: GraphState, root: NodeId) -> di
     return mapping
 
 
+def _walk_rounds(state: NetworkState, plan: DistributionPlan, schedule: Schedule,
+                 carrier: dict, trace: list) -> tuple[int, int]:
+    """Walk every scheduled hop, moving ``carrier[target]`` one link per EPR pair.
+
+    Appends the epr, measure_report and arrival directive events to
+    ``trace``.  Returns (hops made, peak live qubits at the root).
+    """
+    root = plan.root
+    transfers = 0
+    peak_root = state.qubit_count(root)
+    for rnum, round_entries in enumerate(schedule.rounds):
+        state.advance_timestep()
+        for (tnode, start, end) in round_entries:
+            path = plan.paths[tnode]
+            qubit = carrier[tnode]
+            for i in range(start, end):
+                unode, vnode = path[i], path[i + 1]
+                try:
+                    qu, qv = state.generate_epr(unode, vnode)
+                    peak_root = max(peak_root, state.qubit_count(root))
+                    trace.append(TraceEvent("epr", (unode, vnode)))
+                    connection_transfer(state, qubit, qu, qv)
+                except ValueError as exc:
+                    raise ExecutionError(f"round {rnum}: {exc}") from exc
+                transfers += 1
+                trace.append(TraceEvent("measure_report", (tnode, i), bits=2))
+                qubit = qv
+            carrier[tnode] = qubit
+            if end == len(path) - 1:
+                trace.append(TraceEvent("directive", (tnode,), bits=2))
+    return transfers, peak_root
+
+
 def execute(state: NetworkState, request: DistributionRequest, plan: DistributionPlan,
             schedule: Schedule | None = None) -> RunReport:
     """Run a plan to completion and verify the delivered state.
@@ -226,38 +259,15 @@ def execute(state: NetworkState, request: DistributionRequest, plan: Distributio
     validate_plan(state.topology, plan, request.target_nodes)
     if schedule is None:
         schedule = make_schedule(plan)
-    root = plan.root
-    copy_map = make_local_copy(state, request.target, root)
+    copy_map = make_local_copy(state, request.target, plan.root)
     node_of_vertex = dict(request.assignment)
     vertex_at = {node: v for v, node in node_of_vertex.items()}
     carrier = {node: copy_map[vertex_at[node]] for node in plan.paths}
     trace: list[TraceEvent] = []
-    transfers = 0
-    peak_root = len(state.qubits_at(root))
     for tnode in sorted(plan.paths):
         if len(plan.paths[tnode]) == 1:
             trace.append(TraceEvent("directive", (tnode,), bits=2))
-
-    for rnum, round_entries in enumerate(schedule.rounds):
-        state.advance_timestep()
-        for (tnode, start, end) in round_entries:
-            path = plan.paths[tnode]
-            qubit = carrier[tnode]
-            for i in range(start, end):
-                unode, vnode = path[i], path[i + 1]
-                try:
-                    qu, qv = state.generate_epr(unode, vnode)
-                    peak_root = max(peak_root, len(state.qubits_at(root)))
-                    trace.append(TraceEvent("epr", (unode, vnode)))
-                    connection_transfer(state, qubit, qu, qv)
-                except ValueError as exc:
-                    raise ExecutionError(f"round {rnum}: {exc}") from exc
-                transfers += 1
-                trace.append(TraceEvent("measure_report", (tnode, i), bits=2))
-                qubit = qv
-            carrier[tnode] = qubit
-            if end == len(path) - 1:
-                trace.append(TraceEvent("directive", (tnode,), bits=2))
+    transfers, peak_root = _walk_rounds(state, plan, schedule, carrier, trace)
 
     if not verify_target(state, request.target, request.assignment):
         raise ExecutionError("delivered state does not realize the request")
@@ -296,30 +306,10 @@ def build_resource_state(state: NetworkState, targets, root: NodeId) -> tuple[di
         anchors[t] = anchor
         carrier[t] = mover
     trace: list[TraceEvent] = []
-    transfers = 0
-    peak_root = len(state.qubits_at(root))
-    for rnum, round_entries in enumerate(schedule.rounds):
-        state.advance_timestep()
-        for (tnode, start, end) in round_entries:
-            path = plan.paths[tnode]
-            qubit = carrier[tnode]
-            for i in range(start, end):
-                try:
-                    qu, qv = state.generate_epr(path[i], path[i + 1])
-                    peak_root = max(peak_root, len(state.qubits_at(root)))
-                    trace.append(TraceEvent("epr", (path[i], path[i + 1])))
-                    connection_transfer(state, qubit, qu, qv)
-                except ValueError as exc:
-                    raise ExecutionError(f"round {rnum}: {exc}") from exc
-                transfers += 1
-                trace.append(TraceEvent("measure_report", (tnode, i), bits=2))
-                qubit = qv
-            carrier[tnode] = qubit
-            if end == len(path) - 1:
-                trace.append(TraceEvent("directive", (tnode,), bits=2))
+    transfers, peak_root = _walk_rounds(state, plan, schedule, carrier, trace)
     pairs = {t: (anchors[t], carrier[t]) for t in others}
     for t, (anchor, remote) in pairs.items():
-        if state.graph.neighbors(anchor) != frozenset({remote}):
+        if state.neighbors(anchor) != {remote}:
             raise ExecutionError(f"resource pair for {t!r} is not a clean pair")
         if state.node_of(remote) != t:
             raise ExecutionError(f"resource pair half for {t!r} ended up elsewhere")
@@ -350,7 +340,7 @@ def distribute_via_resource(state: NetworkState, request: DistributionRequest,
     trace: list[TraceEvent] = []
     transfers = 0
     used = 2 * len(pairs)
-    peak_root = len(state.qubits_at(root))
+    peak_root = state.qubit_count(root)
     remote_targets = [v for v in sorted(request.target.vertices)
                       if node_of_vertex[v] != root]
     for v in sorted(request.target.vertices):

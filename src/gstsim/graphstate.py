@@ -16,6 +16,12 @@ per operation and the corrections are never modeled here.
 and never mutates its receiver.  Measured (removed) vertex ids are retired
 permanently and may not be re-added — fresh ids must always be minted by the
 caller.
+
+``GraphState`` is the value and reference type: targets, the state-vector
+oracle and ``NetworkState.graph`` snapshots use it, and the tests replay
+network operations on it to check the network's in-place rewrites.  It is no
+longer the network's working state, which ``NetworkState`` keeps as a
+mutable adjacency map.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ the only way two qubits at different nodes ever become entangled is an EPR
 pair generated across a link.
 
 Timesteps model link contention: within one step each link may source at
-most one EPR pair (enforced when the discipline flag is on, which execution
-always sets — a violation is a planner bug, not a user error).
+most one EPR pair; a second pair raises LocalityError (a planner bug, not a
+user error).
 """
 
 from __future__ import annotations
@@ -166,44 +166,50 @@ class TimestepLedger:
     """Per-step link usage plus running totals."""
 
     current_step: int = 0
-    usage: dict = field(default_factory=dict)   # link -> uses this step
+    usage: set = field(default_factory=set)   # links used this step
     epr_total: int = 0
-    enforce: bool = True
 
     def advance(self) -> None:
         self.current_step += 1
-        self.usage = {}
+        self.usage = set()
 
     def record(self, link: Link) -> None:
-        count = self.usage.get(link, 0)
-        if self.enforce and count >= 1:
+        if link in self.usage:
             raise LocalityError(
                 f"link {link!r} already used in timestep {self.current_step}"
             )
-        self.usage[link] = count + 1
+        self.usage.add(link)
         self.epr_total += 1
 
 
 class NetworkState:
-    """Single-writer mutable view: placement map + shared entanglement graph."""
+    """Single-writer mutable state: placement map + shared entanglement graph.
 
-    def __init__(self, topology: NetworkTopology, enforce_link_discipline: bool = True):
+    The entanglement graph is a mutable adjacency map (qubit -> set of
+    neighbors) edited in place, so a hop costs only the travelling qubit's
+    neighborhood (Anders-Briegel, quant-ph/0504117).  ``graph`` returns an
+    immutable ``GraphState`` copy for callers that need a value.
+    """
+
+    def __init__(self, topology: NetworkTopology):
         self.topology = topology
-        self.graph = GraphState()
         self.placement: dict[QubitId, NodeId] = {}
-        self.ledger = TimestepLedger(enforce=enforce_link_discipline)
+        self.ledger = TimestepLedger()
+        self._adj: dict[QubitId, set] = {}
+        self._count = dict.fromkeys(topology.nodes, 0)  # live qubits per node
         self._next_qubit: QubitId = 0
 
     # -- qubit management ----------------------------------------------------
 
     def new_qubit(self, node: NodeId) -> QubitId:
         """Mint a fresh |+> qubit at ``node``.  Ids are never recycled."""
-        if node not in self.topology._adj:
+        if node not in self._count:
             raise ValueError(f"unknown node {node!r}")
         q = self._next_qubit
         self._next_qubit += 1
-        self.graph = self.graph.add_vertex(q)
+        self._adj[q] = set()
         self.placement[q] = node
+        self._count[node] += 1
         return q
 
     def node_of(self, q: QubitId) -> NodeId:
@@ -213,6 +219,25 @@ class NetworkState:
 
     def qubits_at(self, node: NodeId) -> list[QubitId]:
         return sorted(q for q, nd in self.placement.items() if nd == node)
+
+    def qubit_count(self, node: NodeId) -> int:
+        """Number of live qubits at ``node``, without scanning."""
+        return self._count.get(node, 0)
+
+    # -- entanglement queries --------------------------------------------------
+
+    def neighbors(self, q: QubitId) -> frozenset:
+        self.node_of(q)
+        return frozenset(self._adj[q])
+
+    def has_edge(self, u: QubitId, v: QubitId) -> bool:
+        return u != v and v in self._adj.get(u, ())
+
+    @property
+    def graph(self) -> GraphState:
+        """Immutable snapshot of the entanglement graph; O(V + E) per call."""
+        edges = [(u, v) for u, ns in self._adj.items() for v in ns if u < v]
+        return GraphState(self._adj, edges)
 
     # -- operations ----------------------------------------------------------
 
@@ -227,7 +252,8 @@ class NetworkState:
         self.ledger.record(link_key(u, v))
         qu = self.new_qubit(u)
         qv = self.new_qubit(v)
-        self.graph = self.graph.toggle_edge(qu, qv)
+        self._adj[qu].add(qv)
+        self._adj[qv].add(qu)
         return qu, qv
 
     def apply_cz(self, q1: QubitId, q2: QubitId) -> None:
@@ -238,31 +264,35 @@ class NetworkState:
                 f"CZ across nodes {n1!r} and {n2!r} (qubits {q1}, {q2}); "
                 "cross-node entanglement must come from generate_epr"
             )
-        self.graph = self.graph.toggle_edge(q1, q2)
+        if q1 == q2:
+            raise ValueError(f"cannot toggle a self-loop on {q1!r}")
+        adj1, adj2 = self._adj[q1], self._adj[q2]
+        if q2 in adj1:
+            adj1.remove(q2)
+            adj2.remove(q1)
+        else:
+            adj1.add(q2)
+            adj2.add(q1)
 
     def measure_y(self, q: QubitId) -> None:
-        self.node_of(q)
-        self.graph = self.graph.measure_y(q)
-        del self.placement[q]
+        """Y measurement: complement the neighborhood of ``q``, then drop ``q``."""
+        node = self.node_of(q)
+        nbrs = self._adj[q]
+        for x in nbrs:
+            adj_x = self._adj[x]
+            adj_x ^= nbrs
+            adj_x.discard(x)
+        self._remove(q, node)
 
     def measure_z(self, q: QubitId) -> None:
-        self.node_of(q)
-        self.graph = self.graph.measure_z(q)
-        del self.placement[q]
+        """Z measurement: drop ``q`` and its edges."""
+        self._remove(q, self.node_of(q))
 
-    def apply_local(self, op: str, qubits) -> None:
-        """String-dispatch convenience over the typed operations above."""
-        if op == "cz":
-            q1, q2 = qubits
-            self.apply_cz(q1, q2)
-        elif op == "measure_y":
-            (q,) = qubits
-            self.measure_y(q)
-        elif op == "measure_z":
-            (q,) = qubits
-            self.measure_z(q)
-        else:
-            raise ValueError(f"unknown local op {op!r}")
+    def _remove(self, q: QubitId, node: NodeId) -> None:
+        for x in self._adj.pop(q):
+            self._adj[x].discard(q)
+        del self.placement[q]
+        self._count[node] -= 1
 
     def advance_timestep(self) -> None:
         self.ledger.advance()
@@ -300,7 +330,7 @@ def verify_target(state: NetworkState, target: GraphState, assignment: dict) -> 
                 continue
             ok = True
             for w, qw in mapping.items():
-                if target.has_edge(v, w) != state.graph.has_edge(q, qw):
+                if target.has_edge(v, w) != state.has_edge(q, qw):
                     ok = False
                     break
             if not ok:

@@ -344,6 +344,49 @@ class TestSemanticReplay:
         assert oracle.lc_equivalent(sv, oracle.build_graph_state(st.graph))
 
 
+class RootCounter(NetworkState):
+    """Brute-force root memory: rescans the root's qubits after every new qubit."""
+
+    def __init__(self, topology, root):
+        super().__init__(topology)
+        self.root = root
+        self.peak = 0
+
+    def _sample(self):
+        self.peak = max(self.peak, len(self.qubits_at(self.root)))
+
+    def new_qubit(self, node):
+        q = super().new_qubit(node)
+        self._sample()
+        return q
+
+    def generate_epr(self, u, v):
+        pair = super().generate_epr(u, v)
+        self._sample()
+        return pair
+
+
+ROOT_MEMORY_TOPOLOGIES = [line(7), tree_topology(3), gnp_topology(12, 0.3, seed=4)]
+
+
+class TestRootMemory:
+    @pytest.mark.parametrize("topo", ROOT_MEMORY_TOPOLOGIES)
+    def test_execute_peak_matches_brute_force(self, topo):
+        nodes = list(topo.nodes)
+        req = identity_request(nodes, list(zip(nodes, nodes[1:])))
+        for root in (center_root(topo), nodes[-1]):
+            st = RootCounter(topo, root)
+            rep = execute(st, req, plan_shortest(topo, nodes, root))
+            assert rep.root_memory_qubits == st.peak > len(nodes)
+
+    @pytest.mark.parametrize("topo", ROOT_MEMORY_TOPOLOGIES)
+    def test_resource_build_peak_matches_brute_force(self, topo):
+        root = center_root(topo)
+        st = RootCounter(topo, root)
+        _, rep = build_resource_state(st, topo.nodes, root)
+        assert rep.root_memory_qubits == st.peak > 2 * (len(topo.nodes) - 1)
+
+
 class TestResourceMode:
     def test_pair_count_and_shape(self):
         topo = tree_topology(2)

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from gstsim.network import (
     LocalityError,
@@ -15,6 +16,7 @@ from gstsim.network import (
     verify_target,
 )
 from gstsim.graphstate import GraphState
+from gstsim.topogen import line_topology, tree_topology
 
 from helpers_brute import floyd_warshall
 
@@ -143,6 +145,118 @@ class TestNetworkState:
         assert st.qubits_at("a") == [qb]
         with pytest.raises(ValueError):
             st.node_of(qa)
+
+
+class TestNetworkStateErrors:
+    """Every rejected operation raises ValueError and leaves the state as it was."""
+
+    def setup_method(self):
+        self.st = NetworkState(diamond())
+        self.qa, self.qb = self.st.generate_epr("a", "b")
+        self.qa2 = self.st.new_qubit("a")
+        self.st.apply_cz(self.qa, self.qa2)
+
+    def snapshot(self):
+        counts = [self.st.qubit_count(node) for node in self.st.topology.nodes]
+        return self.st.graph, dict(self.st.placement), counts
+
+    def assert_rejected(self, op, *args):
+        before = self.snapshot()
+        with pytest.raises(ValueError):
+            getattr(self.st, op)(*args)
+        assert self.snapshot() == before
+
+    def test_cz_of_a_qubit_with_itself(self):
+        self.assert_rejected("apply_cz", self.qa, self.qa)
+
+    @pytest.mark.parametrize("first", ["measure_y", "measure_z"])
+    @pytest.mark.parametrize("second", ["measure_y", "measure_z"])
+    def test_measuring_a_measured_qubit(self, first, second):
+        getattr(self.st, first)(self.qa)
+        self.assert_rejected(second, self.qa)
+
+    @pytest.mark.parametrize("op, args", [
+        ("apply_cz", (0, 99)),
+        ("apply_cz", (99, 0)),
+        ("measure_y", (99,)),
+        ("measure_z", (99,)),
+        ("node_of", (99,)),
+        ("neighbors", (99,)),
+        ("new_qubit", ("nowhere",)),
+        ("generate_epr", ("a", "nowhere")),
+    ])
+    def test_unknown_qubit_or_node(self, op, args):
+        self.assert_rejected(op, *args)
+
+    def test_neighbors_of_a_dead_qubit(self):
+        self.st.measure_z(self.qa2)
+        self.assert_rejected("neighbors", self.qa2)
+
+    def test_neighbors_and_has_edge_of_live_qubits(self):
+        assert self.st.neighbors(self.qa) == frozenset({self.qb, self.qa2})
+        assert self.st.has_edge(self.qb, self.qa)
+        assert not self.st.has_edge(self.qb, self.qa2)
+        assert not self.st.has_edge(self.qa, self.qa)
+
+
+TRIANGLE = NetworkTopology(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+DIFF_TOPOLOGIES = (diamond(), TRIANGLE, line_topology(3), tree_topology(1))
+DIFF_OPS = hs.lists(
+    hs.tuples(hs.sampled_from(["new", "epr", "cz", "measure_y", "measure_z"]),
+              hs.integers(0, 63), hs.integers(0, 63)),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(topo_index=hs.integers(0, len(DIFF_TOPOLOGIES) - 1), ops=DIFF_OPS)
+def test_state_matches_graphstate_replay(topo_index, ops):
+    """Random operation sequences: NetworkState against the immutable GraphState.
+
+    Each operation is replayed on a GraphState; the state's snapshot must
+    equal the replay after every step, and no snapshot may change when the
+    state moves on.
+    """
+    topo = DIFF_TOPOLOGIES[topo_index]
+    nodes, links = topo.nodes, sorted(topo.links)
+    st = NetworkState(topo)
+    ref = GraphState()
+    history = []
+    for kind, i, j in ops:
+        live = sorted(st.placement)
+        if kind == "new":
+            q = st.new_qubit(nodes[i % len(nodes)])
+            ref = ref.add_vertex(q)
+        elif kind == "epr":
+            st.advance_timestep()
+            qu, qv = st.generate_epr(*links[i % len(links)])
+            ref = ref.add_vertex(qu).add_vertex(qv).toggle_edge(qu, qv)
+        elif not live:
+            continue
+        elif kind == "cz":
+            q1 = live[i % len(live)]
+            mates = [q for q in st.qubits_at(st.node_of(q1)) if q != q1]
+            if not mates:
+                continue
+            q2 = mates[j % len(mates)]
+            st.apply_cz(q1, q2)
+            ref = ref.toggle_edge(q1, q2)
+        else:
+            q = live[i % len(live)]
+            getattr(st, kind)(q)
+            ref = getattr(ref, kind)(q)
+        snapshot = st.graph
+        assert snapshot == ref
+        assert sorted(st.placement) == sorted(ref.vertices)
+        for node in nodes:
+            assert st.qubit_count(node) == len(st.qubits_at(node))
+        for q in ref.vertices:
+            assert st.neighbors(q) == ref.neighbors(q)
+        history.append((snapshot, ref))
+    for snapshot, ref in history:
+        assert snapshot == ref
+        for q in ref.vertices:
+            assert snapshot.neighbors(q) == ref.neighbors(q)
 
 
 class TestVerifyTarget:
