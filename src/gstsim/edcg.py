@@ -14,6 +14,7 @@ so reported pair counts are a modeled upper estimate — report rows carry a
 from __future__ import annotations
 
 import logging
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -23,13 +24,16 @@ logger = logging.getLogger(__name__)
 
 
 def _mst_on_terminals(topology: NetworkTopology, terminals: list) -> list[tuple]:
-    """Kruskal over the metric closure; deterministic (weight, u, v) order."""
-    dists = {t: topology.bfs_distances(t) for t in terminals}
-    cands = sorted(
-        (dists[u][v], u, v)
-        for i, u in enumerate(terminals)
-        for v in terminals[i + 1:]
-    )
+    """Kruskal over the metric closure; deterministic (weight, u, v) order.
+
+    ``terminals`` must be sorted: pairs are then generated in (u, v) order,
+    so bucketing them by hop count yields (weight, u, v) order unsorted.
+    """
+    by_weight = defaultdict(list)
+    for i, u in enumerate(terminals):
+        d_u = topology._hops(u)
+        for v in terminals[i + 1:]:
+            by_weight[d_u[v]].append((u, v))
     parent = {t: t for t in terminals}
 
     def find(x):
@@ -39,11 +43,14 @@ def _mst_on_terminals(topology: NetworkTopology, terminals: list) -> list[tuple]
         return x
 
     chosen = []
-    for w, u, v in cands:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append((u, v))
+    for w in sorted(by_weight):
+        for u, v in by_weight[w]:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                chosen.append((u, v))
+                if len(chosen) == len(terminals) - 1:
+                    return chosen
     return chosen
 
 
@@ -77,9 +84,9 @@ def steiner_tree(topology: NetworkTopology, terminals) -> set:
     # BFS spanning tree of the union graph
     root = terminals[0]
     parent = {root: None}
-    queue = [root]
+    queue = deque([root])
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         for nb in sorted(union_adj.get(cur, ())):
             if nb not in parent:
                 parent[nb] = cur
@@ -107,24 +114,21 @@ def steiner_tree(topology: NetworkTopology, terminals) -> set:
     return edges
 
 
-def _suffix_cost(topology: NetworkTopology, order: list) -> int:
-    return sum(
-        len(steiner_tree(topology, order[i:]))
-        for i in range(len(order) - 1)
-    )
-
-
-def _peel_order(topology: NetworkTopology, targets: list) -> list:
+def _peel_order(topology: NetworkTopology, targets: list) -> tuple[list, list]:
     """Repeatedly strip the smallest terminal sitting on a leaf of the tree.
 
     The terminal removed first becomes s_1, so every suffix's spanning tree
     loses exactly one leaf edge relative to the previous one whenever the
     network itself is a tree — the ordering the cascade cost story assumes.
+    Returns the order and the Steiner tree it built for each suffix
+    {s_k..s_m}, k = 1..m-1, which are exactly the plan's suffix trees.
     """
     remaining = list(targets)
     prefix_reversed = []
+    trees = []
     while len(remaining) > 1:
         edges = steiner_tree(topology, remaining)
+        trees.append(edges)
         degree: dict = {}
         for u, v in edges:
             degree[u] = degree.get(u, 0) + 1
@@ -133,7 +137,27 @@ def _peel_order(topology: NetworkTopology, targets: list) -> list:
         pick = min(leaves) if leaves else min(remaining)
         prefix_reversed.append(pick)
         remaining.remove(pick)
-    return prefix_reversed + remaining
+    return prefix_reversed + remaining, trees
+
+
+def _exhaustive_order(topology: NetworkTopology, targets: list) -> list:
+    """Cheapest cascade over all orders; ties go to the smallest order.
+
+    Tree sizes are memoized per suffix set: 8 targets have 8! orders but
+    only 2^8 - 9 suffix sets of two or more.
+    """
+    sizes: dict = {}
+
+    def cost(order: tuple) -> int:
+        total = 0
+        for i in range(len(order) - 1):
+            key = frozenset(order[i:])
+            if key not in sizes:
+                sizes[key] = len(steiner_tree(topology, key))
+            total += sizes[key]
+        return total
+
+    return list(min(permutations(targets), key=lambda order: (cost(order), order)))
 
 
 def edcg_order(targets, topology: NetworkTopology, mode: str = "peel") -> list:
@@ -147,17 +171,13 @@ def edcg_order(targets, topology: NetworkTopology, mode: str = "peel") -> list:
     if mode == "lex":
         return targets
     if mode == "peel":
-        return _peel_order(topology, targets)
+        return _peel_order(topology, targets)[0]
     if mode == "exhaustive":
         if len(targets) > 8:
             raise ValueError(
                 f"exhaustive ordering supports at most 8 targets, got {len(targets)}"
             )
-        best = min(
-            permutations(targets),
-            key=lambda order: (_suffix_cost(topology, list(order)), order),
-        )
-        return list(best)
+        return _exhaustive_order(topology, targets)
     raise ValueError(f"unknown ordering mode {mode!r}")
 
 
@@ -196,22 +216,27 @@ def edcg_cost(topology: NetworkTopology, targets, mode: str = "peel") -> tuple[E
     EPR pairs: sum of suffix spanning-tree sizes.  Timesteps: m - 1 (one
     GHZ layer per step).  Resource qubits: m(m+1)/2 — the complete graph's
     vertices plus one decoration per edge.  Classical bits: 2 per EPR pair
-    plus 2 per complete-graph edge slot.
+    plus 2 per complete-graph edge slot.  In "peel" mode the plan reuses the
+    suffix trees the ordering already built, so each is built once.
     """
     targets = sorted(set(targets))
     m = len(targets)
     if m == 0:
         raise ValueError("need at least one target")
-    try:
-        order = edcg_order(targets, topology, mode)
-    except ValueError:
-        if mode != "exhaustive":
-            raise
-        logger.warning(
-            "exhaustive ordering unavailable for %d targets; falling back to peel", m
-        )
-        order = edcg_order(targets, topology, "peel")
-    plan = build_edcg_plan(topology, order)
+    if mode == "peel":
+        order, trees = _peel_order(topology, targets)
+        plan = EdcgPlan(tuple(order), tuple(frozenset(t) for t in trees))
+    else:
+        try:
+            order = edcg_order(targets, topology, mode)
+        except ValueError:
+            if mode != "exhaustive":
+                raise
+            logger.warning(
+                "exhaustive ordering unavailable for %d targets; falling back to peel", m
+            )
+            order = edcg_order(targets, topology, "peel")
+        plan = build_edcg_plan(topology, order)
     epr = plan.epr_pairs
     cost = EdcgCost(
         epr_pairs=epr,

@@ -14,6 +14,7 @@ user error).
 from __future__ import annotations
 
 import json
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .graphstate import GraphState
@@ -32,7 +33,12 @@ def link_key(u: NodeId, v: NodeId) -> Link:
 
 
 class NetworkTopology:
-    """Immutable undirected network graph with deterministic adjacency."""
+    """Immutable undirected network graph with deterministic adjacency.
+
+    Hop distances are computed once per source, by one BFS the first time
+    that source is asked for, and memoized on the instance; the topology
+    never changes, so a table never goes stale.
+    """
 
     def __init__(self, nodes, links):
         self._nodes = tuple(sorted(nodes))
@@ -54,6 +60,7 @@ class NetworkTopology:
             adj[v].append(u)
         self._links = frozenset(seen)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self._hop_tables: dict = {}  # source -> {node: hops}, filled lazily
         comps = self.components()
         if len(comps) > 1:
             names = "; ".join("{" + ", ".join(c) + "}" for c in comps)
@@ -89,9 +96,9 @@ class NetworkTopology:
                 continue
             comp = [start]
             seen.add(start)
-            queue = [start]
+            queue = deque([start])
             while queue:
-                cur = queue.pop(0)
+                cur = queue.popleft()
                 for nb in self._adj[cur]:
                     if nb not in seen:
                         seen.add(nb)
@@ -103,25 +110,36 @@ class NetworkTopology:
     # -- shortest-path machinery (deterministic: lexicographic everywhere) --
 
     def bfs_distances(self, src: NodeId) -> dict:
-        """Hop counts from ``src`` to every reachable node."""
-        if src not in self._adj:
-            raise ValueError(f"unknown node {src!r}")
+        """Hop counts from ``src`` to every reachable node (a fresh copy)."""
+        return dict(self._hops(src))
+
+    def _hops(self, src: NodeId) -> dict:
+        """Memoized hop table of ``src``; shared, so callers must not mutate it."""
+        table = self._hop_tables.get(src)
+        if table is None:
+            if src not in self._adj:
+                raise ValueError(f"unknown node {src!r}")
+            table = self._hop_tables[src] = self._bfs(src)
+        return table
+
+    def _bfs(self, src: NodeId) -> dict:
         dist = {src: 0}
-        queue = [src]
+        queue = deque([src])
         while queue:
-            cur = queue.pop(0)
+            cur = queue.popleft()
+            step = dist[cur] + 1
             for nb in self._adj[cur]:
                 if nb not in dist:
-                    dist[nb] = dist[cur] + 1
+                    dist[nb] = step
                     queue.append(nb)
         return dist
 
     def shortest_path(self, src: NodeId, dst: NodeId) -> list[NodeId]:
         """Lexicographically smallest among all shortest src->dst paths."""
-        d_src = self.bfs_distances(src)
+        d_src = self._hops(src)
         if dst not in d_src:
             raise ValueError(f"no path from {src!r} to {dst!r}")
-        d_dst = self.bfs_distances(dst)
+        d_dst = self._hops(dst)
         total = d_src[dst]
         path = [src]
         cur = src
@@ -137,7 +155,7 @@ class NetworkTopology:
         return path
 
     def eccentricity(self, v: NodeId) -> int:
-        return max(self.bfs_distances(v).values())
+        return max(self._hops(v).values())
 
 
 def topology_from_dict(data: dict) -> NetworkTopology:
@@ -309,38 +327,60 @@ def verify_target(state: NetworkState, target: GraphState, assignment: dict) -> 
     True iff some bijection from target vertices onto the live qubits is both
     placement-respecting and edge-preserving (exactly — no extra or missing
     entanglement, no extra live qubits).
+
+    Such a bijection is an isomorphism, so a vertex may only map to a qubit
+    of its own degree at its node.  The backtracking search keeps its own
+    stack, so its depth is not bounded by Python's recursion limit.
     """
     vertices = sorted(target.vertices)
     if set(assignment) != set(vertices):
         raise ValueError("assignment must cover exactly the target vertices")
-    live = sorted(state.placement)
-    if len(live) != len(vertices):
+    adj = state._adj
+    pool: dict = {}  # (node, degree) -> live qubits there, ascending
+    for q in sorted(state.placement):
+        pool.setdefault((state.placement[q], len(adj[q])), []).append(q)
+    keys = [(assignment[v], target.degree(v)) for v in vertices]
+    if Counter(keys) != Counter({key: len(qs) for key, qs in pool.items()}):
         return False
-    candidates = {v: state.qubits_at(assignment[v]) for v in vertices}
+    candidates = [pool[key] for key in keys]
+    index = {v: i for i, v in enumerate(vertices)}
+    # target neighbours of each vertex that the search maps before it
+    earlier = [[index[w] for w in target.neighbors(v) if index[w] < i]
+               for i, v in enumerate(vertices)]
 
-    mapping: dict = {}
+    n = len(vertices)
+    mapped: list = [None] * n   # qubit of vertices[i] while it is mapped
+    tried = [0] * n             # candidates of vertices[i] tried so far
     used: set = set()
 
-    def backtrack(i: int) -> bool:
-        if i == len(vertices):
-            return True
-        v = vertices[i]
-        for q in candidates[v]:
-            if q in used:
-                continue
-            ok = True
-            for w, qw in mapping.items():
-                if target.has_edge(v, w) != state.has_edge(q, qw):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = q
-            used.add(q)
-            if backtrack(i + 1):
-                return True
-            del mapping[v]
-            used.remove(q)
-        return False
+    def fits(i: int, q: QubitId) -> bool:
+        # The mapping is injective, so the mapped neighbours of vertices[i]
+        # land on distinct qubits: they are exactly q's mapped neighbours
+        # iff each is a neighbour of q and q has no other mapped neighbour.
+        # (With degrees matched, the first test alone makes a complete
+        # mapping an isomorphism; the second cuts dead branches early.)
+        adj_q = adj[q]
+        return (q not in used
+                and all(mapped[j] in adj_q for j in earlier[i])
+                and len(adj_q & used) == len(earlier[i]))
 
-    return backtrack(0)
+    i = 0
+    while i < n:
+        if mapped[i] is not None:   # back from a dead end further down
+            used.remove(mapped[i])
+            mapped[i] = None
+        cands = candidates[i]
+        k = tried[i]
+        while k < len(cands) and not fits(i, cands[k]):
+            k += 1
+        if k == len(cands):
+            tried[i] = 0
+            if i == 0:
+                return False
+            i -= 1
+            continue
+        tried[i] = k + 1
+        mapped[i] = cands[k]
+        used.add(cands[k])
+        i += 1
+    return True

@@ -2,9 +2,12 @@
 
 import logging
 import random
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
+from gstsim import edcg
 from gstsim.edcg import (
     EdcgPlan,
     build_edcg_plan,
@@ -18,12 +21,35 @@ from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topo
 from helpers_brute import brute_min_steiner_edges, floyd_warshall
 
 
+def record_steiner_calls(monkeypatch) -> list:
+    """Route the module's Steiner-tree lookups through a recorder; returns
+    the log of terminal sets, one per tree built."""
+    calls = []
+    real = edcg.steiner_tree
+
+    def recording(topology, terminals):
+        calls.append(frozenset(terminals))
+        return real(topology, terminals)
+
+    monkeypatch.setattr(edcg, "steiner_tree", recording)
+    return calls
+
+
 class TestSteiner:
     def test_star_terminals_use_the_spokes(self):
         topo = NetworkTopology(["hub", "a", "b", "c"],
                                [("hub", "a"), ("hub", "b"), ("hub", "c")])
         tree = steiner_tree(topo, ["a", "b", "c"])
         assert tree == frozenset({("a", "hub"), ("b", "hub"), ("c", "hub")})
+
+    def test_closure_edges_are_taken_shortest_first(self):
+        """On the 6-cycle a-d-e-b-p-m-a with terminals a, b, m the pair (a, b)
+        comes first in name order but is the longest; taking it first would
+        route through d and e and cost 4 links instead of 3."""
+        topo = NetworkTopology(["a", "b", "d", "e", "m", "p"],
+                               [("a", "d"), ("d", "e"), ("e", "b"),
+                                ("b", "p"), ("p", "m"), ("m", "a")])
+        assert steiner_tree(topo, ["a", "b", "m"]) == {("a", "m"), ("m", "p"), ("b", "p")}
 
     def test_single_terminal_is_free(self):
         assert steiner_tree(line_topology(4), ["n02"]) == frozenset()
@@ -90,6 +116,23 @@ class TestOrdering:
         cost_of = lambda order: build_edcg_plan(topo, list(order)).epr_pairs
         assert cost_of(best) == min(cost_of(p) for p in permutations(S))
 
+    def test_exhaustive_at_the_cap_matches_every_permutation(self, monkeypatch):
+        """Eight targets: 8! orders, but each suffix set's tree is built once."""
+        topo = grid_topology(6, 6)
+        S = list(topo.nodes)[::4][:8]
+        real = edcg.steiner_tree
+        calls = record_steiner_calls(monkeypatch)
+        best = edcg_order(S, topo, mode="exhaustive")
+        assert len(calls) == len(set(calls)) == 2 ** 8 - 9  # suffix sets of 2+
+
+        # The reference prices every permutation through build_edcg_plan;
+        # only the Steiner trees are cached, so it stays within test time.
+        cached = lru_cache(maxsize=None)(lambda terms: frozenset(real(topo, terms)))
+        monkeypatch.setattr(edcg, "steiner_tree", lambda t, terms: cached(frozenset(terms)))
+        expected = min(permutations(sorted(S)),
+                       key=lambda order: (build_edcg_plan(topo, order).epr_pairs, order))
+        assert best == list(expected)
+
     def test_exhaustive_capped_at_eight(self):
         topo = gnp_topology(9, 0.6, seed=1)
         with pytest.raises(ValueError):
@@ -144,6 +187,23 @@ class TestCost:
             plan, cost = edcg_cost(topo, S, mode="exhaustive")
         assert any("exhaustive" in rec.message for rec in caplog.records)
         assert cost.epr_pairs == edcg_cost(topo, S, mode="peel")[1].epr_pairs
+
+    @pytest.mark.parametrize("topo", [
+        gnp_topology(12, 0.3, seed=2), gnp_topology(20, 0.15, seed=7),
+        grid_topology(4, 5), tree_topology(3), line_topology(9),
+    ], ids=["gnp12", "gnp20", "grid4x5", "tree3", "line9"])
+    def test_peel_plan_reuses_the_ordering_trees(self, topo, monkeypatch):
+        """Peel mode builds each suffix tree once, and the plan it returns is
+        the one build_edcg_plan derives from the peel order."""
+        rng = random.Random(len(topo.nodes))
+        nodes = list(topo.nodes)
+        for S in [nodes] + [rng.sample(nodes, rng.randint(1, len(nodes))) for _ in range(4)]:
+            calls = record_steiner_calls(monkeypatch)
+            plan, cost = edcg_cost(topo, S)
+            monkeypatch.undo()
+            assert calls == [frozenset(plan.order[k:]) for k in range(len(set(S)) - 1)]
+            assert plan == build_edcg_plan(topo, edcg_order(S, topo))
+            assert cost.epr_pairs == plan.epr_pairs
 
     def test_single_target_costs_nothing(self):
         _, cost = edcg_cost(line_topology(3), ["n01"])

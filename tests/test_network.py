@@ -1,6 +1,9 @@
 """Topology model, locality enforcement, link discipline."""
 
 import json
+import random
+from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as hs
@@ -16,9 +19,11 @@ from gstsim.network import (
     verify_target,
 )
 from gstsim.graphstate import GraphState
-from gstsim.topogen import line_topology, tree_topology
+from gstsim.distribution import center_root
+from gstsim.edcg import edcg_cost
+from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
-from helpers_brute import floyd_warshall
+from helpers_brute import all_simple_paths, floyd_warshall
 
 
 def diamond():
@@ -83,6 +88,52 @@ class TestPathsAndDistances:
     def test_eccentricity(self):
         t = diamond()
         assert t.eccentricity("a") == 2
+
+    def test_bfs_of_unknown_node_rejected(self):
+        with pytest.raises(ValueError):
+            diamond().bfs_distances("z")
+
+    def test_mutating_a_returned_table_leaves_the_cache_intact(self):
+        t = diamond()
+        d = t.bfs_distances("a")
+        d["d"] = 0
+        d["zz"] = 99
+        del d["b"]
+        assert t.bfs_distances("a") == {"a": 0, "b": 1, "c": 1, "d": 2}
+        assert t.bfs_distances("a") is not t.bfs_distances("a")
+        assert t.shortest_path("a", "d") == ["a", "b", "d"]
+        assert t.eccentricity("a") == 2
+
+    def test_shortest_path_is_least_among_brute_shortest_paths(self):
+        rng = random.Random(83)
+        for seed in range(12):
+            t = gnp_topology(rng.randint(2, 9), 0.4, seed=seed)
+            for src in t.nodes:
+                for dst in t.nodes:
+                    paths = all_simple_paths(t, src, dst)
+                    hops = min(len(p) for p in paths)
+                    best = min(p for p in paths if len(p) == hops)
+                    assert t.shortest_path(src, dst) == list(best)
+
+    def test_each_source_is_searched_at_most_once(self, monkeypatch):
+        searched = Counter()
+        bfs = NetworkTopology._bfs
+
+        def counting(self, src):
+            searched[src] += 1
+            return bfs(self, src)
+
+        monkeypatch.setattr(NetworkTopology, "_bfs", counting)
+        t = grid_topology(4, 5)
+        nodes = list(t.nodes)
+        for _ in range(2):
+            center_root(t)
+            edcg_cost(t, nodes)
+            for v in nodes:
+                t.shortest_path(nodes[0], v)
+                t.bfs_distances(v)
+        assert set(searched) == set(nodes)
+        assert max(searched.values()) == 1
 
 
 class TestSerialization:
@@ -288,3 +339,77 @@ class TestVerifyTarget:
         qa2 = self.st.new_qubit("a")
         target = GraphState(["u", "v", "w"], [("u", "v")])
         assert verify_target(self.st, target, {"u": "a", "v": "b", "w": "a"})
+
+    def test_assignment_must_cover_the_target(self):
+        self.st.generate_epr("a", "b")
+        with pytest.raises(ValueError):
+            verify_target(self.st, self.target, {"u": "a"})
+
+    def test_long_path_at_one_node_does_not_recurse(self):
+        """1,200 target vertices: deeper than Python's recursion limit."""
+        n = 1200
+        st = NetworkState(NetworkTopology(["solo"], []))
+        qs = [st.new_qubit("solo") for _ in range(n)]
+        for a, b in zip(qs, qs[1:]):
+            st.apply_cz(a, b)
+        target = GraphState(range(n), [(i, i + 1) for i in range(n - 1)])
+        assignment = dict.fromkeys(range(n), "solo")
+        assert verify_target(st, target, assignment)
+        st.apply_cz(qs[600], qs[601])  # cut the chain in two
+        assert not verify_target(st, target, assignment)
+
+    def test_same_degrees_but_not_isomorphic(self):
+        """Every qubit has the degree of some target vertex, yet no bijection
+        preserves the edges."""
+        st = NetworkState(NetworkTopology(["solo"], []))
+        qs = [st.new_qubit("solo") for _ in range(5)]
+        for a, b in [(0, 2), (0, 3), (1, 2), (2, 4), (3, 4)]:
+            st.apply_cz(qs[a], qs[b])
+        target = GraphState(range(5), [(0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
+        assert not verify_target(st, target, dict.fromkeys(range(5), "solo"))
+
+    def test_agrees_with_brute_force_bijections(self):
+        """Random small states against every placement-respecting bijection,
+        with targets equal to the state up to relabelling or off by one edge,
+        one vertex or one assigned node."""
+        rng = random.Random(89)
+        nodes = ["a", "b", "c"]
+        for _ in range(200):
+            st = NetworkState(NetworkTopology(nodes, [("a", "b"), ("b", "c")]))
+            for _ in range(rng.randint(0, 8)):
+                live = sorted(st.placement)
+                op = rng.choice(["new", "epr", "cz", "measure_y"])
+                if op == "new" or (op != "epr" and len(live) < 2):
+                    st.new_qubit(rng.choice(nodes))
+                elif op == "epr":
+                    st.generate_epr(*rng.choice([("a", "b"), ("b", "c")]))
+                    st.advance_timestep()
+                elif op == "cz":
+                    a, b = rng.sample(live, 2)
+                    if st.node_of(a) == st.node_of(b):
+                        st.apply_cz(a, b)
+                else:
+                    st.measure_y(rng.choice(live))
+                if len(st.placement) > 6:
+                    st.measure_z(min(st.placement))
+            qs = sorted(st.placement)
+            labels = rng.sample(range(20), len(qs))
+            relabel = dict(zip(qs, labels))
+            edges = {tuple(sorted((relabel[a], relabel[b])))
+                     for a in qs for b in st.neighbors(a)}
+            if len(labels) >= 2 and rng.random() < 0.4:
+                edges ^= {tuple(sorted(rng.sample(labels, 2)))}
+            if labels and rng.random() < 0.1:
+                gone = labels.pop()
+                edges = {e for e in edges if gone not in e}
+            target = GraphState(labels, edges)
+            assignment = {relabel[q]: st.node_of(q) for q in qs if relabel[q] in labels}
+            if labels and rng.random() < 0.2:
+                assignment[rng.choice(labels)] = rng.choice(nodes)
+            brute = len(labels) == len(qs) and any(
+                all(assignment[v] == st.node_of(q) for v, q in zip(labels, image))
+                and all(target.has_edge(v, w) == st.has_edge(image[i], image[j])
+                        for i, v in enumerate(labels) for j, w in enumerate(labels) if i < j)
+                for image in permutations(qs)
+            )
+            assert verify_target(st, target, assignment) == brute
