@@ -4,10 +4,17 @@ A set of transfers can finish within k timesteps when the root can reach
 every target along paths that load no link more than k times.  That
 question is a max-flow instance: give every undirected link two opposite
 arcs of capacity k, wire each target to a synthetic sink with capacity 1,
-and ask whether |S| units flow from the root.  Searching the smallest
-feasible k per candidate root (the value is monotone in k) and taking the
-best root yields the plan with the fewest rounds; the unit flow paths fall
-out of a deterministic decomposition.
+and ask whether |S| units flow from the root.  Feasibility is monotone in
+k, so the smallest feasible k per root is a binary search.  It starts at
+the root's cut floor ceil(|S - {root}| / deg(root)), since every unit that
+moves leaves the root over one of its deg(root) links.  Across roots only
+a strict improvement matters: a root whose floor already reaches the best
+k so far is skipped without a flow call, and any other root is probed once
+at best k - 1 and searched only if that probe saturates.  The unit flow
+paths of the chosen (root, k) fall out of a deterministic decomposition.
+
+`max_flow` is Dinic's algorithm over flat arc arrays with an iterative,
+explicit-stack DFS, so augmenting paths of any length fit.
 """
 
 from __future__ import annotations
@@ -19,16 +26,12 @@ from .network import NetworkTopology, NodeId
 
 
 @dataclass
-class _Arc:
-    to: int
-    cap: int
-    rev: int          # index of the reverse arc in graph[to]
-    link: tuple | None  # (u_idx, v_idx) directed link identity, None for sink arcs
-
-
-@dataclass
 class FlowInstance:
-    """Directed max-flow encoding of one (root, S, k) question."""
+    """Directed max-flow encoding of one (root, S, k) question.
+
+    Arcs live in flat lists indexed by arc id; arc ``a ^ 1`` is the reverse
+    of arc ``a`` and starts with capacity 0.
+    """
 
     topology: NetworkTopology
     root: NodeId
@@ -37,7 +40,10 @@ class FlowInstance:
     names: tuple = field(init=False)       # index -> node name; sink is index len(names)
     source: int = field(init=False)
     sink: int = field(init=False)
-    graph: list = field(init=False)        # adjacency: graph[v] = [_Arc, ...]
+    adj: list = field(init=False)          # adj[v] = arc ids leaving v, in insertion order
+    to: list = field(init=False)           # to[a] = head of arc a
+    cap: list = field(init=False)          # cap[a] = initial capacity of arc a
+    link: list = field(init=False)         # link[a] = (u_idx, v_idx) for link arcs, else None
 
     def __post_init__(self):
         if self.k < 1:
@@ -52,7 +58,8 @@ class FlowInstance:
         index = {v: i for i, v in enumerate(names)}
         self.source = index[self.root]
         self.sink = len(names)
-        self.graph = [[] for _ in range(len(names) + 1)]
+        self.adj = [[] for _ in range(len(names) + 1)]
+        self.to, self.cap, self.link = [], [], []
         for u, v in sorted(self.topology.links):
             self._add_arc(index[u], index[v], self.k)
             self._add_arc(index[v], index[u], self.k)
@@ -60,10 +67,12 @@ class FlowInstance:
             self._add_arc(index[t], self.sink, 1)
 
     def _add_arc(self, u: int, v: int, cap: int) -> None:
-        fwd = _Arc(v, cap, len(self.graph[v]), (u, v) if v != self.sink else None)
-        bwd = _Arc(u, 0, len(self.graph[u]), None)
-        self.graph[u].append(fwd)
-        self.graph[v].append(bwd)
+        a = len(self.to)
+        self.adj[u].append(a)
+        self.adj[v].append(a + 1)
+        self.to += (v, u)
+        self.cap += (cap, 0)
+        self.link += ((u, v) if v != self.sink else None, None)
 
 
 @dataclass
@@ -74,62 +83,75 @@ class FlowResult:
 
 
 def max_flow(instance: FlowInstance) -> FlowResult:
-    """Dinic's algorithm; integral by construction, deterministic arc order."""
-    graph = instance.graph
+    """Dinic's algorithm; integral by construction, deterministic arc order.
+
+    Each phase levels the residual graph by BFS, up to the sink's level
+    (nodes past it cannot reach the sink in this phase), then finds one
+    augmenting path per DFS with current-arc pointers until none is left.
+    The DFS keeps its path on an explicit stack, so path length is
+    unbounded.  Every augmenting path ends in a capacity-1 target arc and
+    carries one unit.
+    """
+    adj, to = instance.adj, instance.to
+    cap = list(instance.cap)
     source, sink = instance.source, instance.sink
-    n = len(graph)
-    caps = [[arc.cap for arc in adj] for adj in graph]
-
-    def bfs() -> list[int] | None:
-        level = [-1] * n
-        level[source] = 0
-        queue = [source]
-        while queue:
-            nxt = []
-            for u in queue:
-                for i, arc in enumerate(graph[u]):
-                    if caps[u][i] > 0 and level[arc.to] < 0:
-                        level[arc.to] = level[u] + 1
-                        nxt.append(arc.to)
-            queue = nxt
-        return level if level[sink] >= 0 else None
-
-    def dfs(u: int, pushed: int, level, it) -> int:
-        if u == sink:
-            return pushed
-        while it[u] < len(graph[u]):
-            i = it[u]
-            arc = graph[u][i]
-            if caps[u][i] > 0 and level[arc.to] == level[u] + 1:
-                got = dfs(arc.to, min(pushed, caps[u][i]), level, it)
-                if got > 0:
-                    caps[u][i] -= got
-                    caps[arc.to][arc.rev] += got
-                    return got
-            it[u] += 1
-        return 0
+    n = len(adj)
 
     total = 0
     while True:
-        level = bfs()
-        if level is None:
+        level = [-1] * n
+        level[source] = 0
+        frontier = [source]
+        while frontier and level[sink] < 0:
+            nxt = []
+            for u in frontier:
+                below = level[u] + 1
+                for a in adj[u]:
+                    v = to[a]
+                    if cap[a] > 0 and level[v] < 0:
+                        level[v] = below
+                        nxt.append(v)
+            frontier = nxt
+        if level[sink] < 0:
             break
         it = [0] * n
+        path: list = []  # arc ids from the source to the current node
+        u = source
         while True:
-            pushed = dfs(source, 1 << 30, level, it)
-            if pushed == 0:
+            if u == sink:
+                for a in path:
+                    cap[a] -= 1
+                    cap[a ^ 1] += 1
+                total += 1
+                path.clear()
+                u = source
+                continue
+            arcs = adj[u]
+            i = it[u]
+            below = level[u] + 1
+            while i < len(arcs):
+                a = arcs[i]
+                if cap[a] > 0 and level[to[a]] == below:
+                    break
+                i += 1
+            it[u] = i
+            if i < len(arcs):
+                path.append(a)
+                u = to[a]
+            elif path:
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
                 break
-            total += pushed
 
     # Per-arc flow = initial cap - residual cap; then cancel the two opposite
     # arcs of each undirected link so only the net direction carries flow.
     raw: dict = {}
-    for u in range(n):
-        for i, arc in enumerate(graph[u]):
-            if arc.link is not None:
-                sent = arc.cap - caps[u][i]
-                if sent:
-                    raw[arc.link] = raw.get(arc.link, 0) + sent
+    for a, key in enumerate(instance.link):
+        if key is not None:
+            sent = instance.cap[a] - cap[a]
+            if sent:
+                raw[key] = sent
     net: dict = {}
     for (u, v), sent in sorted(raw.items()):
         back = raw.get((v, u), 0)
@@ -205,24 +227,41 @@ def decompose_flow(result: FlowResult) -> DistributionPlan:
     return DistributionPlan(inst.root, paths)
 
 
-def min_saturating_k(topology: NetworkTopology, targets, root: NodeId) -> int:
-    """Smallest per-link capacity k at which all targets are reachable at once.
+def _saturates(topology: NetworkTopology, targets: tuple, root: NodeId, k: int) -> bool:
+    return max_flow(FlowInstance(topology, root, targets, k)).value == len(targets)
 
-    Feasibility is monotone in k and k = |S| always saturates on a connected
-    topology, so plain binary search applies.
-    """
-    targets = tuple(sorted(set(targets)))
-    lo, hi = 1, max(1, len(targets))
-    top = max_flow(FlowInstance(topology, root, targets, hi))
-    if top.value != len(targets):
-        raise ValueError(f"targets unreachable from {root!r} even at k = {hi}")
+
+def _cut_floor(topology: NetworkTopology, targets: tuple, root: NodeId) -> int:
+    """ceil(|S - {root}| / deg(root)), or 1 when no target has to move."""
+    degree = len(topology.neighbors(root))  # raises on an unknown root
+    movers = len(targets) - (root in targets)
+    return -(-movers // degree) if movers else 1
+
+
+def _smallest_k(topology: NetworkTopology, targets: tuple, root: NodeId,
+                lo: int, hi: int) -> int:
+    """Smallest saturating k in [lo, hi], given that hi saturates."""
     while lo < hi:
         mid = (lo + hi) // 2
-        if max_flow(FlowInstance(topology, root, targets, mid)).value == len(targets):
+        if _saturates(topology, targets, root, mid):
             hi = mid
         else:
             lo = mid + 1
     return lo
+
+
+def min_saturating_k(topology: NetworkTopology, targets, root: NodeId) -> int:
+    """Smallest per-link capacity k at which all targets are reachable at once.
+
+    k = |S| always saturates on a connected topology and is probed first;
+    feasibility is monotone in k, so a binary search follows, starting at
+    the root's cut floor instead of 1.
+    """
+    targets = tuple(sorted(set(targets)))
+    hi = max(1, len(targets))
+    if not _saturates(topology, targets, root, hi):
+        raise ValueError(f"targets unreachable from {root!r} even at k = {hi}")
+    return _smallest_k(topology, targets, root, _cut_floor(topology, targets, root), hi)
 
 
 def minimize_completion_time(topology: NetworkTopology, targets,
@@ -231,17 +270,22 @@ def minimize_completion_time(topology: NetworkTopology, targets,
 
     ``roots`` restricts the candidate set (default: every node).  Returns
     (root, k, plan) where the plan is the deterministic decomposition of the
-    max flow at that (root, k).
+    max flow at that (root, k).  The first candidate gets a full search;
+    after that, with best k* so far, a root whose cut floor is at least k*
+    is skipped, and any other root is probed once at k* - 1 and searched
+    only if that probe saturates.  Only a strictly smaller k replaces the
+    best, so the first candidate with the smallest k wins, as if every root
+    had been searched.
     """
     candidates = sorted(set(roots)) if roots is not None else list(topology.nodes)
     if not candidates:
         raise ValueError("no candidate roots")
-    best: tuple | None = None
-    for root in candidates:
-        k = min_saturating_k(topology, targets, root)
-        if best is None or k < best[1]:
-            best = (root, k)
-    root, k = best
-    result = max_flow(FlowInstance(topology, root, tuple(sorted(set(targets))), k))
-    plan = decompose_flow(result)
+    targets = tuple(sorted(set(targets)))
+    root = candidates[0]
+    k = min_saturating_k(topology, targets, root)
+    for cand in candidates[1:]:
+        floor = _cut_floor(topology, targets, cand)
+        if floor < k and _saturates(topology, targets, cand, k - 1):
+            root, k = cand, _smallest_k(topology, targets, cand, floor, k - 1)
+    plan = decompose_flow(max_flow(FlowInstance(topology, root, targets, k)))
     return root, k, plan

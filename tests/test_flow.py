@@ -1,9 +1,11 @@
 """Max-flow planning: values, decomposition, and the k optimizer."""
 
+import hashlib
 import random
 
 import pytest
 
+import gstsim.flow
 from gstsim.flow import (
     FlowInstance,
     FlowResult,
@@ -13,7 +15,7 @@ from gstsim.flow import (
     minimize_completion_time,
 )
 from gstsim.network import NetworkTopology
-from gstsim.topogen import gnp_topology, line_topology
+from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
 from helpers_brute import brute_max_served, path_multiset_exists
 
@@ -170,6 +172,15 @@ class TestOptimizer:
     def test_roots_must_exist(self):
         with pytest.raises(ValueError):
             minimize_completion_time(line_topology(3), ["n02"], roots=["zz"])
+        # "zz" sorts after n01, whose k = 1 would prune any later root
+        with pytest.raises(ValueError):
+            minimize_completion_time(line_topology(3), ["n02"], roots=["n01", "zz"])
+        with pytest.raises(ValueError):
+            minimize_completion_time(line_topology(3), [], roots=["n01", "zz"])
+
+    def test_empty_roots_rejected(self):
+        with pytest.raises(ValueError, match="no candidate roots"):
+            minimize_completion_time(line_topology(3), ["n02"], roots=[])
 
 
 def test_theorem_two_equivalence_sample():
@@ -186,3 +197,132 @@ def test_theorem_two_equivalence_sample():
             flow_ok = max_flow(FlowInstance(topo, root, S, k)).value == len(S)
             brute_ok = path_multiset_exists(topo, root, [t for t in S if t != root], k)
             assert flow_ok == brute_ok
+
+
+class TestDeepPaths:
+    """The DFS keeps its path on an explicit stack, not the call stack."""
+
+    def test_max_flow_along_a_1500_node_line(self):
+        topo = line_topology(1500)
+        result = max_flow(FlowInstance(topo, "n0000", topo.nodes, 1))
+        # the root serves itself; its single link carries one more unit
+        assert result.value == 2
+        assert result.link_flow == {("n0000", "n0001"): 1}
+
+    def test_min_saturating_k_to_the_far_end(self):
+        topo = line_topology(1500)
+        assert min_saturating_k(topo, ["n1499"], "n0000") == 1
+        plan = decompose_flow(max_flow(FlowInstance(topo, "n0000", ["n1499"], 1)))
+        assert plan.paths["n1499"] == list(topo.nodes)
+
+
+def _count_max_flow(monkeypatch) -> list:
+    """Route gstsim.flow.max_flow through a recorder of (instance, result)."""
+    calls: list = []
+    real = gstsim.flow.max_flow
+
+    def recording(instance):
+        result = real(instance)
+        calls.append((instance, result))
+        return result
+
+    monkeypatch.setattr(gstsim.flow, "max_flow", recording)
+    return calls
+
+
+# SHA-256 prefixes of repr((root, k, sorted(plan.paths.items()))) for
+# minimize_completion_time(topo, every node), as produced by the exhaustive
+# per-root binary search that the pruned search replaced.
+PINNED_PLANS = [
+    ("grid 6x6", lambda: grid_topology(6, 6), "a64d1a02fc1bd7a6"),
+    ("tree h=4", lambda: tree_topology(4), "5371d8476c20109d"),
+    ("line 40", lambda: line_topology(40), "fd72920effbfdee0"),
+    ("gnp(50, 0.08, 3)", lambda: gnp_topology(50, 0.08, seed=3), "6cc4bf4266bd7b7c"),
+    ("grid 8x8", lambda: grid_topology(8, 8), "f53336ead80977f6"),
+]
+
+
+@pytest.mark.parametrize("label,build,digest", PINNED_PLANS, ids=[p[0] for p in PINNED_PLANS])
+def test_pinned_optimizer_plans(label, build, digest):
+    topo = build()
+    root, k, plan = minimize_completion_time(topo, topo.nodes)
+    got = hashlib.sha256(repr((root, k, sorted(plan.paths.items()))).encode()).hexdigest()
+    assert got[:16] == digest
+
+
+def test_grid_probe_budget(monkeypatch):
+    """Cut-floor pruning: grid 8x8 needs a handful of probes, not one
+    binary search per root (449 max_flow calls before pruning)."""
+    calls = _count_max_flow(monkeypatch)
+    topo = grid_topology(8, 8)
+    root, k, _ = minimize_completion_time(topo, topo.nodes)
+    assert (root, k) == ("r01c01", 16)
+    assert len(calls) <= 20
+
+
+def _networkx_value(instance: FlowInstance) -> int:
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    sink = ("sink",)
+    for u, v in instance.topology.links:
+        g.add_edge(u, v, capacity=instance.k)
+        g.add_edge(v, u, capacity=instance.k)
+    for t in instance.targets:
+        g.add_edge(t, sink, capacity=1)
+    if sink not in g:
+        return 0
+    return nx.maximum_flow_value(g, instance.root, sink)
+
+
+def _check_link_flow(result: FlowResult) -> None:
+    inst = result.instance
+    balance = {v: 0 for v in inst.topology.nodes}
+    for (u, v), units in result.link_flow.items():
+        assert inst.topology.has_link(u, v)
+        assert 0 < units <= inst.k
+        assert (v, u) not in result.link_flow
+        balance[u] -= units
+        balance[v] += units
+    served = 0
+    for v, net_in in balance.items():
+        if v == inst.root:
+            continue
+        if v in inst.targets:
+            assert net_in in (0, 1)
+            served += net_in
+        else:
+            assert net_in == 0
+    assert -balance[inst.root] == served
+    assert result.value == served + (inst.root in inst.targets)
+
+
+def test_optimizer_differential_sweep(monkeypatch):
+    """Pruned search == exhaustive per-root search; every probe's value
+    matches networkx and its link flow is a feasible, conserving flow."""
+    rng = random.Random(2020)
+    probes = 0
+    for case in range(220):
+        n = rng.randint(1, 14)
+        topo = gnp_topology(n, rng.uniform(0.15, 0.7), seed=case)
+        nodes = list(topo.nodes)
+        S = rng.sample(nodes, rng.randint(0, n))
+        roots = rng.sample(nodes, rng.randint(1, n)) if case % 2 else None
+        candidates = sorted(set(roots)) if roots is not None else nodes
+
+        want_root = min(candidates, key=lambda r: (min_saturating_k(topo, S, r),
+                                                   candidates.index(r)))
+        want_k = min_saturating_k(topo, S, want_root)
+
+        calls = _count_max_flow(monkeypatch)
+        root, k, plan = minimize_completion_time(topo, S, roots=roots)
+        monkeypatch.undo()
+
+        assert (root, k) == (want_root, want_k), (case, n, S, roots)
+        reference = decompose_flow(max_flow(FlowInstance(topo, root, S, k)))
+        assert plan.paths == reference.paths
+        assert plan.root == reference.root
+        for instance, result in calls:
+            assert result.value == _networkx_value(instance)
+            _check_link_flow(result)
+        probes += len(calls)
+    assert probes > 220
