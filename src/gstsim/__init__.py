@@ -1,4 +1,10 @@
-"""Graph-state distribution over quantum networks: simulator, planner, oracle."""
+"""Graph-state distribution over quantum networks: simulator, planner, oracle.
+
+``gstsim.oracle`` (and numpy with it) is imported on first access to one of
+its names below, so planning and simulation never pay for it.
+"""
+
+import importlib
 
 from .graphstate import GraphState
 from .network import (
@@ -32,16 +38,6 @@ from .flow import (
     max_flow,
     min_saturating_k,
     minimize_completion_time,
-)
-from .oracle import (
-    StateVector,
-    build_graph_state,
-    certification_report,
-    lc_equivalent,
-    measure_pauli,
-    verify_graphical_rule,
-    verify_teleport_transfer,
-    verify_transfer_sequence,
 )
 from .scenario import (
     ScenarioConfig,
@@ -102,3 +98,25 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset({
+    "StateVector",
+    "build_graph_state",
+    "certification_report",
+    "lc_equivalent",
+    "measure_pauli",
+    "verify_graphical_rule",
+    "verify_teleport_transfer",
+    "verify_transfer_sequence",
+})
+
+
+def __getattr__(name):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES | {"oracle"})

@@ -14,7 +14,6 @@ import sys
 
 from .distribution import ExecutionError
 from .network import topology_to_dict
-from .oracle import certification_report
 from .scenario import (
     ScenarioConfig,
     compare_scenario,
@@ -141,6 +140,8 @@ def _gen_topo(args) -> int:
 
 
 def _verify_oracle(args) -> int:
+    from .oracle import certification_report  # the only verb that needs numpy
+
     report = certification_report(args.samples, args.seed)
     for key in ("rules_exhaustive_small", "rules_random_five",
                 "teleport_projections", "transfer_sequence"):

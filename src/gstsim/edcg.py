@@ -23,6 +23,27 @@ from .network import NetworkTopology, NodeId
 logger = logging.getLogger(__name__)
 
 
+def _kruskal(pairs, parent: dict, needed: int) -> list[tuple]:
+    """The first ``needed`` pairs that join two of ``parent``'s union-find
+    sets, taken in the order given."""
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    chosen = []
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            chosen.append((u, v))
+            if len(chosen) == needed:
+                break
+    return chosen
+
+
 def _mst_on_terminals(topology: NetworkTopology, terminals: list) -> list[tuple]:
     """Kruskal over the metric closure; deterministic (weight, u, v) order.
 
@@ -34,24 +55,74 @@ def _mst_on_terminals(topology: NetworkTopology, terminals: list) -> list[tuple]
         d_u = topology._hops(u)
         for v in terminals[i + 1:]:
             by_weight[d_u[v]].append((u, v))
-    parent = {t: t for t in terminals}
+    pairs = (pair for w in sorted(by_weight) for pair in by_weight[w])
+    return _kruskal(pairs, {t: t for t in terminals}, len(terminals) - 1)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    chosen = []
-    for w in sorted(by_weight):
-        for u, v in by_weight[w]:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                chosen.append((u, v))
-                if len(chosen) == len(terminals) - 1:
-                    return chosen
-    return chosen
+def _mst_without(topology: NetworkTopology, terminals: list, mst, gone) -> list[tuple]:
+    """The closure MST of sorted ``terminals`` from the MST of
+    ``terminals`` + {gone}.
+
+    The (weight, u, v) order is strict, so the MST is unique and an edge
+    lies on it iff no path of smaller edges joins its ends; dropping a
+    terminal only removes paths, so every edge not at ``gone`` stays.
+    Kruskal then reconnects the pieces over the pairs that cross them.
+    """
+    kept = [e for e in mst if gone not in e]
+    pieces = len(terminals) - len(kept)  # a forest: one piece per missing edge
+    if pieces == 1:
+        return kept
+    adj: dict = {t: [] for t in terminals}
+    for u, v in kept:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent: dict = {}
+    groups = []
+    for t in terminals:
+        if t in parent:
+            continue
+        parent[t] = t
+        group = [t]
+        for x in group:
+            for y in adj[x]:
+                if y not in parent:
+                    parent[y] = t
+                    group.append(y)
+        groups.append(group)
+    crossing = []
+    for i, group in enumerate(groups):
+        for a in group:
+            d_a = topology._hops(a)
+            for other in groups[i + 1:]:
+                for b in other:
+                    crossing.append((d_a[b], a, b) if a < b else (d_a[b], b, a))
+    crossing.sort()
+    return kept + _kruskal(((u, v) for _, u, v in crossing), parent, pieces - 1)
+
+
+# (topology, terminals, MST) of the latest closure MST that steiner_tree built
+_last_mst: tuple | None = None
+
+
+def _closure_mst(topology: NetworkTopology, terminals: list) -> list[tuple]:
+    """The metric-closure MST of sorted ``terminals``.
+
+    When the previous call built it for ``terminals`` plus one more terminal
+    on the same (immutable) topology, as consecutive peel suffixes and
+    cascade suffixes do, that tree is repaired by ``_mst_without`` instead
+    of Kruskal running again over all m(m-1)/2 pairs.
+    """
+    global _last_mst
+    last = _last_mst
+    gone = frozenset()
+    if last is not None and last[0] is topology and len(last[1]) == len(terminals) + 1:
+        gone = last[1].difference(terminals)
+    if len(gone) == 1:
+        mst = _mst_without(topology, terminals, last[2], *gone)
+    else:
+        mst = _mst_on_terminals(topology, terminals)
+    _last_mst = (topology, frozenset(terminals), tuple(mst))
+    return mst
 
 
 def steiner_tree(topology: NetworkTopology, terminals) -> set:
@@ -76,7 +147,7 @@ def steiner_tree(topology: NetworkTopology, terminals) -> set:
         union_adj.setdefault(u, set()).add(v)
         union_adj.setdefault(v, set()).add(u)
 
-    for u, v in _mst_on_terminals(topology, terminals):
+    for u, v in _closure_mst(topology, terminals):
         path = topology.shortest_path(u, v)
         for a, b in zip(path, path[1:]):
             add(a, b)
@@ -122,6 +193,8 @@ def _peel_order(topology: NetworkTopology, targets: list) -> tuple[list, list]:
     network itself is a tree — the ordering the cascade cost story assumes.
     Returns the order and the Steiner tree it built for each suffix
     {s_k..s_m}, k = 1..m-1, which are exactly the plan's suffix trees.
+    Each suffix is the previous one minus one terminal, so every tree after
+    the first repairs the previous closure MST (``_closure_mst``).
     """
     remaining = list(targets)
     prefix_reversed = []

@@ -272,10 +272,12 @@ def minimize_completion_time(topology: NetworkTopology, targets,
     (root, k, plan) where the plan is the deterministic decomposition of the
     max flow at that (root, k).  The first candidate gets a full search;
     after that, with best k* so far, a root whose cut floor is at least k*
-    is skipped, and any other root is probed once at k* - 1 and searched
-    only if that probe saturates.  Only a strictly smaller k replaces the
-    best, so the first candidate with the smallest k wins, as if every root
-    had been searched.
+    is skipped, and any other root is probed once at k* - 1.  If that
+    saturates, k* - 2 is probed next (roots walking toward a line's middle
+    improve k by exactly one), and only if that saturates too is
+    [floor, k* - 2] searched.  Only a strictly smaller k replaces the best,
+    so the first candidate with the smallest k wins, as if every root had
+    been searched.
     """
     candidates = sorted(set(roots)) if roots is not None else list(topology.nodes)
     if not candidates:
@@ -286,6 +288,9 @@ def minimize_completion_time(topology: NetworkTopology, targets,
     for cand in candidates[1:]:
         floor = _cut_floor(topology, targets, cand)
         if floor < k and _saturates(topology, targets, cand, k - 1):
-            root, k = cand, _smallest_k(topology, targets, cand, floor, k - 1)
+            hi = k - 1
+            if floor < hi and _saturates(topology, targets, cand, hi - 1):
+                hi = _smallest_k(topology, targets, cand, floor, hi - 1)
+            root, k = cand, hi
     plan = decompose_flow(max_flow(FlowInstance(topology, root, targets, k)))
     return root, k, plan

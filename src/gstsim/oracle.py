@@ -514,9 +514,13 @@ def certification_report(five_qubit_samples: int = 100, seed: int = 7) -> dict:
     Covers measurement rewrites on every connected graph with up to 4
     vertices and on random 5-vertex graphs, plus the four-outcome
     projection argument and the three-step transfer sequence on every
-    (<= 5)-qubit transfer shape.
+    (<= 5)-qubit transfer shape.  Raises ValueError for a negative sample
+    count.
     """
     import random as _random
+
+    if five_qubit_samples < 0:
+        raise ValueError(f"five_qubit_samples must be >= 0, got {five_qubit_samples}")
 
     report: dict = {}
     passed = total = 0

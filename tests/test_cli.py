@@ -90,6 +90,19 @@ def test_verify_oracle_small(capsys):
     assert "rules_exhaustive_small" in out
 
 
+def test_verify_oracle_negative_samples_is_config_error(capsys):
+    code = main(["verify-oracle", "--samples", "-3"])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "rules_random_five" not in captured.out
+
+
+def test_verify_oracle_zero_samples(capsys):
+    assert main(["verify-oracle", "--samples", "0"]) == EXIT_OK
+    assert "rules_random_five: 0/0 ok" in capsys.readouterr().out
+
+
 def test_verification_failures_exit_two(monkeypatch, capsys):
     def boom(cfg):
         raise AssertionError("dominance reversed")

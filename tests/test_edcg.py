@@ -205,6 +205,66 @@ class TestCost:
             assert plan == build_edcg_plan(topo, edcg_order(S, topo))
             assert cost.epr_pairs == plan.epr_pairs
 
+    @pytest.mark.parametrize("topo", [
+        line_topology(30), grid_topology(5, 6), tree_topology(4),
+        gnp_topology(25, 0.15, seed=3), gnp_topology(40, 0.08, seed=9),
+    ], ids=["line30", "grid5x6", "tree4", "gnp25", "gnp40"])
+    def test_peel_reuses_the_closure_mst(self, topo, monkeypatch):
+        """Each suffix's MST is repaired from the previous suffix's, so
+        Kruskal runs over every pair once per ordering; the repaired MST
+        equals a fresh one for every suffix of the peel and the lex order
+        (which also drops interior terminals), and the peel trees and order
+        equal those built with the carried MST dropped before each call."""
+        rng = random.Random(len(topo.nodes))
+        nodes = list(topo.nodes)
+        fresh_mst = edcg._mst_on_terminals
+        for S in [nodes] + [rng.sample(nodes, rng.randint(2, len(nodes))) for _ in range(4)]:
+            order, trees = edcg._peel_order(topo, sorted(S))
+
+            for chain in (order, sorted(S)):
+                fresh_builds = []
+                monkeypatch.setattr(edcg, "_mst_on_terminals",
+                                    lambda t, ts: fresh_builds.append(ts) or fresh_mst(t, ts))
+                monkeypatch.setattr(edcg, "_last_mst", None)
+                for k in range(len(chain) - 1):
+                    suffix = sorted(chain[k:])
+                    assert set(edcg._closure_mst(topo, suffix)) == set(fresh_mst(topo, suffix))
+                monkeypatch.undo()
+                assert fresh_builds == [sorted(chain)]
+
+            real_tree = edcg.steiner_tree
+
+            def without_carry(t, terminals):
+                edcg._last_mst = None
+                return real_tree(t, terminals)
+
+            monkeypatch.setattr(edcg, "steiner_tree", without_carry)
+            assert edcg._peel_order(topo, sorted(S)) == (order, trees)
+            monkeypatch.undo()
+
+    def test_closure_mst_repairs_a_hub_removal(self, monkeypatch):
+        """Dropping a terminal of closure-MST degree 4 leaves four pieces;
+        the repair must weigh the pairs across every two of them."""
+        topo = grid_topology(5, 5)
+        hub, arms = "r02c02", ["r01c02", "r02c01", "r02c03", "r03c02"]
+        monkeypatch.setattr(edcg, "_last_mst", None)
+        assert {e for e in edcg._closure_mst(topo, sorted(arms + [hub])) if hub in e} \
+            == {tuple(sorted((hub, a))) for a in arms}
+        repaired = edcg._closure_mst(topo, arms)
+        assert set(repaired) == set(edcg._mst_on_terminals(topo, arms))
+        assert set(repaired) == {("r01c02", a) for a in arms[1:]}
+
+    def test_closure_mst_rebuilds_for_other_sets(self, monkeypatch):
+        """Only "previous set minus one terminal" on the same topology is
+        repaired; any other request builds afresh and still matches."""
+        topo = grid_topology(4, 4)
+        nodes = sorted(topo.nodes)
+        snake = NetworkTopology(nodes, list(zip(nodes, nodes[1:])))  # same ids, other metric
+        monkeypatch.setattr(edcg, "_last_mst", None)
+        for terminals, t in [(nodes, topo), (nodes[1:], snake), (nodes[2:], topo),
+                             (nodes[:1] + nodes[4:], topo), (nodes[4:], topo)]:
+            assert set(edcg._closure_mst(t, terminals)) == set(edcg._mst_on_terminals(t, terminals))
+
     def test_single_target_costs_nothing(self):
         _, cost = edcg_cost(line_topology(3), ["n01"])
         assert cost.epr_pairs == 0

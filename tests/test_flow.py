@@ -260,6 +260,17 @@ def test_grid_probe_budget(monkeypatch):
     assert len(calls) <= 20
 
 
+def test_line_probe_budget(monkeypatch):
+    """Walking from n00 toward a line's middle improves k by exactly one per
+    root, so the k* - 2 probe settles each root without a binary search
+    (72 max_flow calls with only the k* - 1 probe)."""
+    calls = _count_max_flow(monkeypatch)
+    topo = line_topology(40)
+    root, k, _ = minimize_completion_time(topo, topo.nodes)
+    assert (root, k) == ("n19", 20)
+    assert len(calls) <= 40
+
+
 def _networkx_value(instance: FlowInstance) -> int:
     nx = pytest.importorskip("networkx")
     g = nx.DiGraph()
