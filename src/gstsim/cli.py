@@ -55,6 +55,8 @@ def _scenario_from_args(args) -> ScenarioConfig:
     if "topology" not in data:
         raise ValueError("a topology is required (flag --topology or scenario file)")
     out = data.pop("output", {})
+    if not isinstance(out, dict):
+        raise ValueError(f"scenario output must be an object, not {out!r}")
     cfg = ScenarioConfig.from_dict(data)
     cfg.output = out
     if args.out is not None and "path" not in cfg.output:

@@ -149,22 +149,23 @@ def make_schedule(plan: DistributionPlan) -> Schedule:
     completes (its remaining links are all fresh), so there are at most as
     many rounds as transfers.
     """
-    pos = {t: 0 for t, p in plan.paths.items() if len(p) > 1}
+    keys = {t: [link_key(a, b) for a, b in zip(p, p[1:])]
+            for t, p in plan.paths.items() if len(p) > 1}
+    pos = dict.fromkeys(keys, 0)
     rounds = []
     while pos:
         used = set()
         entries = []
-        order = sorted(pos, key=lambda t: (-(len(plan.paths[t]) - 1 - pos[t]), t))
-        for t in order:
-            path = plan.paths[t]
+        for t in sorted(pos, key=lambda t: (pos[t] - len(keys[t]), t)):
+            links = keys[t]
             i = start = pos[t]
-            while i < len(path) - 1 and link_key(path[i], path[i + 1]) not in used:
-                used.add(link_key(path[i], path[i + 1]))
+            while i < len(links) and links[i] not in used:
+                used.add(links[i])
                 i += 1
             if i > start:
                 entries.append((t, start, i))
                 pos[t] = i
-                if i == len(path) - 1:
+                if i == len(links):
                     del pos[t]
         if not entries:  # pragma: no cover - impossible by the argument above
             raise ExecutionError("scheduler made no progress")

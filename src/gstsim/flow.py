@@ -5,13 +5,17 @@ every target along paths that load no link more than k times.  That
 question is a max-flow instance: give every undirected link two opposite
 arcs of capacity k, wire each target to a synthetic sink with capacity 1,
 and ask whether |S| units flow from the root.  Feasibility is monotone in
-k, so the smallest feasible k per root is a binary search.  It starts at
-the root's cut floor ceil(|S - {root}| / deg(root)), since every unit that
-moves leaves the root over one of its deg(root) links.  Across roots only
-a strict improvement matters: a root whose floor already reaches the best
-k so far is skipped without a flow call, and any other root is probed once
-at best k - 1 and searched only if that probe saturates.  The unit flow
-paths of the chosen (root, k) fall out of a deterministic decomposition.
+k, and every root has a cheap floor below its smallest feasible k: the
+larger of ceil(|S - {root}| / deg(root)), since every unit leaves the root
+over one of its links, and the most targets beyond any one bridge, since
+they all cross it in one direction.  One Tarjan pass computes every
+root's floor; on trees and lines the floor is exact.  A search gallops up
+from the floor (floor, floor + 1, floor + 3, ...) and bisects the last
+gap, so a tight floor costs one flow call.  Across roots, visited in
+(floor, id) order, only a strict improvement or a tie with a smaller id
+matters, and the visit stops at the first floor above the best k so far.
+The unit flow paths of the chosen (root, k) fall out of a deterministic
+decomposition of the probe that found it.
 
 `max_flow` is Dinic's algorithm over flat arc arrays with an iterative,
 explicit-stack DFS, so augmenting paths of any length fit.
@@ -227,41 +231,113 @@ def decompose_flow(result: FlowResult) -> DistributionPlan:
     return DistributionPlan(inst.root, paths)
 
 
-def _saturates(topology: NetworkTopology, targets: tuple, root: NodeId, k: int) -> bool:
-    return max_flow(FlowInstance(topology, root, targets, k)).value == len(targets)
+def _probe(topology: NetworkTopology, targets: tuple, root: NodeId, k: int):
+    """The flow at (root, k) if it serves every target, else None."""
+    result = max_flow(FlowInstance(topology, root, targets, k))
+    return result if result.value == len(targets) else None
 
 
-def _cut_floor(topology: NetworkTopology, targets: tuple, root: NodeId) -> int:
-    """ceil(|S - {root}| / deg(root)), or 1 when no target has to move."""
-    degree = len(topology.neighbors(root))  # raises on an unknown root
-    movers = len(targets) - (root in targets)
-    return -(-movers // degree) if movers else 1
+def _floors(topology: NetworkTopology, targets: tuple, roots) -> list[int]:
+    """A lower bound on the saturating k of each root, all in O(n + m).
+
+    The degree floor ceil(|S - {root}| / deg(root)) (1 when no target
+    moves) holds because every unit leaves the root over one of its links.
+    The bridge floor holds because the T targets beyond a bridge all cross
+    it in one direction, so k >= T.  One iterative Tarjan DFS finds the
+    bridges and counts the targets in every DFS subtree; cutting the tree
+    at its bridges leaves the 2-edge-connected components.  The far side
+    of a bridge that does not touch the root's component lies inside the
+    far side of one that does, so only those are compared.  On trees and
+    lines the floor is the saturating k itself.
+    """
+    degrees = [len(topology.neighbors(r)) for r in roots]  # raises on an unknown root
+    names = topology.nodes
+    n = len(names)
+    index = {v: i for i, v in enumerate(names)}
+    if any(t not in index for t in targets):
+        raise ValueError("root and targets must be topology nodes")
+    adj = [[index[u] for u in topology.neighbors(v)] for v in names]
+    is_target = [0] * n
+    for t in targets:
+        is_target[index[t]] = 1
+    count = is_target[:]  # becomes: targets in v's DFS subtree
+    parent, disc, low, nxt = [-1] * n, [-1] * n, [0] * n, [0] * n
+    disc[0] = 0
+    order = [0]  # preorder; the topology is connected
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        if nxt[v] < len(adj[v]):
+            w = adj[v][nxt[v]]
+            nxt[v] += 1
+            if disc[w] < 0:
+                parent[w] = v
+                disc[w] = low[w] = len(order)
+                order.append(w)
+                stack.append(w)
+            elif w != parent[v] and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            p = parent[v]
+            if p >= 0:
+                count[p] += count[v]
+                low[p] = min(low[p], low[v])
+    total = len(targets)
+    head = list(range(n))  # a component is named by its first DFS node
+    beyond = [0] * n       # most targets beyond one bridge of the component
+    for v in order[1:]:
+        p = parent[v]
+        if low[v] > disc[p]:  # (p, v) is a bridge
+            beyond[head[p]] = max(beyond[head[p]], count[v])
+            beyond[v] = total - count[v]
+        else:
+            head[v] = head[p]
+    floors = []
+    for r, degree in zip(roots, degrees):
+        i = index[r]
+        movers = total - is_target[i]
+        floors.append(max(-(-movers // degree) if movers else 1, beyond[head[i]]))
+    return floors
 
 
 def _smallest_k(topology: NetworkTopology, targets: tuple, root: NodeId,
-                lo: int, hi: int) -> int:
-    """Smallest saturating k in [lo, hi], given that hi saturates."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _saturates(topology, targets, root, mid):
-            hi = mid
+                lo: int, hi: int, at_hi=None) -> tuple[int, FlowResult]:
+    """Smallest saturating k in [lo, hi] and its flow.
+
+    Gallops up from lo (lo, lo + 1, lo + 3, lo + 7, ..., capped at hi), so
+    a tight floor costs one probe, then bisects the last gap.  ``at_hi`` is
+    the saturating flow at hi when the caller already has it.
+    """
+    below, k = lo - 1, lo
+    while True:
+        k = min(k, hi)
+        found = at_hi if k == hi and at_hi is not None else _probe(topology, targets, root, k)
+        if found is not None:
+            break
+        if k == hi:
+            raise ValueError(f"targets unreachable from {root!r} even at k = {hi}")
+        below, k = k, 2 * k - lo + 1
+    while below + 1 < k:
+        mid = (below + k) // 2
+        result = _probe(topology, targets, root, mid)
+        if result is None:
+            below = mid
         else:
-            lo = mid + 1
-    return lo
+            k, found = mid, result
+    return k, found
 
 
 def min_saturating_k(topology: NetworkTopology, targets, root: NodeId) -> int:
     """Smallest per-link capacity k at which all targets are reachable at once.
 
-    k = |S| always saturates on a connected topology and is probed first;
-    feasibility is monotone in k, so a binary search follows, starting at
-    the root's cut floor instead of 1.
+    Feasibility is monotone in k, so the search gallops up from the root's
+    floor (see ``_floors``) to k = |S|, which saturates on any connected
+    topology, and bisects the last gap.
     """
     targets = tuple(sorted(set(targets)))
-    hi = max(1, len(targets))
-    if not _saturates(topology, targets, root, hi):
-        raise ValueError(f"targets unreachable from {root!r} even at k = {hi}")
-    return _smallest_k(topology, targets, root, _cut_floor(topology, targets, root), hi)
+    (floor,) = _floors(topology, targets, [root])
+    return _smallest_k(topology, targets, root, floor, max(1, len(targets)))[0]
 
 
 def minimize_completion_time(topology: NetworkTopology, targets,
@@ -270,27 +346,31 @@ def minimize_completion_time(topology: NetworkTopology, targets,
 
     ``roots`` restricts the candidate set (default: every node).  Returns
     (root, k, plan) where the plan is the deterministic decomposition of the
-    max flow at that (root, k).  The first candidate gets a full search;
-    after that, with best k* so far, a root whose cut floor is at least k*
-    is skipped, and any other root is probed once at k* - 1.  If that
-    saturates, k* - 2 is probed next (roots walking toward a line's middle
-    improve k by exactly one), and only if that saturates too is
-    [floor, k* - 2] searched.  Only a strictly smaller k replaces the best,
-    so the first candidate with the smallest k wins, as if every root had
-    been searched.
+    max flow at that (root, k).  Roots are visited in (floor, id) order.
+    The first gets a full search; after that, with best (root*, k*) so far,
+    the visit stops at the first floor above k*.  A root whose floor is
+    below k* is probed at k* - 1 and searched over [floor, k* - 1] only if
+    that saturates; a root that cannot beat k* is probed at k* only when
+    its id is smaller than root*'s.  So the result is the smallest k and,
+    among roots with that k, the least id, as if every root had been
+    searched.
     """
     candidates = sorted(set(roots)) if roots is not None else list(topology.nodes)
     if not candidates:
         raise ValueError("no candidate roots")
     targets = tuple(sorted(set(targets)))
-    root = candidates[0]
-    k = min_saturating_k(topology, targets, root)
-    for cand in candidates[1:]:
-        floor = _cut_floor(topology, targets, cand)
-        if floor < k and _saturates(topology, targets, cand, k - 1):
-            hi = k - 1
-            if floor < hi and _saturates(topology, targets, cand, hi - 1):
-                hi = _smallest_k(topology, targets, cand, floor, hi - 1)
-            root, k = cand, hi
-    plan = decompose_flow(max_flow(FlowInstance(topology, root, targets, k)))
-    return root, k, plan
+    ranked = sorted(zip(_floors(topology, targets, candidates), candidates))
+    floor, root = ranked[0]
+    k, flow = _smallest_k(topology, targets, root, floor, max(1, len(targets)))
+    for floor, cand in ranked[1:]:
+        if floor > k:
+            break
+        found = _probe(topology, targets, cand, k - 1) if floor < k else None
+        if found is not None:
+            k, flow = _smallest_k(topology, targets, cand, floor, k - 1, found)
+            root = cand
+        elif cand < root:
+            found = _probe(topology, targets, cand, k)
+            if found is not None:
+                root, flow = cand, found
+    return root, k, decompose_flow(flow)

@@ -193,7 +193,7 @@ def _run_gst(scn: ResolvedScenario) -> tuple[dict, RunReport]:
     else:
         if cfg.root == "center":
             root = center_root(scn.topology)
-        elif cfg.root.startswith("fixed:"):
+        elif isinstance(cfg.root, str) and cfg.root.startswith("fixed:"):
             root = cfg.root.split(":", 1)[1]
             if root not in scn.topology.nodes:
                 raise ValueError(f"fixed root {root!r} is not a topology node")

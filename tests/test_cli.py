@@ -110,3 +110,20 @@ def test_verification_failures_exit_two(monkeypatch, capsys):
     code = main(["compare", "--topology", '{"kind": "line", "n": 3}'])
     assert code == EXIT_VERIFY
     assert "verification failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("root", [5, None, ["fixed:n00"]])
+def test_run_with_mistyped_root_is_config_error(tmp_path, capsys, root):
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": {"kind": "line", "n": 3}, "root": root}))
+    assert main(["run", "--scenario", str(scn)]) == EXIT_CONFIG
+    assert "unknown root policy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
+@pytest.mark.parametrize("output", ["x", None, ["path", "rep.csv"]])
+def test_mistyped_output_is_config_error(tmp_path, capsys, verb, output):
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": {"kind": "line", "n": 3}, "output": output}))
+    assert main([verb, "--scenario", str(scn)]) == EXIT_CONFIG
+    assert "scenario output must be an object" in capsys.readouterr().err

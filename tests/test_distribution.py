@@ -26,7 +26,9 @@ from gstsim.distribution import (
 from gstsim.network import NetworkState, NetworkTopology
 from gstsim.graphstate import GraphState
 from gstsim import oracle
-from gstsim.topogen import gnp_topology, line_topology, tree_topology
+from gstsim.flow import minimize_completion_time
+from gstsim.network import link_key
+from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
 from helpers_brute import floyd_warshall
 
@@ -137,7 +139,43 @@ class TestBounds:
             epr_bound(0, 0)
 
 
+def _reference_schedule(plan):
+    """The scheduler's plain loop: link keys rebuilt on every look."""
+    pos = {t: 0 for t, p in plan.paths.items() if len(p) > 1}
+    rounds = []
+    while pos:
+        used = set()
+        entries = []
+        order = sorted(pos, key=lambda t: (-(len(plan.paths[t]) - 1 - pos[t]), t))
+        for t in order:
+            path = plan.paths[t]
+            i = start = pos[t]
+            while i < len(path) - 1 and link_key(path[i], path[i + 1]) not in used:
+                used.add(link_key(path[i], path[i + 1]))
+                i += 1
+            if i > start:
+                entries.append((t, start, i))
+                pos[t] = i
+                if i == len(path) - 1:
+                    del pos[t]
+        rounds.append(tuple(entries))
+    return Schedule(tuple(rounds))
+
+
 class TestSchedule:
+    def test_matches_the_reference_loop(self):
+        rng = random.Random(31)
+        topologies = [line_topology(30), grid_topology(5, 6), tree_topology(4)]
+        topologies += [gnp_topology(rng.randint(6, 25), 0.2, seed=s) for s in range(6)]
+        for topo in topologies:
+            nodes = list(topo.nodes)
+            for _ in range(4):
+                targets = rng.sample(nodes, rng.randint(1, len(nodes)))
+                plans = [plan_shortest(topo, targets, rng.choice(nodes)),
+                         minimize_completion_time(topo, targets)[2]]
+                for plan in plans:
+                    assert make_schedule(plan) == _reference_schedule(plan)
+
     def test_single_multihop_path_is_one_round(self):
         plan = DistributionPlan("n00", {"n03": ["n00", "n01", "n02", "n03"]})
         sched = make_schedule(plan)

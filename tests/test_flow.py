@@ -9,12 +9,13 @@ import gstsim.flow
 from gstsim.flow import (
     FlowInstance,
     FlowResult,
+    _floors,
     decompose_flow,
     max_flow,
     min_saturating_k,
     minimize_completion_time,
 )
-from gstsim.network import NetworkTopology
+from gstsim.network import NetworkTopology, link_key
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
 from helpers_brute import brute_max_served, path_multiset_exists
@@ -152,6 +153,24 @@ class TestOptimizer:
             assert path_multiset_exists(topo, root, S, k)
             if k > 1:
                 assert not path_multiset_exists(topo, root, S, k - 1)
+
+    @pytest.mark.parametrize("t", range(1, 15))
+    def test_min_saturating_k_far_above_the_floor(self, t):
+        """A hub on a six-node ring whose nodes a0 and a3 link into a ring
+        of t targets: no bridge, a degree floor of ceil(t / 6) at the hub,
+        but every target crosses one of two links, so k = ceil(t / 2) and
+        the search has to gallop and bisect."""
+        ring = [f"a{i}" for i in range(6)]
+        far = [f"b{i:02d}" for i in range(t)]
+        links = {("h", a) for a in ring} | set(zip(ring, ring[1:] + ring[:1]))
+        links |= {tuple(sorted(e)) for e in zip(far, far[1:] + far[:1]) if e[0] != e[1]}
+        links |= {("a0", far[0]), ("a3", far[t // 2])}
+        topo = NetworkTopology(["h"] + ring + far, links)
+        for root in ("h", "a1", far[0]):
+            want = next(k for k in range(1, t + 1)
+                        if max_flow(FlowInstance(topo, root, far, k)).value == t)
+            assert min_saturating_k(topo, far, root) == want
+        assert min_saturating_k(topo, far, "h") == -(-t // 2)
 
     def test_bowtie_pinned_vs_free_root(self):
         topo = bowtie()
@@ -337,3 +356,109 @@ def test_optimizer_differential_sweep(monkeypatch):
             _check_link_flow(result)
         probes += len(calls)
     assert probes > 220
+
+
+def _random_tree(n: int, rng: random.Random) -> NetworkTopology:
+    nodes = [f"v{i:02d}" for i in range(n)]
+    return NetworkTopology(nodes, [(nodes[rng.randrange(i)], nodes[i]) for i in range(1, n)])
+
+
+def _with_pendant_paths(core: NetworkTopology, rng: random.Random) -> NetworkTopology:
+    """``core`` plus a few paths hanging off random nodes, and a second gnp
+    block joined to the core by a path, so bridges cut off cyclic parts too."""
+    links = set(core.links)
+    nodes = list(core.nodes)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.choice(core.nodes)
+        for _ in range(rng.randint(1, 4)):
+            nxt = f"p{len(nodes):02d}"
+            nodes.append(nxt)
+            links.add((at, nxt))
+            at = nxt
+    block = gnp_topology(rng.randint(3, 6), 0.6, seed=rng.randrange(1000))
+    names = {v: f"q{v}" for v in block.nodes}
+    nodes += names.values()
+    links |= {(names[u], names[v]) for u, v in block.links}
+    links.add((at, names[rng.choice(block.nodes)]))
+    return NetworkTopology(nodes, links)
+
+
+def _floor_cases(rng: random.Random, family: str):
+    for seed in range(12):
+        if family == "gnp":
+            topo = gnp_topology(rng.randint(2, 12), rng.uniform(0.15, 0.6), seed=seed)
+        elif family == "pendant":
+            topo = _with_pendant_paths(gnp_topology(rng.randint(3, 8), 0.5, seed=seed), rng)
+        elif family == "tree":
+            topo = _random_tree(rng.randint(1, 16), rng)
+        else:
+            topo = line_topology(rng.randint(1, 16))
+        nodes = list(topo.nodes)
+        for targets in (nodes, rng.sample(nodes, rng.randint(0, len(nodes)))):
+            yield topo, tuple(sorted(targets))
+
+
+def _brute_floor(topo: NetworkTopology, targets: tuple, root) -> int:
+    """The degree floor, or the most targets that removing one link cuts
+    off from the root, whichever is larger."""
+    movers = len(targets) - (root in targets)
+    floor = -(-movers // len(topo.neighbors(root))) if movers else 1
+    for link in topo.links:
+        seen, stack = {root}, [root]
+        while stack:
+            u = stack.pop()
+            for w in topo.neighbors(u):
+                if w not in seen and link_key(u, w) != link:
+                    seen.add(w)
+                    stack.append(w)
+        floor = max(floor, sum(t not in seen for t in targets))
+    return floor
+
+
+class TestFloors:
+    """The bridge-and-degree floor bounds the saturating k from below."""
+
+    @pytest.mark.parametrize("family", ["gnp", "pendant", "tree", "line"])
+    def test_floor_never_exceeds_the_saturating_k(self, family):
+        rng = random.Random(family)
+        for topo, targets in _floor_cases(rng, family):
+            floors = _floors(topo, targets, topo.nodes)
+            for root, floor in zip(topo.nodes, floors):
+                k = min_saturating_k(topo, targets, root)
+                assert floor == _brute_floor(topo, targets, root), (topo.links, targets, root)
+                assert floor <= k, (topo.links, targets, root)
+                if family in ("tree", "line"):
+                    assert floor == k, (topo.links, targets, root)
+
+    def test_floors_on_a_1500_node_line(self):
+        topo = line_topology(1500)
+        floors = _floors(topo, topo.nodes, topo.nodes)
+        assert floors == [max(i, 1499 - i) for i in range(1500)]
+
+    def test_unknown_target_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            _floors(line_topology(3), ("n00", "zz"), ["n00"])
+        with pytest.raises(ValueError):
+            minimize_completion_time(line_topology(3), ["zz"])
+
+
+@pytest.mark.parametrize("label,build", [
+    ("line 1000", lambda: line_topology(1000)),
+    ("tree h=8", lambda: tree_topology(8)),
+    ("grid 12x12", lambda: grid_topology(12, 12)),
+], ids=["line 1000", "tree h=8", "grid 12x12"])
+def test_floor_order_call_budget(monkeypatch, label, build):
+    """Exact or near-exact floors settle the whole search in a probe or two,
+    and the winning probe's flow is decomposed without another call."""
+    topo = build()
+    calls = _count_max_flow(monkeypatch)
+    minimize_completion_time(topo, topo.nodes)
+    assert len(calls) <= 2
+
+
+def test_min_saturating_k_on_a_tree_is_one_call(monkeypatch):
+    topo = tree_topology(5)
+    calls = _count_max_flow(monkeypatch)
+    # n01's link to the top carries the top and its other half-tree: 1 + 31
+    assert min_saturating_k(topo, topo.nodes, "n01") == 32
+    assert len(calls) == 1
