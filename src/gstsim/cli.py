@@ -57,6 +57,9 @@ def _scenario_from_args(args) -> ScenarioConfig:
     out = data.pop("output", {})
     if not isinstance(out, dict):
         raise ValueError(f"scenario output must be an object, not {out!r}")
+    for key in ("path", "format"):
+        if key in out and not isinstance(out[key], str):
+            raise ValueError(f"scenario output {key} must be a string, not {out[key]!r}")
     cfg = ScenarioConfig.from_dict(data)
     cfg.output = out
     if args.out is not None and "path" not in cfg.output:

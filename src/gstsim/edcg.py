@@ -9,16 +9,24 @@ nothing is simulated.  Spanning trees come from the classic metric-closure
 MST approximation (within 2x of optimal Steiner, exact on tree networks),
 so reported pair counts are a modeled upper estimate — report rows carry a
 "modeled-cost" marker for exactly this reason.
+
+Consecutive suffixes differ by one terminal, so one ``_SuffixChain`` walks
+a whole cascade: it repairs the closure MST when a terminal leaves and
+keeps a counted union of the closure edges' paths, adding and removing only
+the paths of the closure edges that changed.  A union that is already a
+tree is the spanning tree as it stands; otherwise a sorted BFS picks one.
+Either way one leaf queue prunes the non-terminal leaves.  The module keeps
+no state between calls.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 
-from .network import NetworkTopology, NodeId
+from .network import NetworkTopology, link_key
 
 logger = logging.getLogger(__name__)
 
@@ -100,89 +108,115 @@ def _mst_without(topology: NetworkTopology, terminals: list, mst, gone) -> list[
     return kept + _kruskal(((u, v) for _, u, v in crossing), parent, pieces - 1)
 
 
-# (topology, terminals, MST) of the latest closure MST that steiner_tree built
-_last_mst: tuple | None = None
+class _SuffixChain:
+    """The Steiner trees of one terminal set as terminals leave it.
 
-
-def _closure_mst(topology: NetworkTopology, terminals: list) -> list[tuple]:
-    """The metric-closure MST of sorted ``terminals``.
-
-    When the previous call built it for ``terminals`` plus one more terminal
-    on the same (immutable) topology, as consecutive peel suffixes and
-    cascade suffixes do, that tree is repaired by ``_mst_without`` instead
-    of Kruskal running again over all m(m-1)/2 pairs.
+    Holds the closure MST of the current terminals, each closure edge's
+    expanded shortest path (as links) and the union of those paths, with a
+    count per link and an adjacency map.  ``drop`` repairs the MST and
+    touches only the paths of the closure edges that changed, so a chain of
+    m - 1 suffixes builds Kruskal over all pairs once.
     """
-    global _last_mst
-    last = _last_mst
-    gone = frozenset()
-    if last is not None and last[0] is topology and len(last[1]) == len(terminals) + 1:
-        gone = last[1].difference(terminals)
-    if len(gone) == 1:
-        mst = _mst_without(topology, terminals, last[2], *gone)
-    else:
-        mst = _mst_on_terminals(topology, terminals)
-    _last_mst = (topology, frozenset(terminals), tuple(mst))
-    return mst
+
+    def __init__(self, topology: NetworkTopology, terminals):
+        terminals = sorted(set(terminals))
+        if not terminals:
+            raise ValueError("need at least one terminal")
+        for t in terminals:
+            if t not in topology.nodes:
+                raise ValueError(f"terminal {t!r} is not a topology node")
+        self.topology = topology
+        self.terminals = terminals
+        self.mst = _mst_on_terminals(topology, terminals)
+        self.paths: dict = {}  # closure edge -> its path's links
+        self.count: dict = {}  # link -> closure paths using it
+        self.adj: dict = {}    # node -> neighbours in the union
+        for edge in self.mst:
+            self._add(edge)
+
+    def _add(self, edge) -> None:
+        path = self.topology.shortest_path(*edge)
+        links = self.paths[edge] = [link_key(a, b) for a, b in zip(path, path[1:])]
+        for link in links:
+            if link in self.count:
+                self.count[link] += 1
+            else:
+                self.count[link] = 1
+                a, b = link
+                self.adj.setdefault(a, set()).add(b)
+                self.adj.setdefault(b, set()).add(a)
+
+    def _remove(self, edge) -> None:
+        for link in self.paths.pop(edge):
+            self.count[link] -= 1
+            if not self.count[link]:
+                del self.count[link]
+                for a, b in (link, link[::-1]):
+                    self.adj[a].discard(b)
+                    if not self.adj[a]:
+                        del self.adj[a]
+
+    def drop(self, gone) -> None:
+        """Remove terminal ``gone`` (add the new closure paths first, so a
+        link they share with a departing one never reaches count zero)."""
+        self.terminals.remove(gone)
+        self.mst = _mst_without(self.topology, self.terminals, self.mst, gone)
+        for edge in self.mst:
+            if edge not in self.paths:
+                self._add(edge)
+        for edge in [e for e in self.paths if gone in e]:
+            self._remove(edge)
+
+    def tree(self) -> set:
+        """Edge set of the current terminals' Steiner tree (see steiner_tree)."""
+        if len(self.terminals) < 2:
+            return set()
+        if len(self.count) == len(self.adj) - 1:  # the connected union is a tree
+            adj, edges = self.adj, set(self.count)
+        else:
+            root = self.terminals[0]
+            parent = {root: None}
+            queue = deque([root])
+            while queue:
+                cur = queue.popleft()
+                for nb in sorted(self.adj[cur]):
+                    if nb not in parent:
+                        parent[nb] = cur
+                        queue.append(nb)
+            adj = {v: set() for v in parent}
+            edges = set()
+            for v, p in parent.items():
+                if p is not None:
+                    adj[v].add(p)
+                    adj[p].add(v)
+                    edges.add(link_key(v, p))
+        # prune non-terminal leaves: the fixpoint is unique, so one queue will do
+        degree = {v: len(adj[v]) for v in adj.keys() - set(self.terminals)}
+        leaves = [v for v, d in degree.items() if d == 1]
+        pruned = set()
+        while leaves:
+            v = leaves.pop()
+            pruned.add(v)
+            (nb,) = adj[v] - pruned
+            edges.remove(link_key(v, nb))
+            if nb in degree:
+                degree[nb] -= 1
+                if degree[nb] == 1:
+                    leaves.append(nb)
+        return edges
 
 
 def steiner_tree(topology: NetworkTopology, terminals) -> set:
     """Edge set of a tree spanning the terminals (metric-closure MST expansion).
 
-    Each closure edge becomes its lexicographically-least shortest path; the
-    union is thinned to a tree (BFS spanning tree from the smallest terminal,
-    then repeated pruning of non-terminal leaves).
+    Each closure edge becomes its lexicographically-least shortest path.
+    When the union of those paths is already a tree it is the spanning
+    tree; otherwise a BFS from the smallest terminal, visiting neighbours in
+    sorted order, picks one.  Non-terminal leaves are then pruned through a
+    single leaf queue; pruning to a fixpoint gives the same tree in any
+    order.
     """
-    terminals = sorted(set(terminals))
-    if not terminals:
-        raise ValueError("need at least one terminal")
-    for t in terminals:
-        if t not in topology.nodes:
-            raise ValueError(f"terminal {t!r} is not a topology node")
-    if len(terminals) == 1:
-        return set()
-
-    union_adj: dict = {}
-
-    def add(u, v):
-        union_adj.setdefault(u, set()).add(v)
-        union_adj.setdefault(v, set()).add(u)
-
-    for u, v in _closure_mst(topology, terminals):
-        path = topology.shortest_path(u, v)
-        for a, b in zip(path, path[1:]):
-            add(a, b)
-
-    # BFS spanning tree of the union graph
-    root = terminals[0]
-    parent = {root: None}
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
-        for nb in sorted(union_adj.get(cur, ())):
-            if nb not in parent:
-                parent[nb] = cur
-                queue.append(nb)
-    tree_adj: dict = {v: set() for v in parent}
-    for v, p in parent.items():
-        if p is not None:
-            tree_adj[v].add(p)
-            tree_adj[p].add(v)
-
-    # prune non-terminal leaves until only the Steiner tree remains
-    need = set(terminals)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(tree_adj):
-            if v not in need and len(tree_adj[v]) <= 1:
-                for nb in tree_adj.pop(v):
-                    tree_adj[nb].discard(v)
-                changed = True
-    edges = set()
-    for v, nbrs in tree_adj.items():
-        for nb in nbrs:
-            edges.add((v, nb) if v <= nb else (nb, v))
-    return edges
+    return _SuffixChain(topology, terminals).tree()
 
 
 def _peel_order(topology: NetworkTopology, targets: list) -> tuple[list, list]:
@@ -193,24 +227,20 @@ def _peel_order(topology: NetworkTopology, targets: list) -> tuple[list, list]:
     network itself is a tree — the ordering the cascade cost story assumes.
     Returns the order and the Steiner tree it built for each suffix
     {s_k..s_m}, k = 1..m-1, which are exactly the plan's suffix trees.
-    Each suffix is the previous one minus one terminal, so every tree after
-    the first repairs the previous closure MST (``_closure_mst``).
+    One ``_SuffixChain`` builds them all, dropping each pick in turn.
     """
-    remaining = list(targets)
+    suffixes = _SuffixChain(topology, targets)
     prefix_reversed = []
     trees = []
-    while len(remaining) > 1:
-        edges = steiner_tree(topology, remaining)
+    while len(suffixes.terminals) > 1:
+        edges = suffixes.tree()
         trees.append(edges)
-        degree: dict = {}
-        for u, v in edges:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        leaves = [t for t in remaining if degree.get(t, 0) <= 1]
-        pick = min(leaves) if leaves else min(remaining)
+        degree = Counter(chain.from_iterable(edges))
+        leaves = [t for t in suffixes.terminals if degree[t] <= 1]
+        pick = min(leaves) if leaves else min(suffixes.terminals)
         prefix_reversed.append(pick)
-        remaining.remove(pick)
-    return prefix_reversed + remaining, trees
+        suffixes.drop(pick)
+    return prefix_reversed + suffixes.terminals, trees
 
 
 def _exhaustive_order(topology: NetworkTopology, targets: list) -> list:
@@ -267,12 +297,17 @@ class EdcgPlan:
 
 
 def build_edcg_plan(topology: NetworkTopology, order) -> EdcgPlan:
+    """The cascade along ``order``: one suffix chain drops s_1, s_2, ... in turn."""
     order = list(order)
-    trees = tuple(
-        frozenset(steiner_tree(topology, order[i:]))
-        for i in range(len(order) - 1)
-    )
-    return EdcgPlan(tuple(order), trees)
+    if len(set(order)) != len(order):
+        raise ValueError("the cascade order repeats a target")
+    trees = []
+    if order:
+        suffixes = _SuffixChain(topology, order)
+        for t in order[:-1]:
+            trees.append(frozenset(suffixes.tree()))
+            suffixes.drop(t)
+    return EdcgPlan(tuple(order), tuple(trees))
 
 
 @dataclass(frozen=True)

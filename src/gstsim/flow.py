@@ -328,6 +328,13 @@ def _smallest_k(topology: NetworkTopology, targets: tuple, root: NodeId,
     return k, found
 
 
+def saturating_flow(topology: NetworkTopology, targets, root: NodeId) -> tuple[int, FlowResult]:
+    """``min_saturating_k`` and the max flow at that k, from the same probe."""
+    targets = tuple(sorted(set(targets)))
+    (floor,) = _floors(topology, targets, [root])
+    return _smallest_k(topology, targets, root, floor, max(1, len(targets)))
+
+
 def min_saturating_k(topology: NetworkTopology, targets, root: NodeId) -> int:
     """Smallest per-link capacity k at which all targets are reachable at once.
 
@@ -335,9 +342,7 @@ def min_saturating_k(topology: NetworkTopology, targets, root: NodeId) -> int:
     floor (see ``_floors``) to k = |S|, which saturates on any connected
     topology, and bisects the last gap.
     """
-    targets = tuple(sorted(set(targets)))
-    (floor,) = _floors(topology, targets, [root])
-    return _smallest_k(topology, targets, root, floor, max(1, len(targets)))[0]
+    return saturating_flow(topology, targets, root)[0]
 
 
 def minimize_completion_time(topology: NetworkTopology, targets,

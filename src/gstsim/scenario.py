@@ -26,7 +26,7 @@ from .distribution import (
     warn_if_rounds_exceed,
 )
 from .edcg import edcg_cost
-from .flow import FlowInstance, decompose_flow, max_flow, min_saturating_k, minimize_completion_time
+from .flow import decompose_flow, minimize_completion_time, saturating_flow
 from .graphstate import GraphState
 from .network import NetworkState, NetworkTopology, load_topology
 from .topogen import generate_topology
@@ -203,8 +203,8 @@ def _run_gst(scn: ResolvedScenario) -> tuple[dict, RunReport]:
             plan = plan_shortest(scn.topology, scn.targets, root)
             k = None
         elif strategy == "flow":
-            k = min_saturating_k(scn.topology, scn.targets, root)
-            plan = decompose_flow(max_flow(FlowInstance(scn.topology, root, tuple(scn.targets), k)))
+            k, flow = saturating_flow(scn.topology, scn.targets, root)
+            plan = decompose_flow(flow)
         else:
             raise ValueError(f"unknown strategy {cfg.strategy!r}")
     schedule = make_schedule(plan)

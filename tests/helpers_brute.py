@@ -1,11 +1,13 @@
 """Slow, independent re-derivations used to cross-check the package.
 
 Everything here is deliberately naive: Floyd–Warshall instead of BFS,
-edge-subset enumeration instead of MST expansion, exhaustive path-multiset
-backtracking instead of max flow.  These functions share no code with the
-package under test.
+edge-subset enumeration instead of MST expansion, a Steiner tree rebuilt
+from scratch for every terminal set instead of an incremental suffix chain,
+exhaustive path-multiset backtracking instead of max flow.  These functions
+share no code with the package under test.
 """
 
+from collections import deque
 from itertools import combinations
 
 from gstsim.network import NetworkTopology
@@ -65,6 +67,84 @@ def brute_min_steiner_edges(topology: NetworkTopology, terminals) -> int:
             if _edges_connect(subset, terminals):
                 return size
     raise ValueError("terminals not connected by any edge subset")
+
+
+def _bfs_hops(topology: NetworkTopology, src) -> dict:
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        cur = queue.popleft()
+        for nb in topology.neighbors(cur):
+            if nb not in dist:
+                dist[nb] = dist[cur] + 1
+                queue.append(nb)
+    return dist
+
+
+def reference_steiner_tree(topology: NetworkTopology, terminals) -> set:
+    """Metric-closure MST expansion, rebuilt from scratch for one set.
+
+    Kruskal over every terminal pair in (hops, u, v) order; each closure
+    edge becomes its lexicographically least shortest path; the union is
+    thinned to a BFS spanning tree from the smallest terminal (neighbours
+    in sorted order), then non-terminal leaves are pruned by repeated
+    sorted sweeps until none is left.
+    """
+    terminals = sorted(set(terminals))
+    if len(terminals) < 2:
+        return set()
+    hops = {t: _bfs_hops(topology, t) for t in terminals}
+    pairs = sorted((hops[u][v], u, v) for u, v in combinations(terminals, 2))
+    group = {t: t for t in terminals}
+    closure = []
+    for _, u, v in pairs:
+        gu, gv = group[u], group[v]
+        if gu != gv:
+            closure.append((u, v))
+            for t in terminals:
+                if group[t] == gu:
+                    group[t] = gv
+
+    union_adj: dict = {}
+    for u, v in closure:
+        d_u, d_v = hops[u], hops[v]
+        cur = u
+        while cur != v:
+            nxt = min(nb for nb in topology.neighbors(cur)
+                      if d_u[nb] == d_u[cur] + 1 and d_v[nb] == d_v[cur] - 1)
+            union_adj.setdefault(cur, set()).add(nxt)
+            union_adj.setdefault(nxt, set()).add(cur)
+            cur = nxt
+
+    root = terminals[0]
+    parent = {root: None}
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for nb in sorted(union_adj.get(cur, ())):
+            if nb not in parent:
+                parent[nb] = cur
+                queue.append(nb)
+    tree_adj: dict = {v: set() for v in parent}
+    for v, p in parent.items():
+        if p is not None:
+            tree_adj[v].add(p)
+            tree_adj[p].add(v)
+
+    need = set(terminals)
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(tree_adj):
+            if v not in need and len(tree_adj[v]) <= 1:
+                for nb in tree_adj.pop(v):
+                    tree_adj[nb].discard(v)
+                changed = True
+    edges = set()
+    for v, nbrs in tree_adj.items():
+        for nb in nbrs:
+            edges.add((v, nb) if v <= nb else (nb, v))
+    return edges
 
 
 def all_simple_paths(topology: NetworkTopology, src, dst) -> list:

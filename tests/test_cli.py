@@ -127,3 +127,17 @@ def test_mistyped_output_is_config_error(tmp_path, capsys, verb, output):
     scn.write_text(json.dumps({"topology": {"kind": "line", "n": 3}, "output": output}))
     assert main([verb, "--scenario", str(scn)]) == EXIT_CONFIG
     assert "scenario output must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
+@pytest.mark.parametrize("output", [{"path": 1}, {"path": True}, {"path": None},
+                                    {"format": 0}, {"format": False}, {"format": ["csv"]}])
+def test_output_path_and_format_must_be_strings(tmp_path, capsys, verb, output):
+    """An integer path would be opened as a file descriptor: the report
+    would go into it and the descriptor would be closed."""
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": {"kind": "line", "n": 3}, "output": output}))
+    assert main([verb, "--scenario", str(scn)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "must be a string" in captured.err
+    assert captured.out == ""

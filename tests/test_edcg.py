@@ -1,11 +1,14 @@
 """Cascade-baseline cost model and Steiner-tree machinery."""
 
+import gc
 import logging
 import random
+import weakref
 from functools import lru_cache
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from gstsim import edcg
 from gstsim.edcg import (
@@ -18,7 +21,7 @@ from gstsim.edcg import (
 from gstsim.network import NetworkTopology
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
-from helpers_brute import brute_min_steiner_edges, floyd_warshall
+from helpers_brute import brute_min_steiner_edges, floyd_warshall, reference_steiner_tree
 
 
 def record_steiner_calls(monkeypatch) -> list:
@@ -120,18 +123,18 @@ class TestOrdering:
         """Eight targets: 8! orders, but each suffix set's tree is built once."""
         topo = grid_topology(6, 6)
         S = list(topo.nodes)[::4][:8]
-        real = edcg.steiner_tree
         calls = record_steiner_calls(monkeypatch)
         best = edcg_order(S, topo, mode="exhaustive")
+        monkeypatch.undo()
         assert len(calls) == len(set(calls)) == 2 ** 8 - 9  # suffix sets of 2+
 
-        # The reference prices every permutation through build_edcg_plan;
-        # only the Steiner trees are cached, so it stays within test time.
-        cached = lru_cache(maxsize=None)(lambda terms: frozenset(real(topo, terms)))
-        monkeypatch.setattr(edcg, "steiner_tree", lambda t, terms: cached(frozenset(terms)))
-        expected = min(permutations(sorted(S)),
-                       key=lambda order: (build_edcg_plan(topo, order).epr_pairs, order))
+        # The reference prices every permutation from the suffix trees'
+        # sizes, each built once by steiner_tree, so it stays within test time.
+        size = lru_cache(maxsize=None)(lambda terms: len(steiner_tree(topo, terms)))
+        cost = lambda order: sum(size(frozenset(order[i:])) for i in range(len(order) - 1))
+        expected = min(permutations(sorted(S)), key=lambda order: (cost(order), order))
         assert best == list(expected)
+        assert cost(expected) == build_edcg_plan(topo, best).epr_pairs
 
     def test_exhaustive_capped_at_eight(self):
         topo = gnp_topology(9, 0.6, seed=1)
@@ -193,15 +196,24 @@ class TestCost:
         grid_topology(4, 5), tree_topology(3), line_topology(9),
     ], ids=["gnp12", "gnp20", "grid4x5", "tree3", "line9"])
     def test_peel_plan_reuses_the_ordering_trees(self, topo, monkeypatch):
-        """Peel mode builds each suffix tree once, and the plan it returns is
-        the one build_edcg_plan derives from the peel order."""
+        """Peel mode builds each suffix tree once, from one suffix chain, and
+        the plan it returns is the one build_edcg_plan derives from the peel
+        order."""
         rng = random.Random(len(topo.nodes))
         nodes = list(topo.nodes)
+        real_tree, fresh_mst = edcg._SuffixChain.tree, edcg._mst_on_terminals
         for S in [nodes] + [rng.sample(nodes, rng.randint(1, len(nodes))) for _ in range(4)]:
-            calls = record_steiner_calls(monkeypatch)
+            steiner_calls = record_steiner_calls(monkeypatch)
+            tree_calls, fresh_builds = [], []
+            monkeypatch.setattr(edcg._SuffixChain, "tree",
+                                lambda c: tree_calls.append(frozenset(c.terminals)) or real_tree(c))
+            monkeypatch.setattr(edcg, "_mst_on_terminals",
+                                lambda t, ts: fresh_builds.append(list(ts)) or fresh_mst(t, ts))
             plan, cost = edcg_cost(topo, S)
             monkeypatch.undo()
-            assert calls == [frozenset(plan.order[k:]) for k in range(len(set(S)) - 1)]
+            assert tree_calls == [frozenset(plan.order[k:]) for k in range(len(set(S)) - 1)]
+            assert fresh_builds == [sorted(set(S))]
+            assert steiner_calls == []
             assert plan == build_edcg_plan(topo, edcg_order(S, topo))
             assert cost.epr_pairs == plan.epr_pairs
 
@@ -210,62 +222,160 @@ class TestCost:
         gnp_topology(25, 0.15, seed=3), gnp_topology(40, 0.08, seed=9),
     ], ids=["line30", "grid5x6", "tree4", "gnp25", "gnp40"])
     def test_peel_reuses_the_closure_mst(self, topo, monkeypatch):
-        """Each suffix's MST is repaired from the previous suffix's, so
-        Kruskal runs over every pair once per ordering; the repaired MST
-        equals a fresh one for every suffix of the peel and the lex order
-        (which also drops interior terminals), and the peel trees and order
-        equal those built with the carried MST dropped before each call."""
+        """A suffix chain runs Kruskal over every pair once; after every drop
+        its repaired MST equals a fresh one, along the peel and the lex order
+        (which also drops interior terminals), and the peel trees equal
+        those steiner_tree builds from scratch for each suffix."""
         rng = random.Random(len(topo.nodes))
         nodes = list(topo.nodes)
         fresh_mst = edcg._mst_on_terminals
         for S in [nodes] + [rng.sample(nodes, rng.randint(2, len(nodes))) for _ in range(4)]:
             order, trees = edcg._peel_order(topo, sorted(S))
 
-            for chain in (order, sorted(S)):
+            for walk in (order, sorted(S)):
                 fresh_builds = []
                 monkeypatch.setattr(edcg, "_mst_on_terminals",
-                                    lambda t, ts: fresh_builds.append(ts) or fresh_mst(t, ts))
-                monkeypatch.setattr(edcg, "_last_mst", None)
-                for k in range(len(chain) - 1):
-                    suffix = sorted(chain[k:])
-                    assert set(edcg._closure_mst(topo, suffix)) == set(fresh_mst(topo, suffix))
+                                    lambda t, ts: fresh_builds.append(list(ts)) or fresh_mst(t, ts))
+                chain = edcg._SuffixChain(topo, walk)
+                for k, gone in enumerate(walk[:-1]):
+                    assert set(chain.mst) == set(fresh_mst(topo, sorted(walk[k:])))
+                    chain.drop(gone)
                 monkeypatch.undo()
-                assert fresh_builds == [sorted(chain)]
+                assert fresh_builds == [sorted(walk)]
 
-            real_tree = edcg.steiner_tree
+            assert trees == [steiner_tree(topo, order[k:]) for k in range(len(order) - 1)]
 
-            def without_carry(t, terminals):
-                edcg._last_mst = None
-                return real_tree(t, terminals)
-
-            monkeypatch.setattr(edcg, "steiner_tree", without_carry)
-            assert edcg._peel_order(topo, sorted(S)) == (order, trees)
-            monkeypatch.undo()
-
-    def test_closure_mst_repairs_a_hub_removal(self, monkeypatch):
+    def test_closure_mst_repairs_a_hub_removal(self):
         """Dropping a terminal of closure-MST degree 4 leaves four pieces;
         the repair must weigh the pairs across every two of them."""
         topo = grid_topology(5, 5)
         hub, arms = "r02c02", ["r01c02", "r02c01", "r02c03", "r03c02"]
-        monkeypatch.setattr(edcg, "_last_mst", None)
-        assert {e for e in edcg._closure_mst(topo, sorted(arms + [hub])) if hub in e} \
-            == {tuple(sorted((hub, a))) for a in arms}
-        repaired = edcg._closure_mst(topo, arms)
-        assert set(repaired) == set(edcg._mst_on_terminals(topo, arms))
-        assert set(repaired) == {("r01c02", a) for a in arms[1:]}
+        chain = edcg._SuffixChain(topo, arms + [hub])
+        assert {e for e in chain.mst if hub in e} == {tuple(sorted((hub, a))) for a in arms}
+        chain.drop(hub)
+        assert set(chain.mst) == set(edcg._mst_on_terminals(topo, arms))
+        assert set(chain.mst) == {("r01c02", a) for a in arms[1:]}
+        assert chain.tree() == steiner_tree(topo, arms)
 
     def test_closure_mst_rebuilds_for_other_sets(self, monkeypatch):
-        """Only "previous set minus one terminal" on the same topology is
-        repaired; any other request builds afresh and still matches."""
+        """steiner_tree keeps nothing between calls: each call builds the
+        closure MST of exactly its own set, and the tree does not depend on
+        which sets or topologies came before."""
         topo = grid_topology(4, 4)
         nodes = sorted(topo.nodes)
         snake = NetworkTopology(nodes, list(zip(nodes, nodes[1:])))  # same ids, other metric
-        monkeypatch.setattr(edcg, "_last_mst", None)
-        for terminals, t in [(nodes, topo), (nodes[1:], snake), (nodes[2:], topo),
-                             (nodes[:1] + nodes[4:], topo), (nodes[4:], topo)]:
-            assert set(edcg._closure_mst(t, terminals)) == set(edcg._mst_on_terminals(t, terminals))
+        requests = [(nodes, topo), (nodes[1:], snake), (nodes[2:], topo),
+                    (nodes[:1] + nodes[4:], topo), (nodes[4:], topo)]
+        fresh_mst = edcg._mst_on_terminals
+        fresh_builds = []
+        monkeypatch.setattr(edcg, "_mst_on_terminals",
+                            lambda t, ts: fresh_builds.append((t, list(ts))) or fresh_mst(t, ts))
+        forward = [steiner_tree(t, terminals) for terminals, t in requests]
+        assert fresh_builds == [(t, terminals) for terminals, t in requests]
+        backward = [steiner_tree(t, terminals) for terminals, t in reversed(requests)]
+        assert backward[::-1] == forward
 
     def test_single_target_costs_nothing(self):
         _, cost = edcg_cost(line_topology(3), ["n01"])
         assert cost.epr_pairs == 0
         assert cost.timesteps == 0
+
+
+
+def theta_topology(seed: int) -> tuple[NetworkTopology, list]:
+    """Two or three equally long routes between a hub and a far node, and
+    arms beyond the far node; returns the topology and hub + arm ends.
+
+    On most graphs the union of the closure paths is already a tree: a
+    cycle needs two closure paths that cross the same stretch in opposite
+    directions and pick different equal routes through it.  Here the paths
+    into and out of the hub do so whenever the shuffled names order the
+    routes' first and last hops differently.
+    """
+    rng = random.Random(seed)
+    length = rng.randint(3, 4)
+    links = []
+
+    def path(u, v, hops):
+        prev = u
+        for _ in range(hops - 1):
+            links.append((prev, f"x{len(links)}"))
+            prev = f"x{len(links) - 1}"
+        links.append((prev, v))
+
+    for _ in range(rng.randint(2, 3)):
+        path("hub", "far", length)
+    arms = [f"arm{i}" for i in range(rng.randint(2, 3))]
+    for arm in arms:
+        path("far", arm, rng.randint(length + 1, length + 3))
+    nodes = sorted({x for link in links for x in link})
+    names = [f"v{i:02d}" for i in range(len(nodes))]
+    rng.shuffle(names)
+    rename = dict(zip(nodes, names))
+    topo = NetworkTopology(names, [(rename[u], rename[v]) for u, v in links])
+    return topo, [rename[x] for x in ["hub"] + arms]
+
+
+THETAS = [theta_topology(seed) for seed in range(30)]
+
+SWEEP_CASES = [(topo, []) for topo in (
+    gnp_topology(14, 0.25, seed=1), gnp_topology(20, 0.15, seed=4),
+    gnp_topology(26, 0.12, seed=8), gnp_topology(30, 0.2, seed=5),
+    grid_topology(4, 6), grid_topology(5, 5), tree_topology(4), line_topology(16),
+)] + THETAS
+
+
+def check_chain_against_reference(topo, order):
+    """Walk one chain along ``order``: every tree it hands out is the tree
+    rebuilt from scratch for that suffix, and its counted path union is the
+    one a fresh chain holds."""
+    chain = edcg._SuffixChain(topo, order)
+    for k, gone in enumerate(order[:-1]):
+        fresh = edcg._SuffixChain(topo, order[k:])
+        assert (chain.count, chain.adj) == (fresh.count, fresh.adj)
+        assert chain.tree() == reference_steiner_tree(topo, order[k:])
+        chain.drop(gone)
+
+
+def test_theta_unions_need_the_bfs_and_deep_pruning():
+    """The theta family reaches the non-tree branch of _SuffixChain.tree, and
+    its dead branches are more than one leaf deep."""
+    deep = 0
+    for topo, core in THETAS:
+        chain = edcg._SuffixChain(topo, core)
+        if len(chain.count) != len(chain.adj) - 1:
+            deep += len(chain.adj) - 1 - len(chain.tree()) > 1
+        order = edcg._peel_order(topo, sorted(core))[0]
+        for walk in (order, sorted(core), core[::-1]):
+            check_chain_against_reference(topo, walk)
+    assert deep >= 5
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=hs.integers(0, len(SWEEP_CASES) - 1), data=hs.data())
+def test_suffix_chain_trees_match_the_reference(case, data):
+    """Peel, lex and random orders over gnp, grid, tree, line and theta
+    topologies, with random extra terminals."""
+    topo, core = SWEEP_CASES[case]
+    extra = data.draw(hs.lists(hs.sampled_from(topo.nodes), min_size=max(0, 2 - len(core)), unique=True))
+    S = sorted(set(core) | set(extra))
+    how = data.draw(hs.sampled_from(["peel", "lex", "random"]))
+    if how == "peel":
+        order, trees = edcg._peel_order(topo, S)
+        assert trees == [reference_steiner_tree(topo, order[k:]) for k in range(len(order) - 1)]
+    else:
+        order = S if how == "lex" else data.draw(hs.permutations(S))
+    check_chain_against_reference(topo, order)
+
+
+def test_edcg_cost_keeps_no_topology_alive():
+    """Nothing outlives a call: once the caller lets go of the topology,
+    its memoized hop tables go with it."""
+    for mode in ("peel", "lex", "exhaustive"):
+        topo = grid_topology(4, 4)
+        ref = weakref.ref(topo)
+        edcg_cost(topo, list(topo.nodes)[:6], mode)
+        steiner_tree(topo, ["r00c00", "r03c03"])
+        del topo
+        gc.collect()
+        assert ref() is None, mode

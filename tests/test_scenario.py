@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gstsim import flow, scenario
 from gstsim.scenario import (
     REPORT_COLUMNS,
     ScenarioConfig,
@@ -110,6 +111,32 @@ class TestRunners:
         assert {"root", "k", "rounds"} <= set(info)
         assert [r["strategy"] for r in rows] == ["flow", "shortest"]
         assert rows[0]["root"] == rows[1]["root"] == info["root"]
+
+    @pytest.mark.parametrize("topology, root, targets, edges, csv_row", [
+        ({"kind": "tree", "height": 4}, "fixed:n01", "all", "path",
+         "gst,31,31,99,465,16,260,0,n01,flow,0"),
+        ({"kind": "tree", "height": 4}, "center", "all", "path",
+         "gst,31,31,98,465,15,258,0,n00,flow,0"),
+        ({"kind": "tree", "height": 4}, "fixed:n07", "all", "path",
+         "gst,31,31,141,465,28,344,0,n07,flow,0"),
+        ({"kind": "grid", "rows": 4, "cols": 5}, "center",
+         ["r00c00", "r01c03", "r03c04", "r02c02", "r03c00"], "complete",
+         "gst,20,5,13,85,2,36,0,r01c02,flow,0"),
+    ], ids=["tree4-n01", "tree4-center", "tree4-n07", "grid4x5-center"])
+    def test_flow_strategy_solves_each_probe_once(self, monkeypatch, topology, root,
+                                                  targets, edges, csv_row):
+        """The plan is decomposed from the flow of the saturating probe, not
+        solved again at the same (root, k); the rows are unchanged."""
+        probes = []
+        real = flow.max_flow
+        recording = lambda inst: probes.append((inst.root, inst.k)) or real(inst)
+        monkeypatch.setattr(flow, "max_flow", recording)
+        monkeypatch.setattr(scenario, "max_flow", recording, raising=False)
+        rows = run_scenario(ScenarioConfig.from_dict(dict(
+            topology=topology, root=root, targets=targets, target_edges=edges,
+            strategy="flow")))
+        assert probes and len(probes) == len(set(probes))
+        assert emit_report(rows).splitlines()[1] == csv_row
 
     def test_identical_seeds_identical_rows(self):
         cfg = dict(topology={"kind": "gnp", "n": 8, "p": 0.4, "seed": 11},
