@@ -5,8 +5,9 @@ root node (local CZs are free), then walks each vertex qubit out to its
 destination along a network path.  One hop = one EPR pair across a link plus
 a three-step rewrite (CZ onto the local pair half, Y-measure the traveling
 qubit, Y-measure the local half) that hands the traveling qubit's
-entanglement to the remote half.  Total EPR cost is therefore the sum of
-path lengths.
+entanglement to the remote half.  ``NetworkState`` fuses the two Y
+measurements' neighborhood complements, so a hop costs time linear in the
+traveling qubit's degree.  Total EPR cost is the sum of path lengths.
 
 Scheduling packs hops into timesteps under the one-pair-per-link-per-step
 rule: a set of hops that touches no link twice can run in a single step, so

@@ -204,9 +204,20 @@ class NetworkState:
     """Single-writer mutable state: placement map + shared entanglement graph.
 
     The entanglement graph is a mutable adjacency map (qubit -> set of
-    neighbors) edited in place, so a hop costs only the travelling qubit's
-    neighborhood (Anders-Briegel, quant-ph/0504117).  ``graph`` returns an
-    immutable ``GraphState`` copy for callers that need a value.
+    neighbors) edited in place (Anders-Briegel, quant-ph/0504117).  A Y
+    measurement complements the measured qubit's neighborhood, which costs
+    O(deg^2) pair toggles, so ``measure_y`` defers that complement: it keeps
+    the neighborhood as the one pending set and removes the qubit.  If the
+    next Y measurement hits a member of the pending set, the two complements
+    are fused and only the pairs they do not share are toggled.  A
+    connection transfer (CZ, Y, Y) is such a pair, so a hop costs O(deg)
+    and moves the travelling qubit's neighborhood onto the receiving half.
+    Every other read of the graph (``neighbors``, ``has_edge``, ``graph``,
+    ``verify_target``) and ``measure_z`` first apply the pending complement,
+    so the deferral is invisible from outside.  ``apply_cz`` needs no flush:
+    toggling one pair commutes with toggling all pairs of a set.
+    ``graph`` returns an immutable ``GraphState`` copy for callers that need
+    a value.
     """
 
     def __init__(self, topology: NetworkTopology):
@@ -214,6 +225,7 @@ class NetworkState:
         self.placement: dict[QubitId, NodeId] = {}
         self.ledger = TimestepLedger()
         self._adj: dict[QubitId, set] = {}
+        self._pending: set | None = None  # neighborhood whose complement is due
         self._count = dict.fromkeys(topology.nodes, 0)  # live qubits per node
         self._next_qubit: QubitId = 0
 
@@ -246,14 +258,17 @@ class NetworkState:
 
     def neighbors(self, q: QubitId) -> frozenset:
         self.node_of(q)
+        self._flush()
         return frozenset(self._adj[q])
 
     def has_edge(self, u: QubitId, v: QubitId) -> bool:
+        self._flush()
         return u != v and v in self._adj.get(u, ())
 
     @property
     def graph(self) -> GraphState:
         """Immutable snapshot of the entanglement graph; O(V + E) per call."""
+        self._flush()
         edges = [(u, v) for u, ns in self._adj.items() for v in ns if u < v]
         return GraphState(self._adj, edges)
 
@@ -293,18 +308,51 @@ class NetworkState:
             adj2.add(q1)
 
     def measure_y(self, q: QubitId) -> None:
-        """Y measurement: complement the neighborhood of ``q``, then drop ``q``."""
+        """Y measurement: complement the neighborhood of ``q``, then drop ``q``.
+
+        The complement is left pending (see the class docstring); when ``q``
+        lies in the pending set K, the two complements are fused.
+        """
         node = self.node_of(q)
-        nbrs = self._adj[q]
-        for x in nbrs:
-            adj_x = self._adj[x]
-            adj_x ^= nbrs
-            adj_x.discard(x)
+        pending = self._pending
+        if pending is not None and q in pending:
+            # Complementing K' = K - q and then q's true neighborhood
+            # K2 = S ^ K' (S: q's stored neighbors) toggles exactly the pairs
+            # in one set but not both: within P = K' & S, within Q = S - K',
+            # and P x I, Q x I with I = K' - S.  So a member of P toggles
+            # K', a member of Q toggles K2, and a member of I toggles S.
+            self._pending = None
+            pending.discard(q)
+            adj = self._adj
+            stored = adj[q]
+            k2 = stored ^ pending
+            for x in stored:
+                adj_x = adj[x]
+                adj_x ^= pending if x in pending else k2
+                adj_x.discard(x)
+            for x in pending - stored:
+                adj[x] ^= stored
+        else:
+            self._flush()
+            self._pending = self._adj[q]  # _remove pops this set, leaving it whole
         self._remove(q, node)
 
     def measure_z(self, q: QubitId) -> None:
         """Z measurement: drop ``q`` and its edges."""
-        self._remove(q, self.node_of(q))
+        node = self.node_of(q)
+        self._flush()
+        self._remove(q, node)
+
+    def _flush(self) -> None:
+        """Apply the pending neighborhood complement, if there is one."""
+        nbrs = self._pending
+        if nbrs is None:
+            return
+        self._pending = None
+        for x in nbrs:
+            adj_x = self._adj[x]
+            adj_x ^= nbrs
+            adj_x.discard(x)
 
     def _remove(self, q: QubitId, node: NodeId) -> None:
         for x in self._adj.pop(q):
@@ -335,6 +383,7 @@ def verify_target(state: NetworkState, target: GraphState, assignment: dict) -> 
     vertices = sorted(target.vertices)
     if set(assignment) != set(vertices):
         raise ValueError("assignment must cover exactly the target vertices")
+    state._flush()
     adj = state._adj
     pool: dict = {}  # (node, degree) -> live qubits there, ascending
     for q in sorted(state.placement):

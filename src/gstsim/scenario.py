@@ -111,6 +111,8 @@ def _resolve_target_graph(spec, targets: list, rng: random.Random) -> GraphState
             raise ValueError(f"unknown target_edges shape {spec!r}")
     elif isinstance(spec, dict) and set(spec) == {"gnp"}:
         p = spec["gnp"]
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
+            raise ValueError("edge probability must lie in [0, 1]")
         edges = [e for e in combinations(ts, 2) if rng.random() < p]
     elif isinstance(spec, list):
         edges = [tuple(e) for e in spec]
@@ -135,6 +137,8 @@ class ResolvedScenario:
 
 
 def resolve(config: ScenarioConfig) -> ResolvedScenario:
+    if isinstance(config.seed, bool) or not isinstance(config.seed, int):
+        raise ValueError(f"scenario seed must be an integer, not {config.seed!r}")
     rng = random.Random(config.seed)
     topology = _resolve_topology(config.topology, config.seed)
     targets = _resolve_targets(config.targets, topology, rng)

@@ -141,3 +141,44 @@ def test_output_path_and_format_must_be_strings(tmp_path, capsys, verb, output):
     captured = capsys.readouterr()
     assert "must be a string" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("edges", ["gnp:1.5", "gnp:-1", "gnp:nan", "gnp:inf"])
+def test_gnp_target_probability_out_of_range_is_config_error(capsys, edges):
+    code = main(["run", "--topology", '{"kind": "line", "n": 4}', "--edges", edges])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "edge probability must lie in [0, 1]" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("p", ["x", True, None, [0.5], 2])
+def test_gnp_target_probability_must_be_a_number(tmp_path, capsys, p):
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": {"kind": "line", "n": 4},
+                               "target_edges": {"gnp": p}}))
+    assert main(["run", "--scenario", str(scn)]) == EXIT_CONFIG
+    assert "edge probability must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, shape", [(0, "empty"), (0.0, "empty"),
+                                      (1, "complete"), (1.0, "complete")])
+def test_gnp_target_probability_bounds_are_allowed(tmp_path, capsys, p, shape):
+    topology = '{"kind": "gnp", "n": 8, "p": 0.4}'
+    assert main(["run", "--topology", topology, "--edges", shape]) == EXIT_OK
+    expected = capsys.readouterr().out
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": json.loads(topology), "target_edges": {"gnp": p}}))
+    assert main(["run", "--scenario", str(scn)]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
+@pytest.mark.parametrize("seed", ["x", True, 1.0, None])
+def test_scenario_seed_must_be_an_integer(tmp_path, capsys, verb, seed):
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": {"kind": "line", "n": 3}, "seed": seed}))
+    assert main([verb, "--scenario", str(scn)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "scenario seed must be an integer" in captured.err
+    assert "root=" not in captured.out and "gst" not in captured.out

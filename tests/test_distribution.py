@@ -292,6 +292,59 @@ class TestExecute:
         assert rep.timesteps == 1  # disjoint one-hop paths
 
 
+class OpLog(NetworkState):
+    """Logs every physical operation, to replay on GraphState or the oracle."""
+
+    def __init__(self, topology):
+        super().__init__(topology)
+        self.ops = []
+
+    def new_qubit(self, node):
+        q = super().new_qubit(node)
+        self.ops.append(("new", q))
+        return q
+
+    def generate_epr(self, u, v):
+        qu, qv = super().generate_epr(u, v)  # logs the two news
+        self.ops.append(("epr", qu, qv))
+        return qu, qv
+
+    def apply_cz(self, q1, q2):
+        super().apply_cz(q1, q2)
+        self.ops.append(("cz", q1, q2))
+
+    def measure_y(self, q):
+        super().measure_y(q)
+        self.ops.append(("my", q))
+
+    def measure_z(self, q):
+        super().measure_z(q)
+        self.ops.append(("mz", q))
+
+    def count(self, kind):
+        return sum(op[0] == kind for op in self.ops)
+
+    def hops(self):
+        """Every CZ(a, b) followed by Y(a), Y(b): one connection transfer each."""
+        ops = self.ops
+        return [ops[i] for i in range(len(ops) - 2)
+                if ops[i][0] == "cz" and ops[i + 1] == ("my", ops[i][1])
+                and ops[i + 2] == ("my", ops[i][2])]
+
+    def replay(self) -> GraphState:
+        g = GraphState()
+        for kind, *qs in self.ops:
+            if kind == "new":
+                g = g.add_vertex(qs[0])
+            elif kind in ("epr", "cz"):
+                g = g.toggle_edge(*qs)
+            elif kind == "my":
+                g = g.measure_y(qs[0])
+            else:
+                g = g.measure_z(qs[0])
+        return g
+
+
 def _record_and_replay(topo, req, plan):
     """Execute while logging every physical operation, then replay the log
     on the state-vector oracle (outcome-0 branches throughout).
@@ -301,34 +354,7 @@ def _record_and_replay(topo, req, plan):
     the delivered graph state only up to single-qubit Cliffords.
     """
 
-    class Recorder(NetworkState):
-        def __init__(self, topology):
-            super().__init__(topology)
-            self.ops = []
-
-        def new_qubit(self, node):
-            q = super().new_qubit(node)
-            self.ops.append(("new", q))
-            return q
-
-        def generate_epr(self, u, v):
-            qu, qv = super().generate_epr(u, v)  # records the two news
-            self.ops.append(("cz", qu, qv))
-            return qu, qv
-
-        def apply_cz(self, q1, q2):
-            super().apply_cz(q1, q2)
-            self.ops.append(("cz", q1, q2))
-
-        def measure_y(self, q):
-            super().measure_y(q)
-            self.ops.append(("my", q))
-
-        def measure_z(self, q):
-            super().measure_z(q)
-            self.ops.append(("mz", q))
-
-    st = Recorder(topo)
+    st = OpLog(topo)
     report = execute(st, req, plan)
 
     sv = None
@@ -341,7 +367,7 @@ def _record_and_replay(topo, req, plan):
                 assert op[1] > sv.qubit_order[-1]  # ids grow, order stays sorted
                 sv = oracle.StateVector(sv.qubit_order + (op[1],),
                                         np.kron(sv.amplitudes, plus))
-        elif op[0] == "cz":
+        elif op[0] in ("epr", "cz"):
             sv = oracle.apply_cz(sv, op[1], op[2])
         else:
             branch = oracle.measure_pauli(sv, op[1], "Y" if op[0] == "my" else "Z")[0]
@@ -495,3 +521,46 @@ def test_local_copy_consumes_nothing(caplog):
     assert sorted(mapping) == ["u", "v", "w"]
     assert st.graph.has_edge(mapping["u"], mapping["v"])
     assert not st.graph.has_edge(mapping["u"], mapping["w"])
+
+
+HOP_IDENTITY_TOPOLOGIES = [tree_topology(4), gnp_topology(30, 0.1, seed=3)]
+
+
+class TestHopIdentity:
+    """Each hop is exactly CZ, Y, Y through NetworkState, on dense targets.
+
+    Mirrors the benchmark's traced identity (Y measurements = 2 x EPR
+    pairs) and checks the delivered graph against the three-step rewrite
+    replayed on GraphState.
+    """
+
+    @pytest.mark.parametrize("topo", HOP_IDENTITY_TOPOLOGIES, ids=["tree4", "gnp30"])
+    def test_execute(self, topo):
+        nodes = list(topo.nodes)
+        req = identity_request(nodes, [(u, v) for i, u in enumerate(nodes)
+                                       for v in nodes[i + 1:]])
+        st = OpLog(topo)
+        rep = execute(st, req, plan_shortest(topo, nodes, center_root(topo)))
+        assert rep.epr_pairs > 0
+        assert st.count("my") == 2 * rep.epr_pairs == 2 * st.count("epr")
+        assert len(st.hops()) == rep.epr_pairs
+        assert st.count("cz") == len(req.target.edges) + rep.epr_pairs
+        assert st.count("mz") == 0
+        assert st.graph == st.replay()
+
+    @pytest.mark.parametrize("topo", HOP_IDENTITY_TOPOLOGIES, ids=["tree4", "gnp30"])
+    def test_resource_mode(self, topo):
+        nodes = list(topo.nodes)
+        root = center_root(topo)
+        st = OpLog(topo)
+        pairs, build = build_resource_state(st, nodes, root)
+        req = identity_request(nodes, [(u, v) for i, u in enumerate(nodes)
+                                       for v in nodes[i + 1:]])
+        rep = distribute_via_resource(st, req, root, pairs)
+        hops = build.epr_pairs + rep.epr_pairs
+        assert rep.epr_pairs == len(nodes) - 1
+        assert st.count("my") == 2 * hops
+        assert len(st.hops()) == hops
+        # one CZ per anchor pair and per target edge, plus one per hop
+        assert st.count("cz") == len(pairs) + len(req.target.edges) + hops
+        assert st.graph == st.replay()

@@ -1,5 +1,6 @@
 """Topology model, locality enforcement, link discipline."""
 
+import copy
 import json
 import random
 from collections import Counter
@@ -208,8 +209,10 @@ class TestNetworkStateErrors:
         self.st.apply_cz(self.qa, self.qa2)
 
     def snapshot(self):
+        # The graph is read from a copy, so taking the snapshot does not
+        # apply a complement the state still has pending.
         counts = [self.st.qubit_count(node) for node in self.st.topology.nodes]
-        return self.st.graph, dict(self.st.placement), counts
+        return copy.deepcopy(self.st).graph, dict(self.st.placement), counts
 
     def assert_rejected(self, op, *args):
         before = self.snapshot()
@@ -248,6 +251,24 @@ class TestNetworkStateErrors:
         assert self.st.has_edge(self.qb, self.qa)
         assert not self.st.has_edge(self.qb, self.qa2)
         assert not self.st.has_edge(self.qa, self.qa)
+
+
+class TestNetworkStateErrorsWhilePending(TestNetworkStateErrors):
+    """The same rejections while a Y measurement's complement is still pending.
+
+    The setup reaches the base class's graph through one more Y measurement:
+    q is joined to qa and qa2, the edge qa-qa2 is cut, and measuring q
+    complements {qa, qa2}, which restores it.
+    """
+
+    def setup_method(self):
+        super().setup_method()
+        q = self.st.new_qubit("a")
+        self.st.apply_cz(q, self.qa)
+        self.st.apply_cz(q, self.qa2)
+        self.st.apply_cz(self.qa, self.qa2)
+        self.st.measure_y(q)
+        assert self.st._pending == {self.qa, self.qa2}
 
 
 TRIANGLE = NetworkTopology(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
@@ -308,6 +329,136 @@ def test_state_matches_graphstate_replay(topo_index, ops):
         assert snapshot == ref
         for q in ref.vertices:
             assert snapshot.neighbors(q) == ref.neighbors(q)
+
+
+FUSE_TOPOLOGIES = (NetworkTopology(["a"], []), NetworkTopology(["a", "b"], [("a", "b")]),
+                   TRIANGLE)
+FUSE_KINDS = ["y_near"] * 6 + ["y", "new", "epr", "cz", "cz", "z",
+                               "neighbors", "has_edge", "graph", "verify"]
+FUSE_PAIRS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+FUSE_START = hs.integers(0, 2 ** len(FUSE_PAIRS) - 1)  # one bit per starting edge
+FUSE_OPS = hs.lists(
+    hs.tuples(hs.sampled_from(FUSE_KINDS), hs.integers(0, 63), hs.integers(0, 63)),
+    max_size=60,
+)
+
+
+def _replay_with_pending_complements(topo, start, ops) -> int:
+    """Run ``ops`` on a NetworkState and on GraphState, comparing after each.
+
+    Eight qubits at the first node, joined by a CZ for each set bit of
+    ``start``, give a dense graph.  "y_near" Y-measures a neighbour of the
+    last Y-measured qubit, so it usually lands in the complement the state
+    has pending.
+    Each read ("neighbors", "has_edge", "graph", "verify") and each other
+    write runs while that complement may still be pending.  The comparison
+    after each operation reads the graph of a deep copy, which leaves the
+    original's pending complement in place.
+
+    Returns how many fused Y measurements were of the general shape:
+    with K' the pending set minus the measured qubit and K2 its true
+    neighbourhood, K' - K2, K2 - K' and K' & K2 are all non-empty.
+    """
+    nodes, links = topo.nodes, sorted(topo.links)
+    st = NetworkState(topo)
+    ref = GraphState()
+    for _ in range(8):
+        ref = ref.add_vertex(st.new_qubit(nodes[0]))
+    for bit, (i, j) in enumerate(FUSE_PAIRS):
+        if start >> bit & 1:
+            st.apply_cz(i, j)
+            ref = ref.toggle_edge(i, j)
+    pending = frozenset()   # the complement this model expects the state to owe
+    near = frozenset()      # neighbours of the last Y-measured qubit
+    general = 0
+    for kind, i, j in ops:
+        live = sorted(st.placement)
+        if kind == "new":
+            ref = ref.add_vertex(st.new_qubit(nodes[i % len(nodes)]))
+        elif kind == "epr":
+            if not links:
+                continue
+            st.advance_timestep()
+            qu, qv = st.generate_epr(*links[i % len(links)])
+            ref = ref.add_vertex(qu).add_vertex(qv).toggle_edge(qu, qv)
+        elif not live:
+            continue
+        elif kind in ("y", "y_near"):
+            pool = sorted(near & set(live)) if kind == "y_near" else []
+            pool = pool or live
+            q = pool[i % len(pool)]
+            k2 = ref.neighbors(q)
+            if q in pending:
+                rest = pending - {q}
+                general += bool(rest - k2 and k2 - rest and rest & k2)
+                pending = frozenset()
+            else:
+                pending = k2
+            near = k2
+            st.measure_y(q)
+            ref = ref.measure_y(q)
+        else:
+            pending = frozenset()
+            q = live[i % len(live)]
+            if kind == "z":
+                st.measure_z(q)
+                ref = ref.measure_z(q)
+            elif kind == "cz":
+                mates = [m for m in st.qubits_at(st.node_of(q)) if m != q]
+                if not mates:
+                    continue
+                st.apply_cz(q, mates[j % len(mates)])
+                ref = ref.toggle_edge(q, mates[j % len(mates)])
+            elif kind == "neighbors":
+                assert st.neighbors(q) == ref.neighbors(q)
+            elif kind == "has_edge":
+                other = live[j % len(live)]
+                assert st.has_edge(q, other) == ref.has_edge(q, other)
+            elif kind == "graph":
+                assert st.graph == ref
+            else:
+                assert verify_target(st, ref, dict(st.placement))
+        assert copy.deepcopy(st).graph == ref
+        assert sorted(st.placement) == sorted(ref.vertices)
+    assert st.graph == ref
+    return general
+
+
+def test_fused_y_measurements_match_graphstate_replay():
+    """Pending and fused Y-measurement complements against GraphState.
+
+    Connection transfers only ever fuse in one shape (the measured qubit's
+    stored neighbourhood is one qubit outside the pending set), so this
+    sweep also requires the general shape to come up.
+    """
+    general = []
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(topo_index=hs.integers(0, len(FUSE_TOPOLOGIES) - 1), start=FUSE_START,
+           ops=FUSE_OPS)
+    def sweep(topo_index, start, ops):
+        general.append(_replay_with_pending_complements(
+            FUSE_TOPOLOGIES[topo_index], start, ops))
+
+    sweep()
+    assert sum(general) >= 20
+
+
+def test_fused_y_measurement_of_the_general_shape():
+    """One fused measurement where P, Q and I are all non-empty, by hand.
+
+    Y-measuring x complements {p, i, y}; Y-measuring y then has stored
+    neighbours {p, z}, so K' = {p, i}, K2 = {i, z}, P = {p}, Q = {z}, I = {i}.
+    """
+    st = NetworkState(NetworkTopology(["a"], []))
+    x, y, p, i, z = (st.new_qubit("a") for _ in range(5))
+    for u, v in [(x, p), (x, i), (x, y), (y, p), (y, z)]:
+        st.apply_cz(u, v)
+    ref = st.graph.measure_y(x).measure_y(y)
+    st.measure_y(x)
+    st.measure_y(y)
+    assert st.graph == ref
+    assert ref.edges == {(p, i), (i, z)}
 
 
 class TestVerifyTarget:
