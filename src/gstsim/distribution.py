@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graphstate import GraphState
 from .network import NetworkState, NetworkTopology, NodeId, QubitId, link_key
@@ -85,14 +86,42 @@ class TraceEvent:
 
 @dataclass
 class RunReport:
-    """Cost accounting for one distribution run."""
+    """Cost accounting for one distribution run.
+
+    ``trace`` lists every classical message of the run in the order it was
+    sent.  A hop walk sends exactly the messages of its (plan, schedule):
+    any deviation raises before a report exists.  So a walked run keeps
+    only that pair in ``walk`` and derives the list from it the first time
+    ``trace`` is read; a run without a walk sets ``trace`` itself.
+    """
 
     epr_pairs: int
     timesteps: int
     classical_bits: int
     root_memory_qubits: int
     resource_qubits: int = 0
-    trace: list = field(default_factory=list, repr=False)
+    walk: tuple = field(default=(), repr=False)  # (plan, schedule)
+
+    @cached_property
+    def trace(self) -> list:
+        return list(_walk_messages(*self.walk)) if self.walk else []
+
+
+def _walk_messages(plan: DistributionPlan, schedule: Schedule):
+    """The messages of a hop walk: a 2-bit directive for each zero-hop target,
+    then per scheduled hop its EPR pair and 2-bit measurement report, and a
+    2-bit directive when a transfer reaches the end of its path."""
+    for tnode in sorted(plan.paths):
+        if len(plan.paths[tnode]) == 1:
+            yield TraceEvent("directive", (tnode,), bits=2)
+    for round_entries in schedule.rounds:
+        for (tnode, start, end) in round_entries:
+            path = plan.paths[tnode]
+            for i in range(start, end):
+                yield TraceEvent("epr", (path[i], path[i + 1]))
+                yield TraceEvent("measure_report", (tnode, i), bits=2)
+            if end == len(path) - 1:
+                yield TraceEvent("directive", (tnode,), bits=2)
 
 
 def validate_plan(topology: NetworkTopology, plan: DistributionPlan, targets) -> None:
@@ -181,21 +210,9 @@ def connection_transfer(state: NetworkState, a: QubitId, b: QubitId, c: QubitId)
     to c, and a is adjacent to neither b nor itself equal to b/c.  The
     rewrite is CZ(a, b), Y-measure a, Y-measure b; afterwards c's
     neighborhood is exactly a's former one (minus c, were it present).
+    ``NetworkState.transfer`` checks and applies it in place.
     """
-    if a in (b, c):
-        raise ValueError("transfer needs distinct qubits a, b, c")
-    if state.node_of(a) != state.node_of(b):
-        raise ValueError(
-            f"qubits {a} and {b} are at different nodes; transfer must start locally"
-        )
-    if state.neighbors(b) != {c}:
-        raise ValueError(f"qubit {b} must be entangled with {c} and nothing else")
-    if state.has_edge(a, b):
-        raise ValueError(f"qubits {a} and {b} are already entangled")
-    state.apply_cz(a, b)
-    state.measure_y(a)
-    state.measure_y(b)
-    return c
+    return state.transfer(a, b, c)
 
 
 def make_local_copy(state: NetworkState, target: GraphState, root: NodeId) -> dict:
@@ -212,36 +229,37 @@ def make_local_copy(state: NetworkState, target: GraphState, root: NodeId) -> di
 
 
 def _walk_rounds(state: NetworkState, plan: DistributionPlan, schedule: Schedule,
-                 carrier: dict, trace: list) -> tuple[int, int]:
+                 carrier: dict) -> tuple[int, int, int]:
     """Walk every scheduled hop, moving ``carrier[target]`` one link per EPR pair.
 
-    Appends the epr, measure_report and arrival directive events to
-    ``trace``.  Returns (hops made, peak live qubits at the root).
+    Returns (hops made, transfers that reached their path's end, peak live
+    qubits at the root).  The messages sent are those of
+    ``_walk_messages(plan, schedule)``.
     """
+    generate_epr, transfer = state.generate_epr, state.transfer
+    count = state._count  # live qubits per node
     root = plan.root
-    transfers = 0
-    peak_root = state.qubit_count(root)
+    transfers = arrivals = 0
+    peak_root = count[root]
     for rnum, round_entries in enumerate(schedule.rounds):
         state.advance_timestep()
         for (tnode, start, end) in round_entries:
             path = plan.paths[tnode]
             qubit = carrier[tnode]
             for i in range(start, end):
-                unode, vnode = path[i], path[i + 1]
                 try:
-                    qu, qv = state.generate_epr(unode, vnode)
-                    peak_root = max(peak_root, state.qubit_count(root))
-                    trace.append(TraceEvent("epr", (unode, vnode)))
-                    connection_transfer(state, qubit, qu, qv)
+                    qu, qv = generate_epr(path[i], path[i + 1])
+                    if count[root] > peak_root:
+                        peak_root = count[root]
+                    transfer(qubit, qu, qv)
                 except ValueError as exc:
                     raise ExecutionError(f"round {rnum}: {exc}") from exc
-                transfers += 1
-                trace.append(TraceEvent("measure_report", (tnode, i), bits=2))
                 qubit = qv
+            transfers += end - start
             carrier[tnode] = qubit
             if end == len(path) - 1:
-                trace.append(TraceEvent("directive", (tnode,), bits=2))
-    return transfers, peak_root
+                arrivals += 1
+    return transfers, arrivals, peak_root
 
 
 def execute(state: NetworkState, request: DistributionRequest, plan: DistributionPlan,
@@ -251,10 +269,11 @@ def execute(state: NetworkState, request: DistributionRequest, plan: Distributio
     Builds the local copy at the root, walks every vertex qubit along its
     scheduled path, and finally demands the live entanglement graph match
     the request exactly (raising ExecutionError otherwise).  The report's
-    trace carries one 2-bit measurement-report event per consumed EPR pair
-    and one 2-bit completion directive per target — zero-hop targets (the
-    root's own vertex) are confirmed up front, every other one when its
-    qubit arrives.
+    trace is derived from (plan, schedule) when first read: one 2-bit
+    measurement report per consumed EPR pair and one 2-bit completion
+    directive per target — zero-hop targets (the root's own vertex) are
+    confirmed up front, every other one when its qubit arrives.  So
+    ``classical_bits`` is 2·hops + 2·|targets|, counted without the trace.
     """
     from .network import verify_target  # local import to keep module DAG flat
 
@@ -265,11 +284,8 @@ def execute(state: NetworkState, request: DistributionRequest, plan: Distributio
     node_of_vertex = dict(request.assignment)
     vertex_at = {node: v for v, node in node_of_vertex.items()}
     carrier = {node: copy_map[vertex_at[node]] for node in plan.paths}
-    trace: list[TraceEvent] = []
-    for tnode in sorted(plan.paths):
-        if len(plan.paths[tnode]) == 1:
-            trace.append(TraceEvent("directive", (tnode,), bits=2))
-    transfers, peak_root = _walk_rounds(state, plan, schedule, carrier, trace)
+    transfers, arrivals, peak_root = _walk_rounds(state, plan, schedule, carrier)
+    directives = arrivals + sum(len(p) == 1 for p in plan.paths.values())
 
     if not verify_target(state, request.target, request.assignment):
         raise ExecutionError("delivered state does not realize the request")
@@ -277,9 +293,9 @@ def execute(state: NetworkState, request: DistributionRequest, plan: Distributio
     return RunReport(
         epr_pairs=transfers,
         timesteps=schedule.timesteps,
-        classical_bits=sum(ev.bits for ev in trace),
+        classical_bits=2 * (transfers + directives),
         root_memory_qubits=peak_root,
-        trace=trace,
+        walk=(plan, schedule),
     )
 
 
@@ -307,8 +323,7 @@ def build_resource_state(state: NetworkState, targets, root: NodeId) -> tuple[di
         state.apply_cz(anchor, mover)
         anchors[t] = anchor
         carrier[t] = mover
-    trace: list[TraceEvent] = []
-    transfers, peak_root = _walk_rounds(state, plan, schedule, carrier, trace)
+    transfers, arrivals, peak_root = _walk_rounds(state, plan, schedule, carrier)
     pairs = {t: (anchors[t], carrier[t]) for t in others}
     for t, (anchor, remote) in pairs.items():
         if state.neighbors(anchor) != {remote}:
@@ -318,10 +333,10 @@ def build_resource_state(state: NetworkState, targets, root: NodeId) -> tuple[di
     report = RunReport(
         epr_pairs=transfers,
         timesteps=schedule.timesteps,
-        classical_bits=sum(ev.bits for ev in trace),
+        classical_bits=2 * (transfers + arrivals),
         root_memory_qubits=peak_root,
         resource_qubits=2 * len(others),
-        trace=trace,
+        walk=(plan, schedule),
     )
     return pairs, report
 
@@ -364,14 +379,15 @@ def distribute_via_resource(state: NetworkState, request: DistributionRequest,
         trace.append(TraceEvent("directive", (node,), bits=2))
     if not verify_target(state, request.target, request.assignment):
         raise ExecutionError("delivered state does not realize the request")
-    return RunReport(
+    report = RunReport(
         epr_pairs=transfers,
         timesteps=1 if remote_targets else 0,
         classical_bits=sum(ev.bits for ev in trace),
         root_memory_qubits=peak_root,
         resource_qubits=used,
-        trace=trace,
     )
+    report.trace = trace
+    return report
 
 
 def warn_if_rounds_exceed(schedule: Schedule, k: int) -> None:

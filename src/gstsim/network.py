@@ -213,8 +213,8 @@ class NetworkState:
     connection transfer (CZ, Y, Y) is such a pair, so a hop costs O(deg)
     and moves the travelling qubit's neighborhood onto the receiving half.
     Every other read of the graph (``neighbors``, ``has_edge``, ``graph``,
-    ``verify_target``) and ``measure_z`` first apply the pending complement,
-    so the deferral is invisible from outside.  ``apply_cz`` needs no flush:
+    the checks of ``transfer``, ``verify_target``) and ``measure_z`` first
+    apply the pending complement, so the deferral is invisible from outside.  ``apply_cz`` needs no flush:
     toggling one pair commutes with toggling all pairs of a set.
     ``graph`` returns an immutable ``GraphState`` copy for callers that need
     a value.
@@ -222,6 +222,7 @@ class NetworkState:
 
     def __init__(self, topology: NetworkTopology):
         self.topology = topology
+        self._links = topology.links  # looked up by every generate_epr
         self.placement: dict[QubitId, NodeId] = {}
         self.ledger = TimestepLedger()
         self._adj: dict[QubitId, set] = {}
@@ -280,9 +281,10 @@ class NetworkState:
         Counts against the current timestep's link budget and the total EPR
         tally.
         """
-        if not self.topology.has_link(u, v):
+        key = link_key(u, v)
+        if key not in self._links:
             raise ValueError(f"no link between {u!r} and {v!r}")
-        self.ledger.record(link_key(u, v))
+        self.ledger.record(key)
         qu = self.new_qubit(u)
         qv = self.new_qubit(v)
         self._adj[qu].add(qv)
@@ -291,7 +293,11 @@ class NetworkState:
 
     def apply_cz(self, q1: QubitId, q2: QubitId) -> None:
         """Local CZ: both qubits must sit at the same node."""
-        n1, n2 = self.node_of(q1), self.node_of(q2)
+        placement = self.placement
+        n1, n2 = placement.get(q1), placement.get(q2)
+        if n1 is None or n2 is None:
+            self.node_of(q1)
+            self.node_of(q2)  # one of the two raises
         if n1 != n2:
             raise LocalityError(
                 f"CZ across nodes {n1!r} and {n2!r} (qubits {q1}, {q2}); "
@@ -313,7 +319,8 @@ class NetworkState:
         The complement is left pending (see the class docstring); when ``q``
         lies in the pending set K, the two complements are fused.
         """
-        node = self.node_of(q)
+        if q not in self.placement:
+            self.node_of(q)  # raises
         pending = self._pending
         if pending is not None and q in pending:
             # Complementing K' = K - q and then q's true neighborhood
@@ -321,27 +328,60 @@ class NetworkState:
             # in one set but not both: within P = K' & S, within Q = S - K',
             # and P x I, Q x I with I = K' - S.  So a member of P toggles
             # K', a member of Q toggles K2, and a member of I toggles S.
+            # Neither K' nor K2 holds q, so each x in S drops q in the same
+            # pass, and q itself goes with its adjacency set.
             self._pending = None
             pending.discard(q)
             adj = self._adj
-            stored = adj[q]
+            stored = adj.pop(q)
             k2 = stored ^ pending
             for x in stored:
                 adj_x = adj[x]
                 adj_x ^= pending if x in pending else k2
                 adj_x.discard(x)
+                adj_x.discard(q)
             for x in pending - stored:
                 adj[x] ^= stored
+            self._count[self.placement.pop(q)] -= 1
         else:
-            self._flush()
-            self._pending = self._adj[q]  # _remove pops this set, leaving it whole
-        self._remove(q, node)
+            if pending is not None:
+                self._flush()
+            self._pending = self._remove(q)
 
     def measure_z(self, q: QubitId) -> None:
         """Z measurement: drop ``q`` and its edges."""
-        node = self.node_of(q)
+        self.node_of(q)
         self._flush()
-        self._remove(q, node)
+        self._remove(q)
+
+    def transfer(self, a: QubitId, b: QubitId, c: QubitId) -> QubitId:
+        """Connection transfer: hand qubit a's entanglement to c through (b, c).
+
+        The body of ``gstsim.distribution.connection_transfer``; see there.
+        Every check runs before the first operation, so a rejected transfer
+        leaves the state as it was.
+        """
+        if a == b or a == c:
+            raise ValueError("transfer needs distinct qubits a, b, c")
+        placement = self.placement
+        node = placement.get(a)
+        if node is None or placement.get(b) != node:
+            self.node_of(a)
+            self.node_of(b)  # raises if b is not live
+            raise ValueError(
+                f"qubits {a} and {b} are at different nodes; transfer must start locally"
+            )
+        if self._pending is not None:
+            self._flush()
+        adj_b = self._adj[b]
+        if len(adj_b) != 1 or c not in adj_b:
+            raise ValueError(f"qubit {b} must be entangled with {c} and nothing else")
+        if a in adj_b:
+            raise ValueError(f"qubits {a} and {b} are already entangled")
+        self.apply_cz(a, b)
+        self.measure_y(a)
+        self.measure_y(b)
+        return c
 
     def _flush(self) -> None:
         """Apply the pending neighborhood complement, if there is one."""
@@ -354,11 +394,14 @@ class NetworkState:
             adj_x ^= nbrs
             adj_x.discard(x)
 
-    def _remove(self, q: QubitId, node: NodeId) -> None:
-        for x in self._adj.pop(q):
-            self._adj[x].discard(q)
-        del self.placement[q]
-        self._count[node] -= 1
+    def _remove(self, q: QubitId) -> set:
+        """Drop live qubit ``q`` and its edges; returns its adjacency set."""
+        adj = self._adj
+        stored = adj.pop(q)
+        for x in stored:
+            adj[x].discard(q)
+        self._count[self.placement.pop(q)] -= 1
+        return stored
 
     def advance_timestep(self) -> None:
         self.ledger.advance()

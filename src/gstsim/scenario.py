@@ -81,8 +81,10 @@ def _resolve_targets(spec, topology: NetworkTopology, rng: random.Random) -> lis
         return nodes
     if isinstance(spec, dict) and set(spec) == {"random"}:
         k = spec["random"]
-        if not 1 <= k <= len(nodes):
-            raise ValueError(f"cannot sample {k} targets from {len(nodes)} nodes")
+        if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= len(nodes):
+            raise ValueError(
+                f"random target count must be an integer in [1, {len(nodes)}], not {k!r}"
+            )
         return sorted(rng.sample(nodes, k))
     if isinstance(spec, list):
         missing = [t for t in spec if t not in set(nodes)]

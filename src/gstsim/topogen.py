@@ -9,12 +9,19 @@ from .network import NetworkTopology
 GNP_RETRY_BUDGET = 500
 
 
+def _require_int(name: str, value) -> None:
+    """Sizes are JSON integers: a bool, string or float is a spec error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"topology parameter {name!r} must be an integer, not {value!r}")
+
+
 def _name(i: int, count: int) -> str:
     width = max(2, len(str(count - 1)))
     return f"n{i:0{width}d}"
 
 
 def line_topology(n: int) -> NetworkTopology:
+    _require_int("n", n)
     if n < 1:
         raise ValueError("line needs at least one node")
     nodes = [_name(i, n) for i in range(n)]
@@ -24,6 +31,7 @@ def line_topology(n: int) -> NetworkTopology:
 
 def tree_topology(height: int) -> NetworkTopology:
     """Full binary tree of the given height, named in level order."""
+    _require_int("height", height)
     if height < 0:
         raise ValueError("height must be >= 0")
     count = 2 ** (height + 1) - 1
@@ -37,6 +45,8 @@ def tree_topology(height: int) -> NetworkTopology:
 
 
 def grid_topology(rows: int, cols: int) -> NetworkTopology:
+    _require_int("rows", rows)
+    _require_int("cols", cols)
     if rows < 1 or cols < 1:
         raise ValueError("grid needs positive dimensions")
 
@@ -56,9 +66,10 @@ def grid_topology(rows: int, cols: int) -> NetworkTopology:
 
 def gnp_topology(n: int, p: float, seed: int) -> NetworkTopology:
     """Connected Erdos-Renyi sample; retries fresh draws until connected."""
+    _require_int("n", n)
     if n < 1:
         raise ValueError("gnp needs at least one node")
-    if not 0.0 <= p <= 1.0:
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)
     nodes = [_name(i, n) for i in range(n)]

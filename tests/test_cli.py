@@ -182,3 +182,30 @@ def test_scenario_seed_must_be_an_integer(tmp_path, capsys, verb, seed):
     captured = capsys.readouterr()
     assert "scenario seed must be an integer" in captured.err
     assert "root=" not in captured.out and "gst" not in captured.out
+
+
+@pytest.mark.parametrize("k", [True, "x", 2.5, 0, 5])
+def test_random_target_count_must_be_an_integer_in_range(tmp_path, capsys, k):
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": {"kind": "line", "n": 4},
+                               "targets": {"random": k}}))
+    assert main(["run", "--scenario", str(scn)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "random target count must be an integer in [1, 4]" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "line", "n": True},
+    {"kind": "line", "n": "4"},
+    {"kind": "tree", "height": 2.0},
+    {"kind": "tree", "height": False},
+    {"kind": "grid", "rows": 2, "cols": True},
+    {"kind": "grid", "rows": "2", "cols": 3},
+    {"kind": "gnp", "n": 5.0, "p": 0.5},
+])
+def test_topology_sizes_must_be_integers(capsys, spec):
+    assert main(["run", "--topology", json.dumps(spec)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "must be an integer" in captured.err
+    assert captured.out == ""

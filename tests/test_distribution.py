@@ -1,7 +1,10 @@
 """Planning, scheduling, execution, and the pre-shared resource mode."""
 
+import copy
+import hashlib
 import logging
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from gstsim.distribution import (
 from gstsim.network import NetworkState, NetworkTopology
 from gstsim.graphstate import GraphState
 from gstsim import oracle
-from gstsim.flow import minimize_completion_time
+from gstsim.flow import decompose_flow, minimize_completion_time, saturating_flow
 from gstsim.network import link_key
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
@@ -43,6 +46,9 @@ def identity_request(nodes, edges):
 
 
 class TestConnectionTransfer:
+    """A transfer moves the carrier's edges; a rejected one raises ValueError
+    with a fixed text and leaves the state as it was."""
+
     def make_state(self):
         st = NetworkState(line(2))
         a = st.new_qubit("n00")
@@ -50,6 +56,19 @@ class TestConnectionTransfer:
         st.apply_cz(a, spect)
         qb, qc = st.generate_epr("n00", "n01")
         return st, a, spect, qb, qc
+
+    @staticmethod
+    def snapshot(st):
+        # Read the graph from a copy, so a pending complement stays pending.
+        counts = [st.qubit_count(node) for node in st.topology.nodes]
+        return copy.deepcopy(st).graph, dict(st.placement), counts, st.epr_generated
+
+    def assert_rejected(self, st, message, a, b, c):
+        before = self.snapshot(st)
+        with pytest.raises(ValueError) as info:
+            connection_transfer(st, a, b, c)
+        assert str(info.value) == message
+        assert self.snapshot(st) == before
 
     def test_moves_edges_to_remote_half(self):
         st, a, spect, qb, qc = self.make_state()
@@ -59,29 +78,84 @@ class TestConnectionTransfer:
         assert st.node_of(qc) == "n01"
 
     def test_rejects_split_pair(self):
-        st = NetworkState(line(3))
-        a = st.new_qubit("n00")
-        qb, qc = st.generate_epr("n01", "n02")
-        with pytest.raises(ValueError):
-            connection_transfer(st, a, qb, qc)  # a not with qb
+        st, a, spect, qb, qc = self.make_state()
+        st.advance_timestep()
+        far, near = st.generate_epr("n01", "n00")
+        self.assert_rejected(
+            st, f"qubits {a} and {far} are at different nodes; transfer must start locally",
+            a, far, near)  # a not with far
 
     def test_rejects_dirty_bridge(self):
         st, a, spect, qb, qc = self.make_state()
         st.apply_cz(a, qb)  # qb now has a second edge
-        with pytest.raises(ValueError):
-            connection_transfer(st, a, qb, qc)
+        self.assert_rejected(st, f"qubit {qb} must be entangled with {qc} and nothing else",
+                             a, qb, qc)
 
     def test_rejects_adjacent_carrier(self):
         st, a, spect, qb, qc = self.make_state()
         extra = st.new_qubit("n00")
         st.apply_cz(extra, qb)
-        with pytest.raises(ValueError):
-            connection_transfer(st, extra, qb, qc)
+        self.assert_rejected(st, f"qubit {qb} must be entangled with {qc} and nothing else",
+                             extra, qb, qc)
 
     def test_rejects_carrier_equal_to_pair(self):
         st, a, spect, qb, qc = self.make_state()
-        with pytest.raises(ValueError):
-            connection_transfer(st, qb, qb, qc)
+        self.assert_rejected(st, "transfer needs distinct qubits a, b, c", qb, qb, qc)
+        self.assert_rejected(st, "transfer needs distinct qubits a, b, c", qc, qb, qc)
+
+    def test_rejects_carrier_no_longer_live(self):
+        st, a, spect, qb, qc = self.make_state()
+        connection_transfer(st, a, qb, qc)  # a is measured away
+        st.advance_timestep()
+        qb2, qc2 = st.generate_epr("n00", "n01")
+        self.assert_rejected(st, f"qubit {a!r} is not live", a, qb2, qc2)
+
+    def test_rejects_bridge_no_longer_live(self):
+        st, a, spect, qb, qc = self.make_state()
+        st.measure_z(qb)
+        self.assert_rejected(st, f"qubit {qb!r} is not live", a, qb, qc)
+
+    def test_rejects_bridge_with_no_edge(self):
+        st, a, spect, qb, qc = self.make_state()
+        lone = st.new_qubit("n00")
+        self.assert_rejected(st, f"qubit {lone} must be entangled with {qc} and nothing else",
+                             a, lone, qc)
+
+    def test_rejects_pair_whose_far_half_is_gone(self):
+        st, a, spect, qb, qc = self.make_state()
+        st.measure_z(qc)
+        self.assert_rejected(st, f"qubit {qb} must be entangled with {qc} and nothing else",
+                             a, qb, qc)
+
+    def test_rejects_bridge_dirtied_by_a_pending_complement(self):
+        """b's stored edges are only {c}; the complement still due adds b-spect."""
+        st, a, spect, qb, qc = self.make_state()
+        q = st.new_qubit("n00")
+        st.apply_cz(q, qb)
+        st.apply_cz(q, spect)
+        st.measure_y(q)
+        assert st._pending == {qb, spect} and st._adj[qb] == {qc}
+        self.assert_rejected(st, f"qubit {qb} must be entangled with {qc} and nothing else",
+                             a, qb, qc)
+
+
+class TestConnectionTransferWhilePending(TestConnectionTransfer):
+    """The same transfers while a Y measurement's complement is still pending.
+
+    As in the network state's error tests: q is joined to a and spect, the
+    edge a-spect is cut, and measuring q complements {a, spect}, which
+    restores it.
+    """
+
+    def make_state(self):
+        st, a, spect, qb, qc = super().make_state()
+        q = st.new_qubit("n00")
+        st.apply_cz(q, a)
+        st.apply_cz(q, spect)
+        st.apply_cz(a, spect)
+        st.measure_y(q)
+        assert st._pending == {a, spect}
+        return st, a, spect, qb, qc
 
 
 class TestPlanning:
@@ -290,6 +364,83 @@ class TestExecute:
         rep = execute(NetworkState(topo), req, plan)
         assert rep.epr_pairs == 2
         assert rep.timesteps == 1  # disjoint one-hop paths
+
+
+def _trace_digest(report):
+    events = [(ev.kind, ev.subject, ev.bits) for ev in report.trace]
+    return hashlib.sha256(repr(events).encode()).hexdigest()[:16], report.classical_bits
+
+
+def _shaped_request(targets, shape):
+    ts = sorted(targets)
+    edges = list(zip(ts, ts[1:])) if shape == "path" else list(combinations(ts, 2))
+    return DistributionRequest(GraphState(ts, edges), {t: t for t in ts})
+
+
+def _shortest_run(topo, targets, shape, root=None):
+    req = _shaped_request(targets, shape)
+    plan = plan_shortest(topo, req.target_nodes, root or center_root(topo))
+    return execute(NetworkState(topo), req, plan)
+
+
+def _flow_run(topo, targets, shape, root=None):
+    req = _shaped_request(targets, shape)
+    if root is None:
+        plan = minimize_completion_time(topo, req.target_nodes)[2]
+    else:
+        plan = decompose_flow(saturating_flow(topo, req.target_nodes, root)[1])
+    return execute(NetworkState(topo), req, plan)
+
+
+def _resource_build(topo, root):
+    return build_resource_state(NetworkState(topo), topo.nodes, root)[1]
+
+
+GNP14 = gnp_topology(14, 0.25, seed=4)
+
+# (kind, subject, bits) of every trace event, digested, and classical_bits,
+# as recorded when each run appended its events while it walked.
+DERIVED_TRACE_CASES = [
+    ("line9-path-end-root", lambda: _shortest_run(line(9), line(9).nodes, "path", "n00"),
+     ("b36c722b2f5e0705", 90)),
+    ("tree3-complete-center", lambda: _shortest_run(tree_topology(3), tree_topology(3).nodes,
+                                                    "complete"),
+     ("47e867d0f6955b24", 98)),
+    ("grid-relay-root", lambda: _shortest_run(
+        grid_topology(3, 4), ["r00c00", "r01c02", "r02c03", "r02c01", "r00c03"], "complete",
+        "r01c01"),
+     ("87383fb69eb37c46", 30)),
+    ("gnp14-path-center", lambda: _shortest_run(GNP14, GNP14.nodes, "path"),
+     ("6c634913c84d50fe", 70)),
+    ("line7-sparse-middle-root", lambda: _shortest_run(line(7), ["n00", "n03", "n06"],
+                                                       "complete", "n03"),
+     ("f120fbcc21d0b7af", 18)),
+    ("grid4-flow-optimized", lambda: _flow_run(grid_topology(4, 4), grid_topology(4, 4).nodes,
+                                               "path"),
+     ("90daf038c9814198", 96)),
+    ("gnp14-flow-fixed-root", lambda: _flow_run(GNP14, GNP14.nodes, "path", "n05"),
+     ("fc04190368e4f60f", 78)),
+    ("gnp14-flow-half-targets", lambda: _flow_run(GNP14, GNP14.nodes[::2], "complete"),
+     ("4dde928daf18a030", 36)),
+    ("resource-tree3", lambda: _resource_build(tree_topology(3), "n00"),
+     ("8a0b412dc910c33a", 96)),
+    ("resource-grid3-corner", lambda: _resource_build(grid_topology(3, 3), "r00c00"),
+     ("4f13c3b2df6f4bfd", 52)),
+]
+
+
+class TestDerivedTrace:
+    """The trace derived from (plan, schedule) is the one the walk used to
+    record, event for event, and classical_bits is counted without it."""
+
+    @pytest.mark.parametrize("make_report, expected",
+                             [case[1:] for case in DERIVED_TRACE_CASES],
+                             ids=[case[0] for case in DERIVED_TRACE_CASES])
+    def test_trace_and_bits_match_the_recorded_walk(self, make_report, expected):
+        report = make_report()
+        assert _trace_digest(report) == expected
+        assert report.classical_bits == sum(ev.bits for ev in report.trace)
+        assert report.trace is report.trace  # derived once, then kept
 
 
 class OpLog(NetworkState):

@@ -80,3 +80,27 @@ def test_generate_rejects_extra_params():
 def test_generate_rejects_missing_params():
     with pytest.raises(ValueError):
         generate_topology("grid", rows=2)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("line", {"n": True}),
+    ("line", {"n": "4"}),
+    ("line", {"n": 4.0}),
+    ("tree", {"height": True}),
+    ("tree", {"height": 2.0}),
+    ("tree", {"height": "2"}),
+    ("grid", {"rows": 2, "cols": True}),
+    ("grid", {"rows": 2.0, "cols": 3}),
+    ("grid", {"rows": 2, "cols": "3"}),
+    ("gnp", {"n": True, "p": 0.5, "seed": 0}),
+    ("gnp", {"n": "5", "p": 0.5, "seed": 0}),
+])
+def test_generate_rejects_non_integer_sizes(kind, params):
+    with pytest.raises(ValueError, match="must be an integer"):
+        generate_topology(kind, **params)
+
+
+@pytest.mark.parametrize("p", [True, "0.5", None])
+def test_gnp_rejects_non_numeric_probability(p):
+    with pytest.raises(ValueError, match=r"edge probability must lie in \[0, 1\]"):
+        gnp_topology(5, p, seed=0)
