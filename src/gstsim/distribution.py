@@ -128,23 +128,54 @@ def validate_plan(topology: NetworkTopology, plan: DistributionPlan, targets) ->
     expected = set(targets)
     if set(plan.paths) != expected:
         raise ValueError("plan paths do not cover exactly the target nodes")
+    links = topology.links
     for node, path in plan.paths.items():
         if not path or path[0] != plan.root or path[-1] != node:
             raise ValueError(f"path for {node!r} must run from the root to it")
         for a, b in zip(path, path[1:]):
-            if not topology.has_link(a, b):
+            if ((a, b) if a <= b else (b, a)) not in links:
                 raise ValueError(f"path for {node!r} uses missing link ({a!r}, {b!r})")
 
 
 def plan_shortest(topology: NetworkTopology, targets, root: NodeId) -> DistributionPlan:
-    """Lexicographically-least shortest path from the root to every target."""
-    paths = {t: topology.shortest_path(root, t) for t in sorted(set(targets))}
-    return DistributionPlan(root, paths)
+    """Lexicographically-least shortest path from the root to every target,
+    all from one search."""
+    return DistributionPlan(root, topology.shortest_paths(root, sorted(set(targets))))
 
 
 def center_root(topology: NetworkTopology) -> NodeId:
-    """Minimum-eccentricity node; ties broken by node id."""
-    return min(topology.nodes, key=lambda v: (topology.eccentricity(v), v))
+    """Minimum-eccentricity node; ties broken by node id.
+
+    Exact from eccentricity bounds (Takes & Kosters, Algorithms 6(1), 2013).
+    A BFS from v gives ecc(v) and, for every w at distance d from it,
+    max(d, ecc(v) - d) <= ecc(w) <= ecc(v) + d.  BFS sources alternate
+    between the candidate with the least lower bound and the one with the
+    greatest upper bound, and a candidate leaves once its (lower bound, id)
+    exceeds the best (eccentricity, id) found, so a few BFS usually settle
+    the center where the plain minimum needs one per node.
+    """
+    lower = dict.fromkeys(topology.nodes, 0)
+    upper = dict.fromkeys(topology.nodes, len(topology))
+    best = None  # (eccentricity, node) of the best node searched so far
+    high = False
+    while lower:
+        if high:
+            v = min(lower, key=lambda w: (-upper[w], w))
+        else:
+            v = min(lower, key=lambda w: (lower[w], w))
+        high = not high
+        hops = topology._hops(v)
+        ecc = max(hops.values())
+        if best is None or (ecc, v) < best:
+            best = (ecc, v)
+        for w in lower:
+            d = hops[w]
+            lo = lower[w] = max(lower[w], d, ecc - d)
+            hi = upper[w] = min(upper[w], ecc + d)
+            if lo == hi and (lo, w) < best:
+                best = (lo, w)
+        lower = {w: lo for w, lo in lower.items() if (lo, w) < best}
+    return best[1]
 
 
 def epr_bound(n: int, s: int, free_root: bool = False) -> int:

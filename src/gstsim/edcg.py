@@ -17,12 +17,18 @@ the paths of the closure edges that changed.  A union that is already a
 tree is the spanning tree as it stands; otherwise a sorted BFS picks one.
 Either way one leaf queue prunes the non-terminal leaves.  The module keeps
 no state between calls.
+
+Distances: the first closure MST grows one search per terminal, a hop
+layer at a time, and keeps nothing; each closure edge's path comes from
+``NetworkTopology.shortest_path``, a search that stops at its far end.  Only
+the MST repair (``_mst_without``), when a departing terminal leaves more
+than one piece, reads the topology's memoized hop tables.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, permutations
 
@@ -55,16 +61,38 @@ def _kruskal(pairs, parent: dict, needed: int) -> list[tuple]:
 def _mst_on_terminals(topology: NetworkTopology, terminals: list) -> list[tuple]:
     """Kruskal over the metric closure; deterministic (weight, u, v) order.
 
-    ``terminals`` must be sorted: pairs are then generated in (u, v) order,
-    so bucketing them by hop count yields (weight, u, v) order unsorted.
+    Each terminal grows its own search one hop layer at a time, all in step,
+    and records the greater terminals it reaches: layer w yields exactly the
+    pairs at distance w, so each layer's pairs, sorted, continue the
+    (weight, u, v) order.  A search ends once it has reached every greater
+    terminal, and all end once Kruskal has its m - 1 edges, so when every
+    terminal has a terminal neighbour the MST comes from the links alone.
+    ``terminals`` must be sorted.
     """
-    by_weight = defaultdict(list)
-    for i, u in enumerate(terminals):
-        d_u = topology._hops(u)
-        for v in terminals[i + 1:]:
-            by_weight[d_u[v]].append((u, v))
-    pairs = (pair for w in sorted(by_weight) for pair in by_weight[w])
-    return _kruskal(pairs, {t: t for t in terminals}, len(terminals) - 1)
+    m = len(terminals)
+    parent = {t: t for t in terminals}
+    adj = topology._adj
+    # (terminal, nodes seen, last layer, greater terminals not yet reached)
+    searches = [(u, {u}, [u], m - 1 - i) for i, u in enumerate(terminals[:-1])]
+    mst: list = []
+    while searches and len(mst) < m - 1:
+        pairs, grown = [], []
+        for u, seen, layer, left in searches:
+            nxt = []
+            for x in layer:
+                for y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+                        if y in parent and y > u:
+                            pairs.append((u, y))
+                            left -= 1
+            if left:
+                grown.append((u, seen, nxt, left))
+        pairs.sort()
+        mst += _kruskal(pairs, parent, m - 1 - len(mst))
+        searches = grown
+    return mst
 
 
 def _mst_without(topology: NetworkTopology, terminals: list, mst, gone) -> list[tuple]:

@@ -35,9 +35,13 @@ def link_key(u: NodeId, v: NodeId) -> Link:
 class NetworkTopology:
     """Immutable undirected network graph with deterministic adjacency.
 
-    Hop distances are computed once per source, by one BFS the first time
-    that source is asked for, and memoized on the instance; the topology
-    never changes, so a table never goes stale.
+    Shortest paths come from ``shortest_paths``: one search per call that
+    stops at its last target and keeps nothing.  Full hop tables are
+    computed once per source, by one BFS the first time that source is
+    asked for, and memoized on the instance; the topology never changes, so
+    a table never goes stale.  Only ``bfs_distances``, ``eccentricity``,
+    ``center_root`` (a few sources, see there) and the EDCG closure-MST
+    repair fill them.
     """
 
     def __init__(self, nodes, links):
@@ -134,25 +138,49 @@ class NetworkTopology:
                     queue.append(nb)
         return dist
 
+    def shortest_paths(self, src: NodeId, targets) -> dict:
+        """Lexicographically smallest shortest path from ``src`` to each target.
+
+        One BFS that visits neighbours in sorted order.  Its queue then holds
+        each level ranked by (rank of parent, node id), and a node's parent
+        is its least-ranked neighbour on the level above, so following
+        parents back from any node gives its lexicographically least shortest
+        path.  The search stops as soon as the last target is reached.
+        Returns {target: [src, ..., target]} in the order of ``targets``.
+        """
+        if src not in self._adj:
+            raise ValueError(f"unknown node {src!r}")
+        targets = list(targets)
+        wanted = set(targets)
+        unknown = wanted.difference(self._adj)
+        if unknown:
+            raise ValueError(f"no path from {src!r} to {min(unknown)!r}")
+        wanted.discard(src)
+        parent = {src: None}
+        order = [src]
+        adj = self._adj
+        for cur in order:
+            if not wanted:
+                break
+            for nb in adj[cur]:
+                if nb not in parent:
+                    parent[nb] = cur
+                    order.append(nb)
+                    wanted.discard(nb)
+        paths = {src: [src]}
+        for t in targets:
+            up = []
+            while t not in paths:
+                up.append(t)
+                t = parent[t]
+            route = paths[t]
+            for v in reversed(up):
+                route = paths[v] = route + [v]
+        return {t: paths[t] for t in targets}
+
     def shortest_path(self, src: NodeId, dst: NodeId) -> list[NodeId]:
         """Lexicographically smallest among all shortest src->dst paths."""
-        d_src = self._hops(src)
-        if dst not in d_src:
-            raise ValueError(f"no path from {src!r} to {dst!r}")
-        d_dst = self._hops(dst)
-        total = d_src[dst]
-        path = [src]
-        cur = src
-        while cur != dst:
-            # smallest neighbor still on some shortest path
-            step = d_src[cur] + 1
-            nxt = min(
-                nb for nb in self._adj[cur]
-                if d_src.get(nb) == step and step + d_dst.get(nb, total + 1) == total
-            )
-            path.append(nxt)
-            cur = nxt
-        return path
+        return self.shortest_paths(src, (dst,))[dst]
 
     def eccentricity(self, v: NodeId) -> int:
         return max(self._hops(v).values())

@@ -10,7 +10,7 @@ GNP_RETRY_BUDGET = 500
 
 
 def _require_int(name: str, value) -> None:
-    """Sizes are JSON integers: a bool, string or float is a spec error."""
+    """Sizes and seeds are JSON integers: a bool, string or float is a spec error."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"topology parameter {name!r} must be an integer, not {value!r}")
 
@@ -67,6 +67,7 @@ def grid_topology(rows: int, cols: int) -> NetworkTopology:
 def gnp_topology(n: int, p: float, seed: int) -> NetworkTopology:
     """Connected Erdos-Renyi sample; retries fresh draws until connected."""
     _require_int("n", n)
+    _require_int("seed", seed)
     if n < 1:
         raise ValueError("gnp needs at least one node")
     if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:

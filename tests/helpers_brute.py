@@ -1,10 +1,13 @@
 """Slow, independent re-derivations used to cross-check the package.
 
 Everything here is deliberately naive: Floyd–Warshall instead of BFS,
-edge-subset enumeration instead of MST expansion, a Steiner tree rebuilt
-from scratch for every terminal set instead of an incremental suffix chain,
-exhaustive path-multiset backtracking instead of max flow.  These functions
-share no code with the package under test.
+a BFS from every node instead of eccentricity bounds, all-pairs Kruskal
+instead of layered searches, a walk over two full distance tables instead
+of one search's parent tree, edge-subset enumeration instead of MST
+expansion, a Steiner tree rebuilt from scratch for every terminal set
+instead of an incremental suffix chain, exhaustive path-multiset
+backtracking instead of max flow.  These functions share no code with the
+package under test.
 """
 
 from collections import deque
@@ -81,6 +84,42 @@ def _bfs_hops(topology: NetworkTopology, src) -> dict:
     return dist
 
 
+def brute_eccentricities(topology: NetworkTopology) -> dict:
+    """Every node's eccentricity, from one plain BFS per node."""
+    return {v: max(_bfs_hops(topology, v).values()) for v in topology.nodes}
+
+
+def brute_lex_shortest_path(topology: NetworkTopology, src, dst) -> list:
+    """The lexicographically least shortest src->dst path: from two full
+    distance tables, step to the smallest neighbour still on a shortest path."""
+    d_src, d_dst = _bfs_hops(topology, src), _bfs_hops(topology, dst)
+    path = [src]
+    while path[-1] != dst:
+        cur = path[-1]
+        path.append(min(nb for nb in topology.neighbors(cur)
+                        if d_src[nb] == d_src[cur] + 1 and d_dst[nb] == d_dst[cur] - 1))
+    return path
+
+
+def reference_closure_mst(topology: NetworkTopology, terminals) -> list:
+    """Kruskal over every terminal pair of the metric closure, in
+    (hops, u, v) order; the closure edges as (u, v) pairs, u < v, in the
+    order Kruskal takes them."""
+    terminals = sorted(set(terminals))
+    hops = {t: _bfs_hops(topology, t) for t in terminals}
+    pairs = sorted((hops[u][v], u, v) for u, v in combinations(terminals, 2))
+    group = {t: t for t in terminals}
+    closure = []
+    for _, u, v in pairs:
+        gu, gv = group[u], group[v]
+        if gu != gv:
+            closure.append((u, v))
+            for t in terminals:
+                if group[t] == gu:
+                    group[t] = gv
+    return closure
+
+
 def reference_steiner_tree(topology: NetworkTopology, terminals) -> set:
     """Metric-closure MST expansion, rebuilt from scratch for one set.
 
@@ -93,28 +132,12 @@ def reference_steiner_tree(topology: NetworkTopology, terminals) -> set:
     terminals = sorted(set(terminals))
     if len(terminals) < 2:
         return set()
-    hops = {t: _bfs_hops(topology, t) for t in terminals}
-    pairs = sorted((hops[u][v], u, v) for u, v in combinations(terminals, 2))
-    group = {t: t for t in terminals}
-    closure = []
-    for _, u, v in pairs:
-        gu, gv = group[u], group[v]
-        if gu != gv:
-            closure.append((u, v))
-            for t in terminals:
-                if group[t] == gu:
-                    group[t] = gv
-
     union_adj: dict = {}
-    for u, v in closure:
-        d_u, d_v = hops[u], hops[v]
-        cur = u
-        while cur != v:
-            nxt = min(nb for nb in topology.neighbors(cur)
-                      if d_u[nb] == d_u[cur] + 1 and d_v[nb] == d_v[cur] - 1)
-            union_adj.setdefault(cur, set()).add(nxt)
-            union_adj.setdefault(nxt, set()).add(cur)
-            cur = nxt
+    for u, v in reference_closure_mst(topology, terminals):
+        path = brute_lex_shortest_path(topology, u, v)
+        for a, b in zip(path, path[1:]):
+            union_adj.setdefault(a, set()).add(b)
+            union_adj.setdefault(b, set()).add(a)
 
     root = terminals[0]
     parent = {root: None}

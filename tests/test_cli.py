@@ -209,3 +209,12 @@ def test_topology_sizes_must_be_integers(capsys, spec):
     captured = capsys.readouterr()
     assert "must be an integer" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", [True, "x", 2.5])
+def test_gnp_topology_seed_must_be_an_integer(capsys, seed):
+    spec = {"kind": "gnp", "n": 6, "p": 0.5, "seed": seed}
+    assert main(["run", "--topology", json.dumps(spec)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "topology parameter 'seed' must be an integer" in captured.err
+    assert captured.out == ""

@@ -33,11 +33,16 @@ from gstsim.flow import decompose_flow, minimize_completion_time, saturating_flo
 from gstsim.network import link_key
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
-from helpers_brute import floyd_warshall
+from helpers_brute import brute_eccentricities, brute_lex_shortest_path, floyd_warshall
 
 
 def line(n):
     return line_topology(n)
+
+
+def ring(n):
+    nodes = [f"n{i:02d}" for i in range(n)]
+    return NetworkTopology(nodes, list(zip(nodes, nodes[1:] + nodes[:1])))
 
 
 def identity_request(nodes, edges):
@@ -159,6 +164,22 @@ class TestConnectionTransferWhilePending(TestConnectionTransfer):
 
 
 class TestPlanning:
+    @pytest.mark.parametrize("topo", [
+        line(12), ring(11), grid_topology(5, 6), tree_topology(4),
+        gnp_topology(30, 0.1, seed=4), gnp_topology(40, 0.2, seed=8),
+    ], ids=["line12", "ring11", "grid5x6", "tree4", "gnp30", "gnp40"])
+    def test_plan_shortest_matches_brute_lex_paths_from_every_root(self, topo):
+        """One search per plan gives each target the path a walk over two
+        full distance tables picks, for every node and for target subsets."""
+        rng = random.Random(len(topo.nodes))
+        nodes = list(topo.nodes)
+        for root in nodes:
+            for targets in (nodes, rng.sample(nodes, rng.randint(1, 4))):
+                plan = plan_shortest(topo, targets, root)
+                assert list(plan.paths) == sorted(set(targets))
+                for t in targets:
+                    assert plan.paths[t] == brute_lex_shortest_path(topo, root, t)
+
     def test_plan_shortest_paths_and_cost(self):
         topo = line(4)
         plan = plan_shortest(topo, list(topo.nodes), "n00")
@@ -194,6 +215,24 @@ class TestPlanning:
             assert ecc[picked] == best
             # lexicographic among minimizers
             assert picked == min(u for u in topo.nodes if ecc[u] == best)
+
+        # Lines of odd and even length, grids with 4- and 2-way center ties,
+        # rings (every node ties), trees and connected gnp up to 100 nodes.
+        topologies = [line(n) for n in (1, 2, 3, 10, 11, 100, 101)]
+        topologies += [grid_topology(6, 6), grid_topology(6, 7), grid_topology(7, 6),
+                       grid_topology(1, 8), grid_topology(9, 9)]
+        topologies += [ring(9), ring(10), ring(31)]
+        topologies += [tree_topology(h) for h in range(7)]
+        topologies += [gnp_topology(n, p, seed=seed) for seed in range(3)
+                       for n, p in ((20, 0.15), (50, 0.07), (100, 0.05))]
+        tie_sizes = set()
+        for topo in topologies:
+            ecc = brute_eccentricities(topo)
+            best = min(ecc.values())
+            tied = [u for u in topo.nodes if ecc[u] == best]
+            tie_sizes.add(len(tied))
+            assert center_root(topo) == min(tied)
+        assert {1, 2, 4} <= tie_sizes
 
 
 class TestBounds:

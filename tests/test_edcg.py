@@ -21,7 +21,12 @@ from gstsim.edcg import (
 from gstsim.network import NetworkTopology
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
-from helpers_brute import brute_min_steiner_edges, floyd_warshall, reference_steiner_tree
+from helpers_brute import (
+    brute_min_steiner_edges,
+    floyd_warshall,
+    reference_closure_mst,
+    reference_steiner_tree,
+)
 
 
 def record_steiner_calls(monkeypatch) -> list:
@@ -327,14 +332,32 @@ SWEEP_CASES = [(topo, []) for topo in (
 
 def check_chain_against_reference(topo, order):
     """Walk one chain along ``order``: every tree it hands out is the tree
-    rebuilt from scratch for that suffix, and its counted path union is the
-    one a fresh chain holds."""
+    rebuilt from scratch for that suffix, its closure MST is all-pairs
+    Kruskal's, and its counted path union is the one a fresh chain holds."""
     chain = edcg._SuffixChain(topo, order)
     for k, gone in enumerate(order[:-1]):
+        assert set(chain.mst) == set(reference_closure_mst(topo, order[k:]))
         fresh = edcg._SuffixChain(topo, order[k:])
         assert (chain.count, chain.adj) == (fresh.count, fresh.adj)
         assert chain.tree() == reference_steiner_tree(topo, order[k:])
         chain.drop(gone)
+
+
+def test_layered_closure_mst_matches_all_pairs_kruskal():
+    """The layered searches take the closure edges all-pairs Kruskal takes,
+    in the same order, on all-node, two-terminal and random sets."""
+    rng = random.Random(97)
+    cases = SWEEP_CASES + [(line_topology(60), []), (grid_topology(8, 8), []),
+                           (tree_topology(6), []), (gnp_topology(60, 0.06, seed=1), [])]
+    for topo, core in cases:
+        nodes = list(topo.nodes)
+        sets = [nodes, nodes[:1], [nodes[0], nodes[-1]], rng.sample(nodes, 2)]
+        sets += [rng.sample(nodes, rng.randint(3, 6)) for _ in range(3)]
+        sets += [rng.sample(nodes, rng.randint(2, len(nodes))) for _ in range(3)]
+        if core:
+            sets.append(core)
+        for S in sets:
+            assert edcg._mst_on_terminals(topo, sorted(S)) == reference_closure_mst(topo, S)
 
 
 def test_theta_unions_need_the_bfs_and_deep_pruning():

@@ -20,7 +20,8 @@ from gstsim.network import (
     verify_target,
 )
 from gstsim.graphstate import GraphState
-from gstsim.distribution import center_root
+from gstsim.distribution import center_root, plan_shortest
+from gstsim import edcg
 from gstsim.edcg import edcg_cost
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
@@ -33,6 +34,19 @@ def diamond():
     # c - d
     return NetworkTopology(["a", "b", "c", "d"],
                            [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+
+
+def count_full_bfs(monkeypatch) -> Counter:
+    """Count the full BFS each source gets from here on."""
+    searched = Counter()
+    bfs = NetworkTopology._bfs
+
+    def counting(self, src):
+        searched[src] += 1
+        return bfs(self, src)
+
+    monkeypatch.setattr(NetworkTopology, "_bfs", counting)
+    return searched
 
 
 class TestTopology:
@@ -106,15 +120,70 @@ class TestPathsAndDistances:
         assert t.eccentricity("a") == 2
 
     def test_shortest_path_is_least_among_brute_shortest_paths(self):
+        """shortest_path, and plan_shortest over every node and over a
+        random subset (whose search stops early), from every root."""
         rng = random.Random(83)
         for seed in range(12):
             t = gnp_topology(rng.randint(2, 9), 0.4, seed=seed)
+            nodes = list(t.nodes)
+            pick = random.Random(seed)
             for src in t.nodes:
+                every = plan_shortest(t, nodes, src).paths
+                some = plan_shortest(t, pick.sample(nodes, pick.randint(1, len(nodes))), src).paths
                 for dst in t.nodes:
                     paths = all_simple_paths(t, src, dst)
                     hops = min(len(p) for p in paths)
                     best = min(p for p in paths if len(p) == hops)
                     assert t.shortest_path(src, dst) == list(best)
+                    assert every[dst] == list(best)
+                    assert some.get(dst, list(best)) == list(best)
+
+    def test_searches_stop_once_they_have_their_answer(self):
+        """A plan reads no adjacency beyond the level above its farthest
+        target, the closure MST of every node reads each one once, and a
+        terminal's search ends once it has reached every greater terminal."""
+
+        class CountingAdjacency(dict):
+            reads = 0
+
+            def __getitem__(self, v):
+                CountingAdjacency.reads += 1
+                return super().__getitem__(v)
+
+        for t, root, targets in [(line_topology(1000), "n000", ["n003", "n001"]),
+                                 (grid_topology(8, 8), "r00c00", ["r01c01"]),
+                                 (tree_topology(9), "n0000", ["n0003"])]:
+            hops = t.bfs_distances(root)
+            far = max(hops[x] for x in targets)
+            inner = [v for v, d in hops.items() if d < far]
+            t._adj = CountingAdjacency(t._adj)
+            CountingAdjacency.reads = 0
+            plan_shortest(t, targets, root)
+            assert 0 < CountingAdjacency.reads <= len(inner)
+            CountingAdjacency.reads = 0
+            edcg._mst_on_terminals(t, list(t.nodes))
+            assert CountingAdjacency.reads == len(t.nodes) - 1
+
+        # n998 reaches n999, its only greater terminal, in one layer and
+        # stops; n500 takes 498 layers of two nodes each to reach n998.
+        t = line_topology(1000)
+        t._adj = CountingAdjacency(t._adj)
+        CountingAdjacency.reads = 0
+        mst = edcg._mst_on_terminals(t, ["n500", "n998", "n999"])
+        assert mst == [("n998", "n999"), ("n500", "n998")]
+        assert CountingAdjacency.reads == 1 + 2 * 497 + 1
+
+    def test_shortest_paths_order_copies_and_errors(self):
+        t = diamond()
+        paths = t.shortest_paths("a", ["d", "a", "c"])
+        assert list(paths) == ["d", "a", "c"]
+        assert paths == {"d": ["a", "b", "d"], "a": ["a"], "c": ["a", "c"]}
+        paths["d"].append("zz")
+        assert t.shortest_paths("a", ["d"]) == {"d": ["a", "b", "d"]}
+        with pytest.raises(ValueError, match="unknown node 'z'"):
+            t.shortest_path("z", "a")
+        with pytest.raises(ValueError, match="no path from 'a' to 'y'"):
+            t.shortest_paths("a", ["d", "z", "y"])
 
     def test_each_source_is_searched_at_most_once(self, monkeypatch):
         searched = Counter()
@@ -135,6 +204,25 @@ class TestPathsAndDistances:
                 t.bfs_distances(v)
         assert set(searched) == set(nodes)
         assert max(searched.values()) == 1
+
+    @pytest.mark.parametrize("t", [grid_topology(8, 8), line_topology(80), tree_topology(5)],
+                             ids=["grid8x8", "line80", "tree5"])
+    def test_plans_and_cascades_over_every_node_make_no_full_bfs(self, t, monkeypatch):
+        """plan_shortest runs one search that keeps nothing, and a cascade
+        over every node builds its closure MSTs from links alone."""
+        searched = count_full_bfs(monkeypatch)
+        nodes = list(t.nodes)
+        for root in (nodes[0], nodes[len(nodes) // 2], nodes[-1]):
+            plan_shortest(t, nodes, root)
+        edcg_cost(t, nodes)
+        assert not searched
+
+    @pytest.mark.parametrize("t", [line_topology(1000), grid_topology(40, 40), tree_topology(10)],
+                             ids=["line1000", "grid40x40", "tree10"])
+    def test_center_root_needs_few_bfs(self, t, monkeypatch):
+        searched = count_full_bfs(monkeypatch)
+        center_root(t)
+        assert sum(searched.values()) <= 8
 
 
 class TestSerialization:

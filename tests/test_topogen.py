@@ -94,6 +94,10 @@ def test_generate_rejects_missing_params():
     ("grid", {"rows": 2, "cols": "3"}),
     ("gnp", {"n": True, "p": 0.5, "seed": 0}),
     ("gnp", {"n": "5", "p": 0.5, "seed": 0}),
+    ("gnp", {"n": 5, "p": 0.5, "seed": True}),
+    ("gnp", {"n": 5, "p": 0.5, "seed": "x"}),
+    ("gnp", {"n": 5, "p": 0.5, "seed": 2.5}),
+    ("gnp", {"n": 5, "p": 0.5, "seed": None}),
 ])
 def test_generate_rejects_non_integer_sizes(kind, params):
     with pytest.raises(ValueError, match="must be an integer"):
