@@ -18,11 +18,12 @@ round as free links allow, pausing mid-path when it hits a used link.
 from __future__ import annotations
 
 import logging
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graphstate import GraphState
-from .network import NetworkState, NetworkTopology, NodeId, QubitId, link_key
+from .network import NetworkState, NetworkTopology, NodeId, QubitId
 
 logger = logging.getLogger(__name__)
 
@@ -209,25 +210,43 @@ def make_schedule(plan: DistributionPlan) -> Schedule:
     both fall out naturally.  The first transfer examined each round always
     completes (its remaining links are all fresh), so there are at most as
     many rounds as transfers.
+
+    Pending transfers are grouped by their next link, each group sorted by
+    that (-remaining, id) key.  Within a round only a group's first
+    transfer can move: if its link is free it takes it, and if not, the
+    link is just as used for every other member.  So a round sorts and
+    examines the group leaders alone, and a transfer that advances joins
+    the group of the link it stopped at, for the next round.  It stopped
+    there because that link is used, so the group it joins cannot lose its
+    leader later in the round.
     """
-    keys = {t: [link_key(a, b) for a, b in zip(p, p[1:])]
-            for t, p in plan.paths.items() if len(p) > 1}
-    pos = dict.fromkeys(keys, 0)
+    links_of = {}
+    groups: dict = {}  # next link -> [(-remaining, target), ...], sorted
+    for t, p in plan.paths.items():
+        if len(p) > 1:
+            links = links_of[t] = [(a, b) if a <= b else (b, a) for a, b in zip(p, p[1:])]
+            groups.setdefault(links[0], []).append((-len(links), t))
+    for group in groups.values():
+        group.sort()
     rounds = []
-    while pos:
+    while groups:
         used = set()
         entries = []
-        for t in sorted(pos, key=lambda t: (pos[t] - len(keys[t]), t)):
-            links = keys[t]
-            i = start = pos[t]
-            while i < len(links) and links[i] not in used:
+        for (neg_left, t), link in sorted((group[0], link) for link, group in groups.items()):
+            links = links_of[t]
+            n = len(links)
+            i = start = n + neg_left
+            while i < n and links[i] not in used:
                 used.add(links[i])
                 i += 1
             if i > start:
                 entries.append((t, start, i))
-                pos[t] = i
-                if i == len(links):
-                    del pos[t]
+                group = groups[link]
+                del group[0]
+                if not group:
+                    del groups[link]
+                if i < n:
+                    insort(groups.setdefault(links[i], []), (i - n, t))
         if not entries:  # pragma: no cover - impossible by the argument above
             raise ExecutionError("scheduler made no progress")
         rounds.append(tuple(entries))

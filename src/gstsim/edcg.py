@@ -11,26 +11,35 @@ so reported pair counts are a modeled upper estimate — report rows carry a
 "modeled-cost" marker for exactly this reason.
 
 Consecutive suffixes differ by one terminal, so one ``_SuffixChain`` walks
-a whole cascade: it repairs the closure MST when a terminal leaves and
-keeps a counted union of the closure edges' paths, adding and removing only
-the paths of the closure edges that changed.  A union that is already a
-tree is the spanning tree as it stands; otherwise a sorted BFS picks one.
-Either way one leaf queue prunes the non-terminal leaves.  The module keeps
-no state between calls.
+a whole cascade, and a drop costs only what changes: the departing
+terminal's closure edges, the edges that replace them (none when it had one
+closure neighbour) and their paths in the counted union.  Every leaf of
+that union ends a closure path, so it is a terminal, and a union that is a
+tree is therefore its own Steiner tree: the peel pick and the tree size are
+read off the chain's kept degrees, with no tree built.  That is every step
+of a cascade over every node, and nearly every step elsewhere.  A union
+with a cycle is thinned by a sorted BFS, and one leaf queue prunes the
+non-terminal leaves the BFS leaves.  A plan keeps the order and the tree
+sizes and derives the trees on first read.  The module keeps no state
+between calls.
 
 Distances: the first closure MST grows one search per terminal, a hop
-layer at a time, and keeps nothing; each closure edge's path comes from
-``NetworkTopology.shortest_path``, a search that stops at its far end.  Only
-the MST repair (``_mst_without``), when a departing terminal leaves more
-than one piece, reads the topology's memoized hop tables.
+layer at a time, and keeps nothing; a closure edge between linked nodes is
+that link, and any other's path comes from
+``NetworkTopology.shortest_path``, a search that stops at its far end.
+Only the MST repair (``_SuffixChain._reconnect``), when a departing
+terminal leaves more than one piece, reads the topology's memoized hop
+tables.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter, deque
-from dataclasses import dataclass
-from itertools import chain, permutations
+from bisect import bisect_left, insort
+from collections import deque
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import permutations
 
 from .network import NetworkTopology, link_key
 
@@ -95,55 +104,18 @@ def _mst_on_terminals(topology: NetworkTopology, terminals: list) -> list[tuple]
     return mst
 
 
-def _mst_without(topology: NetworkTopology, terminals: list, mst, gone) -> list[tuple]:
-    """The closure MST of sorted ``terminals`` from the MST of
-    ``terminals`` + {gone}.
-
-    The (weight, u, v) order is strict, so the MST is unique and an edge
-    lies on it iff no path of smaller edges joins its ends; dropping a
-    terminal only removes paths, so every edge not at ``gone`` stays.
-    Kruskal then reconnects the pieces over the pairs that cross them.
-    """
-    kept = [e for e in mst if gone not in e]
-    pieces = len(terminals) - len(kept)  # a forest: one piece per missing edge
-    if pieces == 1:
-        return kept
-    adj: dict = {t: [] for t in terminals}
-    for u, v in kept:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent: dict = {}
-    groups = []
-    for t in terminals:
-        if t in parent:
-            continue
-        parent[t] = t
-        group = [t]
-        for x in group:
-            for y in adj[x]:
-                if y not in parent:
-                    parent[y] = t
-                    group.append(y)
-        groups.append(group)
-    crossing = []
-    for i, group in enumerate(groups):
-        for a in group:
-            d_a = topology._hops(a)
-            for other in groups[i + 1:]:
-                for b in other:
-                    crossing.append((d_a[b], a, b) if a < b else (d_a[b], b, a))
-    crossing.sort()
-    return kept + _kruskal(((u, v) for _, u, v in crossing), parent, pieces - 1)
-
-
 class _SuffixChain:
     """The Steiner trees of one terminal set as terminals leave it.
 
-    Holds the closure MST of the current terminals, each closure edge's
-    expanded shortest path (as links) and the union of those paths, with a
-    count per link and an adjacency map.  ``drop`` repairs the MST and
-    touches only the paths of the closure edges that changed, so a chain of
-    m - 1 suffixes builds Kruskal over all pairs once.
+    Holds the closure MST of the current terminals as an adjacency map
+    (``near``), each closure edge's expanded shortest path (as links; a
+    closure edge between linked nodes is the link) and the union of those
+    paths, with a count per link and an adjacency map.  Beside the union it
+    keeps the terminals of union degree at most one, sorted (``leaves``):
+    while the union is a tree, those are its leaves.  ``drop`` touches only
+    the departing terminal's closure edges and the paths of the edges that
+    replace them, so a chain of m - 1 suffixes runs Kruskal over all pairs
+    once and each drop costs what changes.
     """
 
     def __init__(self, topology: NetworkTopology, terminals):
@@ -151,75 +123,159 @@ class _SuffixChain:
         if not terminals:
             raise ValueError("need at least one terminal")
         for t in terminals:
-            if t not in topology.nodes:
+            if t not in topology._adj:
                 raise ValueError(f"terminal {t!r} is not a topology node")
         self.topology = topology
-        self.terminals = terminals
-        self.mst = _mst_on_terminals(topology, terminals)
-        self.paths: dict = {}  # closure edge -> its path's links
+        self.terminals = set(terminals)
+        self.near: dict = {t: set() for t in terminals}  # terminal -> closure-MST neighbours
+        self.paths: dict = {}  # closure edge (u, v), u < v -> its path's links
         self.count: dict = {}  # link -> closure paths using it
         self.adj: dict = {}    # node -> neighbours in the union
-        for edge in self.mst:
-            self._add(edge)
+        self.leaves = terminals  # terminals of union degree <= 1, sorted
+        for u, v in _mst_on_terminals(topology, terminals):
+            self._add(u, v)
 
-    def _add(self, edge) -> None:
-        path = self.topology.shortest_path(*edge)
-        links = self.paths[edge] = [link_key(a, b) for a, b in zip(path, path[1:])]
+    @property
+    def mst(self):
+        """The closure MST's edges (u, v), u < v: a view, not a copy."""
+        return self.paths.keys()
+
+    def _add(self, u, v) -> None:
+        self.near[u].add(v)
+        self.near[v].add(u)
+        if (u, v) in self.topology.links:
+            links = ((u, v),)
+        else:
+            path = self.topology.shortest_path(u, v)
+            links = tuple((a, b) if a <= b else (b, a) for a, b in zip(path, path[1:]))
+        self.paths[u, v] = links
+        count = self.count
         for link in links:
-            if link in self.count:
-                self.count[link] += 1
+            if link in count:
+                count[link] += 1
             else:
-                self.count[link] = 1
+                count[link] = 1
                 a, b = link
-                self.adj.setdefault(a, set()).add(b)
-                self.adj.setdefault(b, set()).add(a)
+                self._join(a, b)
+                self._join(b, a)
+
+    def _join(self, x, y) -> None:
+        """Union link x-y appeared: y joins x's union neighbours."""
+        nbrs = self.adj.get(x)
+        if nbrs is None:
+            self.adj[x] = {y}
+        else:
+            nbrs.add(y)
+            if len(nbrs) == 2 and x in self.terminals:
+                self._unleaf(x)
 
     def _remove(self, edge) -> None:
+        count = self.count
         for link in self.paths.pop(edge):
-            self.count[link] -= 1
-            if not self.count[link]:
-                del self.count[link]
-                for a, b in (link, link[::-1]):
-                    self.adj[a].discard(b)
-                    if not self.adj[a]:
-                        del self.adj[a]
+            count[link] -= 1
+            if not count[link]:
+                del count[link]
+                a, b = link
+                self._part(a, b)
+                self._part(b, a)
+
+    def _part(self, x, y) -> None:
+        """Union link x-y vanished: y leaves x's union neighbours."""
+        nbrs = self.adj[x]
+        nbrs.discard(y)
+        if len(nbrs) == 1:
+            if x in self.terminals:
+                insort(self.leaves, x)
+        elif not nbrs:
+            del self.adj[x]
 
     def drop(self, gone) -> None:
         """Remove terminal ``gone`` (add the new closure paths first, so a
         link they share with a departing one never reaches count zero)."""
         self.terminals.remove(gone)
-        self.mst = _mst_without(self.topology, self.terminals, self.mst, gone)
-        for edge in self.mst:
-            if edge not in self.paths:
-                self._add(edge)
-        for edge in [e for e in self.paths if gone in e]:
-            self._remove(edge)
+        self._unleaf(gone)
+        heads = self.near.pop(gone)
+        for t in heads:
+            self.near[t].discard(gone)
+        if len(heads) > 1:  # with one closure neighbour the MST stays whole
+            for u, v in self._reconnect(heads):
+                self._add(u, v)
+        for t in heads:
+            self._remove((gone, t) if gone < t else (t, gone))
+
+    def _unleaf(self, x) -> None:
+        leaves = self.leaves
+        i = bisect_left(leaves, x)
+        if i < len(leaves) and leaves[i] == x:
+            del leaves[i]
+
+    def _reconnect(self, heads) -> list[tuple]:
+        """The closure edges that rejoin the MST after a terminal whose
+        closure neighbours were ``heads`` left it.
+
+        The (weight, u, v) order is strict, so the MST is unique and an edge
+        lies on it iff no path of smaller edges joins its ends; dropping a
+        terminal only removes paths, so every edge not at it stays.  That
+        leaves one piece per former neighbour, and Kruskal reconnects the
+        pieces over the pairs that cross them.
+        """
+        near = self.near
+        parent: dict = {}
+        groups = []
+        for head in heads:
+            parent[head] = head
+            group = [head]
+            for x in group:
+                for y in near[x]:
+                    if y not in parent:
+                        parent[y] = head
+                        group.append(y)
+            groups.append(group)
+        crossing = []
+        for i, group in enumerate(groups):
+            for a in group:
+                d_a = self.topology._hops(a)
+                for other in groups[i + 1:]:
+                    for b in other:
+                        crossing.append((d_a[b], a, b) if a < b else (d_a[b], b, a))
+        crossing.sort()
+        return _kruskal(((u, v) for _, u, v in crossing), parent, len(groups) - 1)
+
+    def union_is_tree(self) -> bool:
+        """Is the (connected) union of the closure paths a tree?  Its leaves
+        end closure paths, so they are terminals: the union is then the
+        Steiner tree as it stands, and its degrees are the tree's."""
+        return len(self.count) == len(self.adj) - 1
+
+    def size(self) -> int:
+        """Number of links in ``tree()``, which is built only when the union
+        is not a tree."""
+        return len(self.count) if self.union_is_tree() else len(self.tree())
 
     def tree(self) -> set:
         """Edge set of the current terminals' Steiner tree (see steiner_tree)."""
         if len(self.terminals) < 2:
             return set()
-        if len(self.count) == len(self.adj) - 1:  # the connected union is a tree
-            adj, edges = self.adj, set(self.count)
-        else:
-            root = self.terminals[0]
-            parent = {root: None}
-            queue = deque([root])
-            while queue:
-                cur = queue.popleft()
-                for nb in sorted(self.adj[cur]):
-                    if nb not in parent:
-                        parent[nb] = cur
-                        queue.append(nb)
-            adj = {v: set() for v in parent}
-            edges = set()
-            for v, p in parent.items():
-                if p is not None:
-                    adj[v].add(p)
-                    adj[p].add(v)
-                    edges.add(link_key(v, p))
+        if self.union_is_tree():
+            return set(self.count)
+        root = min(self.terminals)
+        parent = {root: None}
+        queue = deque([root])
+        while queue:
+            cur = queue.popleft()
+            for nb in sorted(self.adj[cur]):
+                if nb not in parent:
+                    parent[nb] = cur
+                    queue.append(nb)
+        adj = {v: set() for v in parent}
+        edges = set()
+        for v, p in parent.items():
+            if p is not None:
+                adj[v].add(p)
+                adj[p].add(v)
+                edges.add(link_key(v, p))
         # prune non-terminal leaves: the fixpoint is unique, so one queue will do
-        degree = {v: len(adj[v]) for v in adj.keys() - set(self.terminals)}
+        degree = {v: len(adj[v]) for v in adj.keys() - self.terminals}
         leaves = [v for v, d in degree.items() if d == 1]
         pruned = set()
         while leaves:
@@ -234,15 +290,25 @@ class _SuffixChain:
         return edges
 
 
+def _suffixes(topology: NetworkTopology, order):
+    """One chain walked along ``order``, yielded at each suffix
+    {s_k..s_m}, k = 1..m-1."""
+    if order:
+        chain = _SuffixChain(topology, order)
+        for gone in order[:-1]:
+            yield chain
+            chain.drop(gone)
+
+
 def steiner_tree(topology: NetworkTopology, terminals) -> set:
     """Edge set of a tree spanning the terminals (metric-closure MST expansion).
 
     Each closure edge becomes its lexicographically-least shortest path.
     When the union of those paths is already a tree it is the spanning
-    tree; otherwise a BFS from the smallest terminal, visiting neighbours in
-    sorted order, picks one.  Non-terminal leaves are then pruned through a
-    single leaf queue; pruning to a fixpoint gives the same tree in any
-    order.
+    tree: its leaves end paths, so they are terminals.  Otherwise a BFS from
+    the smallest terminal, visiting neighbours in sorted order, picks one,
+    and the non-terminal leaves that leaves are pruned through a single
+    leaf queue; pruning to a fixpoint gives the same tree in any order.
     """
     return _SuffixChain(topology, terminals).tree()
 
@@ -253,22 +319,32 @@ def _peel_order(topology: NetworkTopology, targets: list) -> tuple[list, list]:
     The terminal removed first becomes s_1, so every suffix's spanning tree
     loses exactly one leaf edge relative to the previous one whenever the
     network itself is a tree — the ordering the cascade cost story assumes.
-    Returns the order and the Steiner tree it built for each suffix
-    {s_k..s_m}, k = 1..m-1, which are exactly the plan's suffix trees.
-    One ``_SuffixChain`` builds them all, dropping each pick in turn.
+    Returns the order and the size of each suffix {s_k..s_m}'s Steiner
+    tree, k = 1..m-1.  One ``_SuffixChain`` walks them all, dropping each
+    pick in turn.  While its union is a tree the pick is its smallest leaf
+    terminal and the size its link count; only a union with a cycle builds
+    a tree.  A tree's leaves are terminals once pruned, so a leaf terminal
+    exists.
     """
     suffixes = _SuffixChain(topology, targets)
-    prefix_reversed = []
-    trees = []
+    order, sizes = [], []
     while len(suffixes.terminals) > 1:
-        edges = suffixes.tree()
-        trees.append(edges)
-        degree = Counter(chain.from_iterable(edges))
-        leaves = [t for t in suffixes.terminals if degree[t] <= 1]
-        pick = min(leaves) if leaves else min(suffixes.terminals)
-        prefix_reversed.append(pick)
+        if suffixes.union_is_tree():
+            sizes.append(len(suffixes.count))
+            pick = suffixes.leaves[0]
+        else:
+            edges = suffixes.tree()
+            sizes.append(len(edges))
+            degree = dict.fromkeys(suffixes.terminals, 0)
+            for a, b in edges:
+                if a in degree:
+                    degree[a] += 1
+                if b in degree:
+                    degree[b] += 1
+            pick = min(t for t, d in degree.items() if d <= 1)
+        order.append(pick)
         suffixes.drop(pick)
-    return prefix_reversed + suffixes.terminals, trees
+    return order + list(suffixes.terminals), sizes
 
 
 def _exhaustive_order(topology: NetworkTopology, targets: list) -> list:
@@ -314,28 +390,34 @@ def edcg_order(targets, topology: NetworkTopology, mode: str = "peel") -> list:
 
 @dataclass(frozen=True)
 class EdcgPlan:
-    """Ordered cascade plus the spanning tree charged to each suffix."""
+    """Ordered cascade plus the size of the spanning tree charged to each suffix.
+
+    The trees themselves (``suffix_trees``) are derived when first read, by
+    walking one suffix chain along the order again, so a plan holds m - 1
+    sizes rather than about m^2/2 links.
+    """
 
     order: tuple
-    suffix_trees: tuple  # tuple of frozensets, one per suffix {s_k..s_m}, k = 1..m-1
+    tree_sizes: tuple  # links in each suffix {s_k..s_m}'s tree, k = 1..m-1
+    topology: NetworkTopology = field(compare=False, repr=False)
 
     @property
     def epr_pairs(self) -> int:
-        return sum(len(t) for t in self.suffix_trees)
+        return sum(self.tree_sizes)
+
+    @cached_property
+    def suffix_trees(self) -> tuple:
+        """One frozenset of links per suffix {s_k..s_m}, k = 1..m-1."""
+        return tuple(frozenset(chain.tree()) for chain in _suffixes(self.topology, self.order))
 
 
 def build_edcg_plan(topology: NetworkTopology, order) -> EdcgPlan:
     """The cascade along ``order``: one suffix chain drops s_1, s_2, ... in turn."""
-    order = list(order)
+    order = tuple(order)
     if len(set(order)) != len(order):
         raise ValueError("the cascade order repeats a target")
-    trees = []
-    if order:
-        suffixes = _SuffixChain(topology, order)
-        for t in order[:-1]:
-            trees.append(frozenset(suffixes.tree()))
-            suffixes.drop(t)
-    return EdcgPlan(tuple(order), tuple(trees))
+    sizes = tuple(chain.size() for chain in _suffixes(topology, order))
+    return EdcgPlan(order, sizes, topology)
 
 
 @dataclass(frozen=True)
@@ -352,16 +434,16 @@ def edcg_cost(topology: NetworkTopology, targets, mode: str = "peel") -> tuple[E
     EPR pairs: sum of suffix spanning-tree sizes.  Timesteps: m - 1 (one
     GHZ layer per step).  Resource qubits: m(m+1)/2 — the complete graph's
     vertices plus one decoration per edge.  Classical bits: 2 per EPR pair
-    plus 2 per complete-graph edge slot.  In "peel" mode the plan reuses the
-    suffix trees the ordering already built, so each is built once.
+    plus 2 per complete-graph edge slot.  In "peel" mode the plan takes the
+    tree sizes the ordering already counted, so its chain is walked once.
     """
     targets = sorted(set(targets))
     m = len(targets)
     if m == 0:
         raise ValueError("need at least one target")
     if mode == "peel":
-        order, trees = _peel_order(topology, targets)
-        plan = EdcgPlan(tuple(order), tuple(frozenset(t) for t in trees))
+        order, sizes = _peel_order(topology, targets)
+        plan = EdcgPlan(tuple(order), tuple(sizes), topology)
     else:
         try:
             order = edcg_order(targets, topology, mode)

@@ -402,10 +402,9 @@ class NetworkState:
         if self._pending is not None:
             self._flush()
         adj_b = self._adj[b]
+        # b's one neighbour is then c, which is not a: a and b are not adjacent
         if len(adj_b) != 1 or c not in adj_b:
             raise ValueError(f"qubit {b} must be entangled with {c} and nothing else")
-        if a in adj_b:
-            raise ValueError(f"qubits {a} and {b} are already entangled")
         self.apply_cz(a, b)
         self.measure_y(a)
         self.measure_y(b)

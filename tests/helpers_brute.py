@@ -5,13 +5,13 @@ a BFS from every node instead of eccentricity bounds, all-pairs Kruskal
 instead of layered searches, a walk over two full distance tables instead
 of one search's parent tree, edge-subset enumeration instead of MST
 expansion, a Steiner tree rebuilt from scratch for every terminal set
-instead of an incremental suffix chain, exhaustive path-multiset
-backtracking instead of max flow.  These functions share no code with the
-package under test.
+instead of an incremental suffix chain, a peel pick read off a fresh tree
+instead of kept degrees, exhaustive path-multiset backtracking instead of
+max flow.  These functions share no code with the package under test.
 """
 
-from collections import deque
-from itertools import combinations
+from collections import Counter, deque
+from itertools import combinations, permutations
 
 from gstsim.network import NetworkTopology
 
@@ -168,6 +168,43 @@ def reference_steiner_tree(topology: NetworkTopology, terminals) -> set:
         for nb in nbrs:
             edges.add((v, nb) if v <= nb else (nb, v))
     return edges
+
+
+def reference_peel(topology: NetworkTopology, targets) -> tuple[list, list]:
+    """The peel order one pick at a time: the Steiner tree of the remaining
+    terminals rebuilt from scratch, a Counter of its degrees, and the
+    smallest terminal of degree at most one (the smallest terminal if none
+    is).  Returns the order and the tree of each suffix {s_k..s_m},
+    k = 1..m-1."""
+    left = sorted(set(targets))
+    order, trees = [], []
+    while len(left) > 1:
+        tree = reference_steiner_tree(topology, left)
+        trees.append(tree)
+        degree = Counter(x for link in tree for x in link)
+        leaves = [t for t in left if degree[t] <= 1]
+        pick = min(leaves) if leaves else min(left)
+        order.append(pick)
+        left.remove(pick)
+    return order + left, trees
+
+
+def reference_exhaustive(topology: NetworkTopology, targets) -> list:
+    """The cheapest cascade order over every permutation of the targets,
+    pricing each suffix by its from-scratch Steiner tree; ties go to the
+    smallest order."""
+    sizes = {}
+
+    def cost(order):
+        total = 0
+        for k in range(len(order) - 1):
+            key = frozenset(order[k:])
+            if key not in sizes:
+                sizes[key] = len(reference_steiner_tree(topology, key))
+            total += sizes[key]
+        return total
+
+    return list(min(permutations(sorted(set(targets))), key=lambda order: (cost(order), order)))
 
 
 def all_simple_paths(topology: NetworkTopology, src, dst) -> list:

@@ -103,6 +103,19 @@ class TestConnectionTransfer:
         self.assert_rejected(st, f"qubit {qb} must be entangled with {qc} and nothing else",
                              extra, qb, qc)
 
+    def test_rejects_carrier_entangled_with_the_bridge(self):
+        """A carrier adjacent to b never gets past the first checks: if it
+        is b's only neighbour it is c, and otherwise b has two neighbours."""
+        st, a, spect, qb, qc = self.make_state()
+        b = st.new_qubit("n00")
+        st.apply_cz(a, b)  # b's only neighbour is a
+        self.assert_rejected(st, "transfer needs distinct qubits a, b, c", a, b, a)
+        self.assert_rejected(st, f"qubit {b} must be entangled with {qc} and nothing else",
+                             a, b, qc)
+        st.apply_cz(a, qb)  # qb is entangled with both a and qc
+        self.assert_rejected(st, f"qubit {qb} must be entangled with {qc} and nothing else",
+                             a, qb, qc)
+
     def test_rejects_carrier_equal_to_pair(self):
         st, a, spect, qb, qc = self.make_state()
         self.assert_rejected(st, "transfer needs distinct qubits a, b, c", qb, qb, qc)
@@ -277,7 +290,25 @@ def _reference_schedule(plan):
 
 class TestSchedule:
     def test_matches_the_reference_loop(self):
+        """Shortest plans from random roots, optimized and fixed-root flow
+        plans, every node from the center of grid 12x12 and from the end of
+        line(200), two transfers that tie on remaining length in one
+        next-link group, and random simple paths on dense graphs, where a
+        transfer that stops at a link can outrank those already waiting
+        there."""
         rng = random.Random(31)
+
+        def random_path(topo, root, target):
+            path, seen = [root], {root}
+            while path[-1] != target:
+                options = [nb for nb in topo.neighbors(path[-1]) if nb not in seen]
+                if not options:  # a dead end: start over
+                    path, seen = [root], {root}
+                    continue
+                path.append(rng.choice(options))
+                seen.add(path[-1])
+            return path
+
         topologies = [line_topology(30), grid_topology(5, 6), tree_topology(4)]
         topologies += [gnp_topology(rng.randint(6, 25), 0.2, seed=s) for s in range(6)]
         for topo in topologies:
@@ -285,9 +316,23 @@ class TestSchedule:
             for _ in range(4):
                 targets = rng.sample(nodes, rng.randint(1, len(nodes)))
                 plans = [plan_shortest(topo, targets, rng.choice(nodes)),
-                         minimize_completion_time(topo, targets)[2]]
+                         minimize_completion_time(topo, targets)[2],
+                         decompose_flow(saturating_flow(topo, targets, rng.choice(nodes))[1])]
                 for plan in plans:
                     assert make_schedule(plan) == _reference_schedule(plan)
+        grid, line = grid_topology(12, 12), line_topology(200)
+        tie = DistributionPlan("r", {"b": ["r", "x", "b"], "a": ["r", "x", "a"], "c": ["r", "c"]})
+        for plan in [plan_shortest(grid, grid.nodes, center_root(grid)),
+                     plan_shortest(line, line.nodes, "n000"), tie]:
+            assert make_schedule(plan) == _reference_schedule(plan)
+        assert make_schedule(tie).rounds == ((("a", 0, 2), ("c", 0, 1)), (("b", 0, 2),))
+        for seed in range(150):
+            topo = gnp_topology(rng.randint(5, 12), 0.5, seed=seed)
+            nodes = list(topo.nodes)
+            root = rng.choice(nodes)
+            targets = rng.sample(nodes, rng.randint(2, len(nodes)))
+            plan = DistributionPlan(root, {t: random_path(topo, root, t) for t in targets})
+            assert make_schedule(plan) == _reference_schedule(plan)
 
     def test_single_multihop_path_is_one_round(self):
         plan = DistributionPlan("n00", {"n03": ["n00", "n01", "n02", "n03"]})

@@ -3,6 +3,7 @@
 import gc
 import logging
 import random
+import tracemalloc
 import weakref
 from functools import lru_cache
 from itertools import permutations
@@ -25,6 +26,8 @@ from helpers_brute import (
     brute_min_steiner_edges,
     floyd_warshall,
     reference_closure_mst,
+    reference_exhaustive,
+    reference_peel,
     reference_steiner_tree,
 )
 
@@ -201,22 +204,30 @@ class TestCost:
         grid_topology(4, 5), tree_topology(3), line_topology(9),
     ], ids=["gnp12", "gnp20", "grid4x5", "tree3", "line9"])
     def test_peel_plan_reuses_the_ordering_trees(self, topo, monkeypatch):
-        """Peel mode builds each suffix tree once, from one suffix chain, and
-        the plan it returns is the one build_edcg_plan derives from the peel
-        order."""
+        """Peel mode walks one suffix chain, builds a tree once for each
+        suffix whose union of closure paths is not a tree and for no other
+        (so never on every node), and the plan it returns is the one
+        build_edcg_plan derives from the peel order."""
         rng = random.Random(len(topo.nodes))
         nodes = list(topo.nodes)
         real_tree, fresh_mst = edcg._SuffixChain.tree, edcg._mst_on_terminals
+
+        def bare(c):  # the union is a tree
+            return len(c.count) == len(c.adj) - 1
+
         for S in [nodes] + [rng.sample(nodes, rng.randint(1, len(nodes))) for _ in range(4)]:
             steiner_calls = record_steiner_calls(monkeypatch)
             tree_calls, fresh_builds = [], []
             monkeypatch.setattr(edcg._SuffixChain, "tree",
-                                lambda c: tree_calls.append(frozenset(c.terminals)) or real_tree(c))
+                                lambda c: tree_calls.append(bare(c)) or real_tree(c))
             monkeypatch.setattr(edcg, "_mst_on_terminals",
                                 lambda t, ts: fresh_builds.append(list(ts)) or fresh_mst(t, ts))
             plan, cost = edcg_cost(topo, S)
             monkeypatch.undo()
-            assert tree_calls == [frozenset(plan.order[k:]) for k in range(len(set(S)) - 1)]
+            assert not any(tree_calls)
+            assert len(tree_calls) == sum(not bare(c) for c in edcg._suffixes(topo, plan.order))
+            if S is nodes:
+                assert tree_calls == []
             assert fresh_builds == [sorted(set(S))]
             assert steiner_calls == []
             assert plan == build_edcg_plan(topo, edcg_order(S, topo))
@@ -229,13 +240,14 @@ class TestCost:
     def test_peel_reuses_the_closure_mst(self, topo, monkeypatch):
         """A suffix chain runs Kruskal over every pair once; after every drop
         its repaired MST equals a fresh one, along the peel and the lex order
-        (which also drops interior terminals), and the peel trees equal
-        those steiner_tree builds from scratch for each suffix."""
+        (which also drops interior terminals), and the peel tree sizes and
+        the plan's derived trees equal those steiner_tree builds from
+        scratch for each suffix."""
         rng = random.Random(len(topo.nodes))
         nodes = list(topo.nodes)
         fresh_mst = edcg._mst_on_terminals
         for S in [nodes] + [rng.sample(nodes, rng.randint(2, len(nodes))) for _ in range(4)]:
-            order, trees = edcg._peel_order(topo, sorted(S))
+            order, sizes = edcg._peel_order(topo, sorted(S))
 
             for walk in (order, sorted(S)):
                 fresh_builds = []
@@ -248,7 +260,9 @@ class TestCost:
                 monkeypatch.undo()
                 assert fresh_builds == [sorted(walk)]
 
-            assert trees == [steiner_tree(topo, order[k:]) for k in range(len(order) - 1)]
+            trees = [steiner_tree(topo, order[k:]) for k in range(len(order) - 1)]
+            assert sizes == [len(tree) for tree in trees]
+            assert list(edcg_cost(topo, S)[0].suffix_trees) == trees
 
     def test_closure_mst_repairs_a_hub_removal(self):
         """Dropping a terminal of closure-MST degree 4 leaves four pieces;
@@ -362,7 +376,9 @@ def test_layered_closure_mst_matches_all_pairs_kruskal():
 
 def test_theta_unions_need_the_bfs_and_deep_pruning():
     """The theta family reaches the non-tree branch of _SuffixChain.tree, and
-    its dead branches are more than one leaf deep."""
+    its dead branches are more than one leaf deep.  There the peel pick
+    reads the pruned tree's degrees, not the union's: with the core and any
+    one more node it matches the reference peel."""
     deep = 0
     for topo, core in THETAS:
         chain = edcg._SuffixChain(topo, core)
@@ -371,6 +387,11 @@ def test_theta_unions_need_the_bfs_and_deep_pruning():
         order = edcg._peel_order(topo, sorted(core))[0]
         for walk in (order, sorted(core), core[::-1]):
             check_chain_against_reference(topo, walk)
+        for extra in topo.nodes:
+            S = sorted(set(core) | {extra})
+            order, sizes = edcg._peel_order(topo, S)
+            ref_order, ref_trees = reference_peel(topo, S)
+            assert (order, sizes) == (ref_order, [len(tree) for tree in ref_trees])
     assert deep >= 5
 
 
@@ -384,8 +405,8 @@ def test_suffix_chain_trees_match_the_reference(case, data):
     S = sorted(set(core) | set(extra))
     how = data.draw(hs.sampled_from(["peel", "lex", "random"]))
     if how == "peel":
-        order, trees = edcg._peel_order(topo, S)
-        assert trees == [reference_steiner_tree(topo, order[k:]) for k in range(len(order) - 1)]
+        order, sizes = edcg._peel_order(topo, S)
+        assert sizes == [len(reference_steiner_tree(topo, order[k:])) for k in range(len(order) - 1)]
     else:
         order = S if how == "lex" else data.draw(hs.permutations(S))
     check_chain_against_reference(topo, order)
@@ -402,3 +423,48 @@ def test_edcg_cost_keeps_no_topology_alive():
         del topo
         gc.collect()
         assert ref() is None, mode
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=hs.integers(0, len(SWEEP_CASES) - 1),
+       mode=hs.sampled_from(["peel", "lex", "exhaustive"]), data=hs.data())
+def test_edcg_cost_matches_the_reference_cascade(case, mode, data):
+    """Peel, lex and exhaustive (up to 6 targets) plans over gnp, grid,
+    tree, line and theta topologies: the order, the tree sizes and the
+    trees derived on first read are those of the from-scratch reference."""
+    topo, core = SWEEP_CASES[case]
+    extra = data.draw(hs.lists(hs.sampled_from(topo.nodes), min_size=0 if core else 1,
+                               max_size=6 - len(core) if mode == "exhaustive" else None,
+                               unique=True))
+    S = sorted(set(core) | set(extra))
+    plan, cost = edcg_cost(topo, S, mode)
+    if mode == "peel":
+        order, trees = reference_peel(topo, S)
+    else:
+        order = S if mode == "lex" else reference_exhaustive(topo, S)
+        trees = [reference_steiner_tree(topo, order[k:]) for k in range(len(order) - 1)]
+    assert list(plan.order) == order
+    assert list(plan.tree_sizes) == [len(tree) for tree in trees]
+    assert list(plan.suffix_trees) == trees
+    assert cost.epr_pairs == plan.epr_pairs
+
+
+def test_edcg_plan_keeps_only_the_order_and_tree_sizes():
+    """Over every node of a 511-node tree the live plan holds its order and
+    sizes, not its trees (about m^2/2 links, 5.8 MB when they were kept);
+    the first read of suffix_trees derives them."""
+    topo = tree_topology(8)
+    nodes = list(topo.nodes)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        plan, cost = edcg_cost(topo, nodes)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000
+    assert cost.epr_pairs == len(nodes) * (len(nodes) - 1) // 2
+    assert "suffix_trees" not in vars(plan)
+    assert plan.suffix_trees == build_edcg_plan(topo, plan.order).suffix_trees
+    assert [len(tree) for tree in plan.suffix_trees] == list(plan.tree_sizes)
