@@ -153,7 +153,9 @@ def center_root(topology: NetworkTopology) -> NodeId:
     between the candidate with the least lower bound and the one with the
     greatest upper bound, and a candidate leaves once its (lower bound, id)
     exceeds the best (eccentricity, id) found, so a few BFS usually settle
-    the center where the plain minimum needs one per node.
+    the center where the plain minimum needs one per node.  A searched
+    node's bounds meet at its eccentricity, so it leaves the candidates and
+    is never searched twice.
     """
     lower = dict.fromkeys(topology.nodes, 0)
     upper = dict.fromkeys(topology.nodes, len(topology))
@@ -165,7 +167,7 @@ def center_root(topology: NetworkTopology) -> NodeId:
         else:
             v = min(lower, key=lambda w: (lower[w], w))
         high = not high
-        hops = topology._hops(v)
+        hops = topology._bfs(v)
         ecc = max(hops.values())
         if best is None or (ecc, v) < best:
             best = (ecc, v)

@@ -23,13 +23,14 @@ non-terminal leaves the BFS leaves.  A plan keeps the order and the tree
 sizes and derives the trees on first read.  The module keeps no state
 between calls.
 
-Distances: the first closure MST grows one search per terminal, a hop
-layer at a time, and keeps nothing; a closure edge between linked nodes is
-that link, and any other's path comes from
-``NetworkTopology.shortest_path``, a search that stops at its far end.
-Only the MST repair (``_SuffixChain._reconnect``), when a departing
-terminal leaves more than one piece, reads the topology's memoized hop
-tables.
+Distances: one closure-MST search, ``_closure_kruskal``, serves both the
+first MST and its repair, and keeps nothing.  Its sources grow their
+searches a hop layer at a time and stop once Kruskal has its edges: every
+terminal but the greatest for the first MST, and, when a departing terminal
+leaves more than one piece (``_SuffixChain._reconnect``), the terminals
+outside the largest piece.  A closure edge between linked nodes is that
+link, and any other's path comes from ``NetworkTopology.shortest_path``, a
+search that stops at its far end.
 """
 
 from __future__ import annotations
@@ -67,24 +68,26 @@ def _kruskal(pairs, parent: dict, needed: int) -> list[tuple]:
     return chosen
 
 
-def _mst_on_terminals(topology: NetworkTopology, terminals: list) -> list[tuple]:
-    """Kruskal over the metric closure; deterministic (weight, u, v) order.
+def _closure_kruskal(topology: NetworkTopology, sources, parent: dict, needed: int) -> list[tuple]:
+    """Kruskal over the metric closure of ``parent``'s keys, the terminals,
+    already grouped into union-find sets: the first ``needed`` closure edges
+    that join two sets, in the strict (weight, u, v) order.
 
-    Each terminal grows its own search one hop layer at a time, all in step,
-    and records the greater terminals it reaches: layer w yields exactly the
-    pairs at distance w, so each layer's pairs, sorted, continue the
-    (weight, u, v) order.  A search ends once it has reached every greater
-    terminal, and all end once Kruskal has its m - 1 edges, so when every
-    terminal has a terminal neighbour the MST comes from the links alone.
-    ``terminals`` must be sorted.
+    Each source grows its own search one hop layer at a time, all in step,
+    and records a terminal it reaches when that terminal is greater or is
+    not a source, so every pair with a source in it is recorded exactly once
+    and none without one.  Layer w yields exactly the pairs at distance w,
+    so each layer's pairs, sorted, continue the (weight, u, v) order.  A
+    search ends once it has recorded every terminal it counts, and all end
+    once Kruskal has its edges.  ``sources`` must be sorted.
     """
-    m = len(terminals)
-    parent = {t: t for t in terminals}
+    m = len(parent)
     adj = topology._adj
-    # (terminal, nodes seen, last layer, greater terminals not yet reached)
-    searches = [(u, {u}, [u], m - 1 - i) for i, u in enumerate(terminals[:-1])]
-    mst: list = []
-    while searches and len(mst) < m - 1:
+    is_source = set(sources)
+    # (source, nodes seen, last layer, terminals it records not yet reached)
+    searches = [(u, {u}, [u], m - 1 - i) for i, u in enumerate(sources)]
+    chosen: list = []
+    while searches and len(chosen) < needed:
         pairs, grown = [], []
         for u, seen, layer, left in searches:
             nxt = []
@@ -93,15 +96,26 @@ def _mst_on_terminals(topology: NetworkTopology, terminals: list) -> list[tuple]
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
-                        if y in parent and y > u:
-                            pairs.append((u, y))
+                        if y in parent and (y > u or y not in is_source):
+                            pairs.append((u, y) if u < y else (y, u))
                             left -= 1
             if left:
                 grown.append((u, seen, nxt, left))
         pairs.sort()
-        mst += _kruskal(pairs, parent, m - 1 - len(mst))
+        chosen += _kruskal(pairs, parent, needed - len(chosen))
         searches = grown
-    return mst
+    return chosen
+
+
+def _mst_on_terminals(topology: NetworkTopology, terminals: list) -> list[tuple]:
+    """Kruskal over the metric closure; deterministic (weight, u, v) order.
+
+    Every terminal but the greatest searches, so each records the greater
+    terminals, and when every terminal has a terminal neighbour the MST
+    comes from the links alone.  ``terminals`` must be sorted.
+    """
+    parent = {t: t for t in terminals}
+    return _closure_kruskal(topology, terminals[:-1], parent, len(terminals) - 1)
 
 
 class _SuffixChain:
@@ -217,7 +231,10 @@ class _SuffixChain:
         lies on it iff no path of smaller edges joins its ends; dropping a
         terminal only removes paths, so every edge not at it stays.  That
         leaves one piece per former neighbour, and Kruskal reconnects the
-        pieces over the pairs that cross them.
+        pieces over the pairs that cross them.  A crossing pair has its ends
+        in two pieces, so at least one end outside the largest: only the
+        terminals of the other pieces search, and the pairs they record
+        inside one piece join nothing.
         """
         near = self.near
         parent: dict = {}
@@ -231,15 +248,9 @@ class _SuffixChain:
                         parent[y] = head
                         group.append(y)
             groups.append(group)
-        crossing = []
-        for i, group in enumerate(groups):
-            for a in group:
-                d_a = self.topology._hops(a)
-                for other in groups[i + 1:]:
-                    for b in other:
-                        crossing.append((d_a[b], a, b) if a < b else (d_a[b], b, a))
-        crossing.sort()
-        return _kruskal(((u, v) for _, u, v in crossing), parent, len(groups) - 1)
+        groups.remove(max(groups, key=len))
+        sources = sorted(x for group in groups for x in group)
+        return _closure_kruskal(self.topology, sources, parent, len(heads) - 1)
 
     def union_is_tree(self) -> bool:
         """Is the (connected) union of the closure paths a tree?  Its leaves

@@ -35,17 +35,16 @@ def link_key(u: NodeId, v: NodeId) -> Link:
 class NetworkTopology:
     """Immutable undirected network graph with deterministic adjacency.
 
-    Shortest paths come from ``shortest_paths``: one search per call that
-    stops at its last target and keeps nothing.  Full hop tables are
-    computed once per source, by one BFS the first time that source is
-    asked for, and memoized on the instance; the topology never changes, so
-    a table never goes stale.  Only ``bfs_distances``, ``eccentricity``,
-    ``center_root`` (a few sources, see there) and the EDCG closure-MST
-    repair fill them.
+    The topology keeps no derived state: every distance query searches.
+    ``shortest_paths`` runs one search per call that stops at its last
+    target; ``bfs_distances`` and ``eccentricity`` run one full BFS each,
+    and ``center_root`` a few (see there).
     """
 
     def __init__(self, nodes, links):
         self._nodes = tuple(sorted(nodes))
+        if not self._nodes:
+            raise ValueError("topology needs at least one node")
         if len(set(self._nodes)) != len(self._nodes):
             raise ValueError("duplicate node ids in topology")
         node_set = set(self._nodes)
@@ -64,7 +63,6 @@ class NetworkTopology:
             adj[v].append(u)
         self._links = frozenset(seen)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self._hop_tables: dict = {}  # source -> {node: hops}, filled lazily
         comps = self.components()
         if len(comps) > 1:
             names = "; ".join("{" + ", ".join(c) + "}" for c in comps)
@@ -114,19 +112,12 @@ class NetworkTopology:
     # -- shortest-path machinery (deterministic: lexicographic everywhere) --
 
     def bfs_distances(self, src: NodeId) -> dict:
-        """Hop counts from ``src`` to every reachable node (a fresh copy)."""
-        return dict(self._hops(src))
-
-    def _hops(self, src: NodeId) -> dict:
-        """Memoized hop table of ``src``; shared, so callers must not mutate it."""
-        table = self._hop_tables.get(src)
-        if table is None:
-            if src not in self._adj:
-                raise ValueError(f"unknown node {src!r}")
-            table = self._hop_tables[src] = self._bfs(src)
-        return table
+        """Hop counts from ``src`` to every reachable node (a fresh dict)."""
+        return self._bfs(src)
 
     def _bfs(self, src: NodeId) -> dict:
+        if src not in self._adj:
+            raise ValueError(f"unknown node {src!r}")
         dist = {src: 0}
         queue = deque([src])
         while queue:
@@ -183,7 +174,7 @@ class NetworkTopology:
         return self.shortest_paths(src, (dst,))[dst]
 
     def eccentricity(self, v: NodeId) -> int:
-        return max(self._hops(v).values())
+        return max(self._bfs(v).values())
 
 
 def topology_from_dict(data: dict) -> NetworkTopology:

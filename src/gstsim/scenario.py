@@ -87,6 +87,8 @@ def _resolve_targets(spec, topology: NetworkTopology, rng: random.Random) -> lis
             )
         return sorted(rng.sample(nodes, k))
     if isinstance(spec, list):
+        if not spec:
+            raise ValueError("target list is empty: name at least one target node")
         missing = [t for t in spec if t not in set(nodes)]
         if missing:
             raise ValueError(f"targets not in topology: {missing}")
@@ -148,12 +150,6 @@ def resolve(config: ScenarioConfig) -> ResolvedScenario:
     return ResolvedScenario(config, topology, targets, graph)
 
 
-def _pick_bound(n: int, s: int, root_policy: str) -> int:
-    if root_policy == "center" and s == n:
-        return epr_bound(n, s, free_root=True)
-    return epr_bound(n, s)
-
-
 def _gst_row(scn: ResolvedScenario, report: RunReport, bound: int | None,
              root: str, strategy: str) -> dict:
     return {
@@ -169,6 +165,15 @@ def _gst_row(scn: ResolvedScenario, report: RunReport, bound: int | None,
         "strategy": strategy,
         "seed": scn.config.seed,
     }
+
+
+def _execute(scn: ResolvedScenario, plan, k: int | None = None) -> RunReport:
+    """Schedule ``plan`` and execute it on a fresh network state; a flow
+    plan's budget ``k`` is checked against the schedule's rounds."""
+    schedule = make_schedule(plan)
+    if k is not None:
+        warn_if_rounds_exceed(schedule, k)
+    return execute(NetworkState(scn.topology), scn.request, plan, schedule)
 
 
 def _edcg_row(scn: ResolvedScenario) -> dict:
@@ -213,12 +218,8 @@ def _run_gst(scn: ResolvedScenario) -> tuple[dict, RunReport]:
             plan = decompose_flow(flow)
         else:
             raise ValueError(f"unknown strategy {cfg.strategy!r}")
-    schedule = make_schedule(plan)
-    if k is not None:
-        warn_if_rounds_exceed(schedule, k)
-    state = NetworkState(scn.topology)
-    report = execute(state, scn.request, plan, schedule)
-    bound = _pick_bound(n, s, cfg.root if strategy == "shortest" else "fixed")
+    report = _execute(scn, plan, k)
+    bound = epr_bound(n, s, free_root=strategy == "shortest" and cfg.root == "center" and s == n)
     if strategy == "shortest" and report.epr_pairs > bound:
         raise AssertionError(
             f"shortest-path run used {report.epr_pairs} pairs, above bound {bound}"
@@ -244,9 +245,7 @@ def compare_scenario(config: ScenarioConfig) -> list[dict]:
     scn = resolve(config)
     edcg_row = _edcg_row(scn)
     root = edcg_row["root"]
-    plan = plan_shortest(scn.topology, scn.targets, root)
-    state = NetworkState(scn.topology)
-    report = execute(state, scn.request, plan, make_schedule(plan))
+    report = _execute(scn, plan_shortest(scn.topology, scn.targets, root))
     bound = epr_bound(len(scn.topology), len(scn.targets))
     if report.epr_pairs > bound:
         raise AssertionError(f"GST exceeded its bound: {report.epr_pairs} > {bound}")
@@ -263,11 +262,8 @@ def optimize_scenario(config: ScenarioConfig) -> tuple[dict, list[dict]]:
     """Best completion-time root: flow row plus the same-root shortest row."""
     scn = resolve(config)
     root, k, flow_plan = minimize_completion_time(scn.topology, scn.targets)
-    flow_schedule = make_schedule(flow_plan)
-    warn_if_rounds_exceed(flow_schedule, k)
-    flow_report = execute(NetworkState(scn.topology), scn.request, flow_plan, flow_schedule)
-    short_plan = plan_shortest(scn.topology, scn.targets, root)
-    short_report = execute(NetworkState(scn.topology), scn.request, short_plan)
+    flow_report = _execute(scn, flow_plan, k)
+    short_report = _execute(scn, plan_shortest(scn.topology, scn.targets, root))
     bound = epr_bound(len(scn.topology), len(scn.targets))
     rows = [
         _gst_row(scn, flow_report, bound, root, "flow"),

@@ -218,3 +218,24 @@ def test_gnp_topology_seed_must_be_an_integer(capsys, seed):
     captured = capsys.readouterr()
     assert "topology parameter 'seed' must be an integer" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
+def test_topology_without_nodes_is_config_error(tmp_path, capsys, verb):
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps({"nodes": [], "links": []}))
+    assert main([verb, "--topology", str(topo)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "topology needs at least one node" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
+def test_empty_target_list_is_config_error(tmp_path, capsys, verb):
+    """Rejected while the scenario resolves, before any leg runs."""
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": {"kind": "line", "n": 4}, "targets": []}))
+    assert main([verb, "--scenario", str(scn)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "target list is empty" in captured.err
+    assert captured.out == ""

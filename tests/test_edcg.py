@@ -276,6 +276,41 @@ class TestCost:
         assert set(chain.mst) == {("r01c02", a) for a in arms[1:]}
         assert chain.tree() == steiner_tree(topo, arms)
 
+    def test_closure_mst_repair_with_tied_largest_pieces(self):
+        """Dropping the hub leaves pieces of 2, 2 and 1 terminals.  Either
+        piece of two may be the one whose terminals do not search: the
+        pairs inside it join nothing, so the repair is the same."""
+        topo = grid_topology(5, 5)
+        hub = "r02c02"
+        S = [hub, "r02c00", "r02c01", "r02c03", "r02c04", "r01c02"]
+        expected = [("r01c02", "r02c01"), ("r01c02", "r02c03")]
+        for heads in (["r02c01", "r02c03", "r01c02"], ["r02c03", "r02c01", "r01c02"]):
+            chain = edcg._SuffixChain(topo, S)
+            assert chain.near[hub] == set(heads)
+            for t in chain.near.pop(hub):
+                chain.near[t].discard(hub)
+            chain.terminals.remove(hub)
+            assert chain._reconnect(heads) == expected
+        chain = edcg._SuffixChain(topo, S)
+        chain.drop(hub)
+        assert set(chain.mst) == set(reference_closure_mst(topo, S[1:]))
+        assert chain.tree() == reference_steiner_tree(topo, S[1:])
+
+    def test_closure_mst_repair_joins_two_small_pieces_first(self):
+        """Dropping a0 leaves {b}, {c} and {x1, x2, x3}; the lightest
+        reconnecting pair, the link b-c, joins the two pieces that search,
+        and only then does b reach into the largest piece."""
+        topo = NetworkTopology(["a0", "b", "c", "x1", "x2", "x3"],
+                               [("a0", "b"), ("a0", "c"), ("b", "c"),
+                                ("a0", "x1"), ("x1", "x2"), ("x2", "x3")])
+        chain = edcg._SuffixChain(topo, topo.nodes)
+        assert chain.near["a0"] == {"b", "c", "x1"}
+        chain.drop("a0")
+        rest = list(topo.nodes)[1:]
+        assert set(chain.mst) == {("b", "c"), ("b", "x1"), ("x1", "x2"), ("x2", "x3")}
+        assert set(chain.mst) == set(reference_closure_mst(topo, rest))
+        assert chain.tree() == reference_steiner_tree(topo, rest)
+
     def test_closure_mst_rebuilds_for_other_sets(self, monkeypatch):
         """steiner_tree keeps nothing between calls: each call builds the
         closure MST of exactly its own set, and the tree does not depend on
@@ -374,6 +409,30 @@ def test_layered_closure_mst_matches_all_pairs_kruskal():
             assert edcg._mst_on_terminals(topo, sorted(S)) == reference_closure_mst(topo, S)
 
 
+@pytest.mark.parametrize("topo", [
+    grid_topology(12, 12), tree_topology(6), gnp_topology(80, 0.05, seed=2), line_topology(60),
+], ids=["grid12x12", "tree6", "gnp80", "line60"])
+def test_repaired_closure_mst_matches_all_pairs_kruskal(topo, monkeypatch):
+    """Chains walked along lex and shuffled orders of random target sets,
+    which drop interior terminals and so repair: after every drop the
+    closure MST is all-pairs Kruskal's over the terminals left."""
+    rng = random.Random(len(topo.nodes))
+    nodes = list(topo.nodes)
+    repairs = []
+    reconnect = edcg._SuffixChain._reconnect
+    monkeypatch.setattr(edcg._SuffixChain, "_reconnect",
+                        lambda c, heads: repairs.append(heads) or reconnect(c, heads))
+    for _ in range(3):
+        S = sorted(rng.sample(nodes, rng.randint(3, 40)))
+        shuffled = rng.sample(S, len(S))
+        for walk in (S, shuffled):
+            chain = edcg._SuffixChain(topo, walk)
+            for k, gone in enumerate(walk[:-1]):
+                chain.drop(gone)
+                assert set(chain.mst) == set(reference_closure_mst(topo, walk[k + 1:]))
+    assert repairs
+
+
 def test_theta_unions_need_the_bfs_and_deep_pruning():
     """The theta family reaches the non-tree branch of _SuffixChain.tree, and
     its dead branches are more than one leaf deep.  There the peel pick
@@ -414,7 +473,7 @@ def test_suffix_chain_trees_match_the_reference(case, data):
 
 def test_edcg_cost_keeps_no_topology_alive():
     """Nothing outlives a call: once the caller lets go of the topology,
-    its memoized hop tables go with it."""
+    it is freed."""
     for mode in ("peel", "lex", "exhaustive"):
         topo = grid_topology(4, 4)
         ref = weakref.ref(topo)
@@ -468,3 +527,21 @@ def test_edcg_plan_keeps_only_the_order_and_tree_sizes():
     assert "suffix_trees" not in vars(plan)
     assert plan.suffix_trees == build_edcg_plan(topo, plan.order).suffix_trees
     assert [len(tree) for tree in plan.suffix_trees] == list(plan.tree_sizes)
+
+
+def test_edcg_cost_leaves_nothing_on_the_topology():
+    """Lex cascades over random targets repair the closure MST often; with
+    the topology still alive, less than 1 MB stays behind: no distance
+    table outlives the call."""
+    topo = tree_topology(8)
+    targets = random.Random(1).sample(list(topo.nodes), 200)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        plan, cost = edcg_cost(topo, targets, "lex")
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000
+    assert len(plan.tree_sizes) == len(targets) - 1

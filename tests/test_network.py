@@ -83,6 +83,12 @@ class TestTopology:
         t = NetworkTopology(["solo"], [])
         assert t.eccentricity("solo") == 0
 
+    def test_topology_without_nodes_rejected(self):
+        with pytest.raises(ValueError, match="topology needs at least one node"):
+            NetworkTopology([], [])
+        with pytest.raises(ValueError, match="topology needs at least one node"):
+            topology_from_dict({"nodes": [], "links": []})
+
 
 class TestPathsAndDistances:
     def test_bfs_matches_floyd_warshall(self):
@@ -185,36 +191,52 @@ class TestPathsAndDistances:
         with pytest.raises(ValueError, match="no path from 'a' to 'y'"):
             t.shortest_paths("a", ["d", "z", "y"])
 
-    def test_each_source_is_searched_at_most_once(self, monkeypatch):
-        searched = Counter()
-        bfs = NetworkTopology._bfs
-
-        def counting(self, src):
-            searched[src] += 1
-            return bfs(self, src)
-
-        monkeypatch.setattr(NetworkTopology, "_bfs", counting)
-        t = grid_topology(4, 5)
-        nodes = list(t.nodes)
-        for _ in range(2):
+    def test_queries_leave_the_topology_unchanged(self, monkeypatch):
+        """The topology keeps no derived state: center_root, cascades over
+        random targets whose drops repair the closure MST, in peel and lex
+        mode, and a BFS from every node leave its attributes as they were."""
+        repairs = []
+        reconnect = edcg._SuffixChain._reconnect
+        monkeypatch.setattr(edcg._SuffixChain, "_reconnect",
+                            lambda c, heads: repairs.append(heads) or reconnect(c, heads))
+        rng = random.Random(5)
+        for t in [grid_topology(6, 6), tree_topology(5), gnp_topology(40, 0.1, seed=3)]:
+            before = copy.deepcopy(vars(t))
+            nodes = list(t.nodes)
             center_root(t)
-            edcg_cost(t, nodes)
+            for mode in ("peel", "lex"):
+                for _ in range(3):
+                    edcg_cost(t, rng.sample(nodes, rng.randint(2, len(nodes))), mode)
             for v in nodes:
-                t.shortest_path(nodes[0], v)
                 t.bfs_distances(v)
-        assert set(searched) == set(nodes)
-        assert max(searched.values()) == 1
+            assert vars(t) == before
+        assert repairs
+
+    def test_each_source_is_searched_at_most_once(self, monkeypatch):
+        """One center_root call searches each source at most once: a
+        searched node's bounds meet, so it leaves the candidates."""
+        searched = count_full_bfs(monkeypatch)
+        for t in [grid_topology(4, 5), line_topology(30), tree_topology(5),
+                  gnp_topology(60, 0.08, seed=2), NetworkTopology(["solo"], [])]:
+            searched.clear()
+            center_root(t)
+            assert searched and max(searched.values()) == 1
 
     @pytest.mark.parametrize("t", [grid_topology(8, 8), line_topology(80), tree_topology(5)],
                              ids=["grid8x8", "line80", "tree5"])
     def test_plans_and_cascades_over_every_node_make_no_full_bfs(self, t, monkeypatch):
-        """plan_shortest runs one search that keeps nothing, and a cascade
-        over every node builds its closure MSTs from links alone."""
+        """plan_shortest runs one search that keeps nothing, and a cascade,
+        over every node or random targets in peel or lex mode, builds and
+        repairs its closure MSTs with searches that stop early."""
         searched = count_full_bfs(monkeypatch)
         nodes = list(t.nodes)
         for root in (nodes[0], nodes[len(nodes) // 2], nodes[-1]):
             plan_shortest(t, nodes, root)
         edcg_cost(t, nodes)
+        rng = random.Random(len(nodes))
+        for mode in ("peel", "lex"):
+            for _ in range(4):
+                edcg_cost(t, rng.sample(nodes, rng.randint(2, len(nodes))), mode)
         assert not searched
 
     @pytest.mark.parametrize("t", [line_topology(1000), grid_topology(40, 40), tree_topology(10)],
