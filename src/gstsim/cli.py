@@ -167,21 +167,14 @@ def main(argv=None) -> int:
             return _gen_topo(args)
         if args.verb == "verify-oracle":
             return _verify_oracle(args)
-        if args.verb == "run":
-            cfg = _scenario_from_args(args)
-            _emit(run_scenario(cfg), cfg)
-            return EXIT_OK
-        if args.verb == "compare":
-            cfg = _scenario_from_args(args)
-            _emit(compare_scenario(cfg), cfg)
-            return EXIT_OK
+        cfg = _scenario_from_args(args)
         if args.verb == "optimize":
-            cfg = _scenario_from_args(args)
             info, rows = optimize_scenario(cfg)
             print(f"root={info['root']} k={info['k']} rounds={info['rounds']}")
-            _emit(rows, cfg)
-            return EXIT_OK
-        raise ValueError(f"unknown verb {args.verb!r}")
+        else:
+            rows = (run_scenario if args.verb == "run" else compare_scenario)(cfg)
+        _emit(rows, cfg)
+        return EXIT_OK
     except (ExecutionError, AssertionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -327,7 +327,8 @@ def execute(state: NetworkState, request: DistributionRequest, plan: Distributio
     confirmed up front, every other one when its qubit arrives.  So
     ``classical_bits`` is 2·hops + 2·|targets|, counted without the trace.
     """
-    from .network import verify_target  # local import to keep module DAG flat
+    # looked up at call time, so bench/spans.py can time network.verify_target
+    from .network import verify_target
 
     validate_plan(state.topology, plan, request.target_nodes)
     if schedule is None:
@@ -401,6 +402,7 @@ def distribute_via_resource(state: NetworkState, request: DistributionRequest,
     with purely local operations plus classical messages — so all transfers
     share a single timestep regardless of the target graph.
     """
+    # looked up at call time, so bench/spans.py can time network.verify_target
     from .network import verify_target
 
     pairs = dict(pairs)

@@ -46,6 +46,8 @@ from .network import NetworkTopology, link_key
 
 logger = logging.getLogger(__name__)
 
+EDCG_MODES = ("peel", "lex", "exhaustive")  # the cascade orderings edcg_order knows
+
 
 def _kruskal(pairs, parent: dict, needed: int) -> list[tuple]:
     """The first ``needed`` pairs that join two of ``parent``'s union-find
@@ -385,18 +387,18 @@ def edcg_order(targets, topology: NetworkTopology, mode: str = "peel") -> list:
     (plain sort), "exhaustive" (cheapest over all permutations; capped at 8
     targets — beyond that it errors, and callers fall back with a warning).
     """
+    if mode not in EDCG_MODES:
+        raise ValueError(f"unknown ordering mode {mode!r}")
     targets = sorted(set(targets))
     if mode == "lex":
         return targets
     if mode == "peel":
         return _peel_order(topology, targets)[0]
-    if mode == "exhaustive":
-        if len(targets) > 8:
-            raise ValueError(
-                f"exhaustive ordering supports at most 8 targets, got {len(targets)}"
-            )
-        return _exhaustive_order(topology, targets)
-    raise ValueError(f"unknown ordering mode {mode!r}")
+    if len(targets) > 8:
+        raise ValueError(
+            f"exhaustive ordering supports at most 8 targets, got {len(targets)}"
+        )
+    return _exhaustive_order(topology, targets)
 
 
 @dataclass(frozen=True)

@@ -328,28 +328,18 @@ def _smallest_k(topology: NetworkTopology, targets: tuple, root: NodeId,
     return k, found
 
 
-def saturating_flow(topology: NetworkTopology, targets, root: NodeId) -> tuple[int, FlowResult]:
-    """``min_saturating_k`` and the max flow at that k, from the same probe."""
-    targets = tuple(sorted(set(targets)))
-    (floor,) = _floors(topology, targets, [root])
-    return _smallest_k(topology, targets, root, floor, max(1, len(targets)))
-
-
 def min_saturating_k(topology: NetworkTopology, targets, root: NodeId) -> int:
-    """Smallest per-link capacity k at which all targets are reachable at once.
-
-    Feasibility is monotone in k, so the search gallops up from the root's
-    floor (see ``_floors``) to k = |S|, which saturates on any connected
-    topology, and bisects the last gap.
-    """
-    return saturating_flow(topology, targets, root)[0]
+    """Smallest per-link capacity k at which all targets are reachable at once
+    from ``root``: the completion-time search with ``root`` its only candidate."""
+    return minimize_completion_time(topology, targets, [root])[1]
 
 
 def minimize_completion_time(topology: NetworkTopology, targets,
                              roots=None) -> tuple[NodeId, int, DistributionPlan]:
     """Pick the root whose saturating k is smallest (ties: lexicographic).
 
-    ``roots`` restricts the candidate set (default: every node).  Returns
+    ``roots`` restricts the candidate set (default: every node); a single
+    candidate gives that root's saturating k and flow plan.  Returns
     (root, k, plan) where the plan is the deterministic decomposition of the
     max flow at that (root, k).  Roots are visited in (floor, id) order.
     The first gets a full search; after that, with best (root*, k*) so far,

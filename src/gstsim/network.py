@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass, field
 
 from .graphstate import GraphState
 
@@ -198,27 +197,6 @@ def topology_to_dict(topo: NetworkTopology) -> dict:
     }
 
 
-@dataclass
-class TimestepLedger:
-    """Per-step link usage plus running totals."""
-
-    current_step: int = 0
-    usage: set = field(default_factory=set)   # links used this step
-    epr_total: int = 0
-
-    def advance(self) -> None:
-        self.current_step += 1
-        self.usage = set()
-
-    def record(self, link: Link) -> None:
-        if link in self.usage:
-            raise LocalityError(
-                f"link {link!r} already used in timestep {self.current_step}"
-            )
-        self.usage.add(link)
-        self.epr_total += 1
-
-
 class NetworkState:
     """Single-writer mutable state: placement map + shared entanglement graph.
 
@@ -243,7 +221,9 @@ class NetworkState:
         self.topology = topology
         self._links = topology.links  # looked up by every generate_epr
         self.placement: dict[QubitId, NodeId] = {}
-        self.ledger = TimestepLedger()
+        self._step = 0
+        self._used: set = set()  # links used in the current timestep
+        self.epr_generated = 0
         self._adj: dict[QubitId, set] = {}
         self._pending: set | None = None  # neighborhood whose complement is due
         self._count = dict.fromkeys(topology.nodes, 0)  # live qubits per node
@@ -303,7 +283,10 @@ class NetworkState:
         key = link_key(u, v)
         if key not in self._links:
             raise ValueError(f"no link between {u!r} and {v!r}")
-        self.ledger.record(key)
+        if key in self._used:
+            raise LocalityError(f"link {key!r} already used in timestep {self._step}")
+        self._used.add(key)
+        self.epr_generated += 1
         qu = self.new_qubit(u)
         qv = self.new_qubit(v)
         self._adj[qu].add(qv)
@@ -422,11 +405,8 @@ class NetworkState:
         return stored
 
     def advance_timestep(self) -> None:
-        self.ledger.advance()
-
-    @property
-    def epr_generated(self) -> int:
-        return self.ledger.epr_total
+        self._step += 1
+        self._used = set()
 
 
 def verify_target(state: NetworkState, target: GraphState, assignment: dict) -> bool:

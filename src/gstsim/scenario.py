@@ -25,10 +25,10 @@ from .distribution import (
     plan_shortest,
     warn_if_rounds_exceed,
 )
-from .edcg import edcg_cost
-from .flow import decompose_flow, minimize_completion_time, saturating_flow
+from .edcg import EDCG_MODES, edcg_cost
+from .flow import minimize_completion_time
 from .graphstate import GraphState
-from .network import NetworkState, NetworkTopology, load_topology
+from .network import NetworkState, NetworkTopology, NodeId, load_topology
 from .topogen import generate_topology
 
 REPORT_COLUMNS = (
@@ -147,90 +147,85 @@ def resolve(config: ScenarioConfig) -> ResolvedScenario:
     topology = _resolve_topology(config.topology, config.seed)
     targets = _resolve_targets(config.targets, topology, rng)
     graph = _resolve_target_graph(config.target_edges, targets, rng)
+    if config.edcg_mode not in EDCG_MODES:
+        raise ValueError(f"unknown ordering mode {config.edcg_mode!r}")
+    if config.strategy not in ("shortest", "flow"):
+        raise ValueError(f"unknown strategy {config.strategy!r}")
     return ResolvedScenario(config, topology, targets, graph)
 
 
-def _gst_row(scn: ResolvedScenario, report: RunReport, bound: int | None,
-             root: str, strategy: str) -> dict:
+def _row(scn: ResolvedScenario, algorithm: str, cost, bound: int | None,
+         root: NodeId, strategy: str) -> dict:
+    """One report row; ``cost`` is a GST ``RunReport`` or an ``EdcgCost``."""
     return {
-        "algorithm": "gst",
+        "algorithm": algorithm,
         "n": len(scn.topology),
         "targets": len(scn.targets),
-        "epr_pairs": report.epr_pairs,
+        "epr_pairs": cost.epr_pairs,
         "epr_bound": bound,
-        "timesteps": report.timesteps,
-        "classical_bits": report.classical_bits,
-        "resource_qubits": report.resource_qubits,
+        "timesteps": cost.timesteps,
+        "classical_bits": cost.classical_bits,
+        "resource_qubits": cost.resource_qubits,
         "root": root,
         "strategy": strategy,
         "seed": scn.config.seed,
     }
 
 
-def _execute(scn: ResolvedScenario, plan, k: int | None = None) -> RunReport:
-    """Schedule ``plan`` and execute it on a fresh network state; a flow
-    plan's budget ``k`` is checked against the schedule's rounds."""
+def _edcg_row(scn: ResolvedScenario) -> dict:
+    plan, cost = edcg_cost(scn.topology, scn.targets, scn.config.edcg_mode)
+    return _row(scn, "edcg", cost, None, plan.order[-1], "modeled-cost")
+
+
+def _gst_leg(scn: ResolvedScenario, strategy: str, root: NodeId | None = None,
+             free_root: bool = False) -> tuple[dict, RunReport, int | None]:
+    """Plan, schedule and execute one GST leg; returns (row, report, k).
+
+    "shortest" routes along shortest paths from ``root``.  "flow" routes
+    the saturating flow from ``root``, or from the root of least completion
+    time when ``root`` is None; k is its per-link budget (None for shortest
+    paths), checked against the schedule's rounds.  Every leg runs on a
+    fresh network state, and a shortest-path leg must stay within the EPR
+    bound (``free_root``: the bound for a most-central root).
+    """
+    if strategy == "shortest":
+        plan, k = plan_shortest(scn.topology, scn.targets, root), None
+    else:
+        root, k, plan = minimize_completion_time(
+            scn.topology, scn.targets, None if root is None else [root])
     schedule = make_schedule(plan)
     if k is not None:
         warn_if_rounds_exceed(schedule, k)
-    return execute(NetworkState(scn.topology), scn.request, plan, schedule)
-
-
-def _edcg_row(scn: ResolvedScenario) -> dict:
-    plan, cost = edcg_cost(scn.topology, scn.targets, scn.config.edcg_mode)
-    return {
-        "algorithm": "edcg",
-        "n": len(scn.topology),
-        "targets": len(scn.targets),
-        "epr_pairs": cost.epr_pairs,
-        "epr_bound": None,
-        "timesteps": cost.timesteps,
-        "classical_bits": cost.classical_bits,
-        "resource_qubits": cost.resource_qubits,
-        "root": plan.order[-1],
-        "strategy": "modeled-cost",
-        "seed": scn.config.seed,
-    }
-
-
-def _run_gst(scn: ResolvedScenario) -> tuple[dict, RunReport]:
-    """Execute the GST leg under the scenario's root policy and strategy."""
-    cfg = scn.config
-    n, s = len(scn.topology), len(scn.targets)
-    strategy = cfg.strategy
-    if cfg.root == "optimize":
-        root, k, plan = minimize_completion_time(scn.topology, scn.targets)
-        strategy = "flow"
-    else:
-        if cfg.root == "center":
-            root = center_root(scn.topology)
-        elif isinstance(cfg.root, str) and cfg.root.startswith("fixed:"):
-            root = cfg.root.split(":", 1)[1]
-            if root not in scn.topology.nodes:
-                raise ValueError(f"fixed root {root!r} is not a topology node")
-        else:
-            raise ValueError(f"unknown root policy {cfg.root!r}")
-        if strategy == "shortest":
-            plan = plan_shortest(scn.topology, scn.targets, root)
-            k = None
-        elif strategy == "flow":
-            k, flow = saturating_flow(scn.topology, scn.targets, root)
-            plan = decompose_flow(flow)
-        else:
-            raise ValueError(f"unknown strategy {cfg.strategy!r}")
-    report = _execute(scn, plan, k)
-    bound = epr_bound(n, s, free_root=strategy == "shortest" and cfg.root == "center" and s == n)
+    report = execute(NetworkState(scn.topology), scn.request, plan, schedule)
+    bound = epr_bound(len(scn.topology), len(scn.targets), free_root=free_root)
     if strategy == "shortest" and report.epr_pairs > bound:
         raise AssertionError(
             f"shortest-path run used {report.epr_pairs} pairs, above bound {bound}"
         )
-    return _gst_row(scn, report, bound, root, strategy), report
+    return _row(scn, "gst", report, bound, root, strategy), report, k
 
 
 def run_scenario(config: ScenarioConfig) -> list[dict]:
-    """The standard report: one executed GST row plus the EDCG cost row."""
+    """The standard report: one executed GST row plus the EDCG cost row.
+
+    The GST leg follows the root policy and strategy; an optimized root is
+    always planned by flow.
+    """
     scn = resolve(config)
-    gst_row, _ = _run_gst(scn)
+    policy, strategy, root = config.root, config.strategy, None
+    if policy == "optimize":
+        strategy = "flow"
+    elif policy == "center":
+        root = center_root(scn.topology)
+    elif isinstance(policy, str) and policy.startswith("fixed:"):
+        root = policy.split(":", 1)[1]
+        if root not in scn.topology.nodes:
+            raise ValueError(f"fixed root {root!r} is not a topology node")
+    else:
+        raise ValueError(f"unknown root policy {policy!r}")
+    free_root = (strategy == "shortest" and policy == "center"
+                 and len(scn.targets) == len(scn.topology))
+    gst_row, _, _ = _gst_leg(scn, strategy, root, free_root)
     return [gst_row, _edcg_row(scn)]
 
 
@@ -239,38 +234,28 @@ def compare_scenario(config: ScenarioConfig) -> list[dict]:
 
     The GST leg is rooted at the EDCG cascade's anchor s_m and routed along
     shortest paths — the configuration under which GST provably never needs
-    more pairs than the cascade — so both assertions here are hard errors,
-    not observations.
+    more pairs than the cascade — so dominance, like the leg's EPR bound,
+    is a hard error, not an observation.
     """
     scn = resolve(config)
     edcg_row = _edcg_row(scn)
-    root = edcg_row["root"]
-    report = _execute(scn, plan_shortest(scn.topology, scn.targets, root))
-    bound = epr_bound(len(scn.topology), len(scn.targets))
-    if report.epr_pairs > bound:
-        raise AssertionError(f"GST exceeded its bound: {report.epr_pairs} > {bound}")
+    gst_row, report, _ = _gst_leg(scn, "shortest", edcg_row["root"])
     if report.epr_pairs > edcg_row["epr_pairs"]:
         raise AssertionError(
             f"GST used {report.epr_pairs} pairs, above the cascade's "
             f"{edcg_row['epr_pairs']}"
         )
-    gst_row = _gst_row(scn, report, bound, root, "shortest")
     return [gst_row, edcg_row]
 
 
 def optimize_scenario(config: ScenarioConfig) -> tuple[dict, list[dict]]:
     """Best completion-time root: flow row plus the same-root shortest row."""
     scn = resolve(config)
-    root, k, flow_plan = minimize_completion_time(scn.topology, scn.targets)
-    flow_report = _execute(scn, flow_plan, k)
-    short_report = _execute(scn, plan_shortest(scn.topology, scn.targets, root))
-    bound = epr_bound(len(scn.topology), len(scn.targets))
-    rows = [
-        _gst_row(scn, flow_report, bound, root, "flow"),
-        _gst_row(scn, short_report, bound, root, "shortest"),
-    ]
+    flow_row, flow_report, k = _gst_leg(scn, "flow")
+    root = flow_row["root"]
+    short_row, _, _ = _gst_leg(scn, "shortest", root)
     info = {"root": root, "k": k, "rounds": flow_report.timesteps}
-    return info, rows
+    return info, [flow_row, short_row]
 
 
 def emit_report(rows: list[dict], fmt: str = "csv", path: str | None = None) -> str:

@@ -1,5 +1,6 @@
 """CLI verbs and exit codes (in-process via main())."""
 
+import hashlib
 import json
 
 import pytest
@@ -239,3 +240,86 @@ def test_empty_target_list_is_config_error(tmp_path, capsys, verb):
     captured = capsys.readouterr()
     assert "target list is empty" in captured.err
     assert captured.out == ""
+
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
+@pytest.mark.parametrize("key, value, message", [
+    ("strategy", "bogus", "unknown strategy 'bogus'"),
+    ("edcg_mode", "Lex", "unknown ordering mode 'Lex'"),
+])
+def test_unknown_strategy_or_edcg_mode_is_config_error(tmp_path, capsys, verb,
+                                                      key, value, message):
+    """Rejected while the scenario resolves, before any leg runs, even where
+    the verb or an optimized root never reads the value."""
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": {"kind": "line", "n": 4},
+                               "root": "optimize", key: value}))
+    assert main([verb, "--scenario", str(scn)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+# (topology, targets, target_edges, fixed root) of the pinned report scenarios
+PINNED_SETTINGS = (
+    ({"kind": "tree", "height": 4}, "all", "path", "n07"),
+    ({"kind": "grid", "rows": 5, "cols": 6}, {"random": 8}, "complete", "r00c00"),
+    ({"kind": "gnp", "n": 30, "p": 0.12}, "all", {"gnp": 0.3}, "n00"),
+)
+
+
+def _pinned_scenarios():
+    """(verb, scenario) for every verb and root policy on three topologies."""
+    bases = []
+    for topology, targets, edges, fixed in PINNED_SETTINGS:
+        base = dict(topology=topology, targets=targets, target_edges=edges, seed=3)
+        bases.append(base)
+        for root in ("center", f"fixed:{fixed}"):
+            for strategy in ("shortest", "flow"):
+                yield "run", dict(base, root=root, strategy=strategy)
+        yield "run", dict(base, root="optimize")
+        yield "compare", base
+        yield "optimize", base
+    yield "run", dict(bases[1], edcg_mode="exhaustive")
+    yield "compare", dict(bases[0], edcg_mode="lex")
+
+
+# (stdout SHA-256, exit code) of each pinned scenario, in order
+PINNED_REPORTS = (
+    ("e346b9f2dc301423b3ce46fd0d3b915e7966e549fceeae8e9416fff86a1e8191", 0),  # tree run center shortest
+    ("c15bcb2ff4144affaddfa468bb7cbbbbbcd4625ce5a636f4a652d9269cfd687c", 0),  # tree run center flow
+    ("5a9f9dd9d467265eac4488839abf6a6aee45f643da2c2c42c30f4d5ddc7fd964", 0),  # tree run fixed:n07 shortest
+    ("9cdefcc5f9ae8cc78dfb8dc83a62fd3d40758ed647aff372e1a18540127a01b0", 0),  # tree run fixed:n07 flow
+    ("effc3dc59bc7c360108f076b4c2e3570154f33590dc9b1416a05ca8376cebdeb", 0),  # tree run optimize
+    ("3ee00d8abb6ccde81aed84d64ebdf3f540297b779e6d47f13daaeaeb22b1e5b3", 0),  # tree compare
+    ("abeadd55d63026278179b958057a6f6bb03d2139fd3e8af1b402db7fa89de3cc", 0),  # tree optimize
+    ("a47c4cc6f4761d78caa73398a0de39529e2f6c0056e5b66d2b80d1bc8ffcbdbf", 0),  # grid run center shortest
+    ("304e194dae288aacd3b1ae5b4f3bd22b4746f2bdefb146cf7d57feaf3a8634c0", 0),  # grid run center flow
+    ("0cf2c187eeaa9bdcf669eeafd33a33c649b2ed0cd2824f0514d00ab72fb8e9a1", 0),  # grid run fixed:r00c00 shortest
+    ("1f5598f9735536b99742b193fc8ef4117cd989d7dcac248bc8efa21a2a311209", 0),  # grid run fixed:r00c00 flow
+    ("66c52b1749aab70e660e1c670e1123e810820948df480545532a3f9d38ab6dcb", 0),  # grid run optimize
+    ("cef73b8dcff8fae26773e5489c668977271100e6ae3a100fdb83d2999890ac97", 0),  # grid compare
+    ("2d2d5a2add16aa91d640706d8d8e9be51c127180cf47bc22b3606316830508d7", 0),  # grid optimize
+    ("9e238657987d2d999d6bdc3887d81f61e3b60301c18e9bae4fdaac3def7a1d83", 0),  # gnp run center shortest
+    ("71900db00a76959519d2396fa2a1e215b0b2738c7ba267240e7cfe984bad1773", 0),  # gnp run center flow
+    ("eb454bab5bc9d8c0274a303718d397383a1856789dc60eb03b49f4e74bd554c4", 0),  # gnp run fixed:n00 shortest
+    ("e86b5793b0f88efebf7ba86635c5b11d423e120184b9d28afa5236d49b045e4f", 0),  # gnp run fixed:n00 flow
+    ("964cfbaee9f07f9aacc51c08da03e23ff8d1cca17f55f7d5b9359887f47dd7ed", 0),  # gnp run optimize
+    ("b608185b300b8eee257352337355e8a745c9811bacb8cf4a0754d85eabfd8eee", 0),  # gnp compare
+    ("c89bef78e3b573fc0ba02acab563d2be6ed4cf9639b1ac563ed8b849d847bccf", 0),  # gnp optimize
+    ("a47c4cc6f4761d78caa73398a0de39529e2f6c0056e5b66d2b80d1bc8ffcbdbf", 0),  # grid run exhaustive
+    ("fec8d276f4287c546d284372d3482efb7d501c7ab13799bfaec882efe1b0b503", 0),  # tree compare lex
+)
+
+
+def test_pinned_report_bytes(tmp_path, capsys):
+    """Every verb and root policy prints the same bytes and exit code."""
+    got = []
+    for i, (verb, scenario) in enumerate(_pinned_scenarios()):
+        scn = tmp_path / f"scn{i}.json"
+        fmt = ("csv", "json")[i % 2]
+        scn.write_text(json.dumps(dict(scenario, output={"format": fmt})))
+        code = main([verb, "--scenario", str(scn)])
+        out = capsys.readouterr().out
+        got.append((hashlib.sha256(out.encode()).hexdigest(), code))
+    assert tuple(got) == PINNED_REPORTS

@@ -29,7 +29,7 @@ from gstsim.distribution import (
 from gstsim.network import NetworkState, NetworkTopology
 from gstsim.graphstate import GraphState
 from gstsim import oracle
-from gstsim.flow import decompose_flow, minimize_completion_time, saturating_flow
+from gstsim.flow import minimize_completion_time
 from gstsim.network import link_key
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
@@ -317,7 +317,7 @@ class TestSchedule:
                 targets = rng.sample(nodes, rng.randint(1, len(nodes)))
                 plans = [plan_shortest(topo, targets, rng.choice(nodes)),
                          minimize_completion_time(topo, targets)[2],
-                         decompose_flow(saturating_flow(topo, targets, rng.choice(nodes))[1])]
+                         minimize_completion_time(topo, targets, [rng.choice(nodes)])[2]]
                 for plan in plans:
                     assert make_schedule(plan) == _reference_schedule(plan)
         grid, line = grid_topology(12, 12), line_topology(200)
@@ -469,10 +469,8 @@ def _shortest_run(topo, targets, shape, root=None):
 
 def _flow_run(topo, targets, shape, root=None):
     req = _shaped_request(targets, shape)
-    if root is None:
-        plan = minimize_completion_time(topo, req.target_nodes)[2]
-    else:
-        plan = decompose_flow(saturating_flow(topo, req.target_nodes, root)[1])
+    roots = None if root is None else [root]
+    plan = minimize_completion_time(topo, req.target_nodes, roots)[2]
     return execute(NetworkState(topo), req, plan)
 
 
