@@ -51,17 +51,18 @@ def _scenario_from_args(args) -> ScenarioConfig:
     if args.scenario is not None:
         with open(args.scenario) as fh:
             file_data = json.load(fh)
+        if not isinstance(file_data, dict):
+            raise ValueError("scenario file must hold a JSON object")
         data.update(file_data)  # the file wins over flags
     if "topology" not in data:
         raise ValueError("a topology is required (flag --topology or scenario file)")
-    out = data.pop("output", {})
+    out = data.get("output", {})
     if not isinstance(out, dict):
         raise ValueError(f"scenario output must be an object, not {out!r}")
     for key in ("path", "format"):
         if key in out and not isinstance(out[key], str):
             raise ValueError(f"scenario output {key} must be a string, not {out[key]!r}")
     cfg = ScenarioConfig.from_dict(data)
-    cfg.output = out
     if args.out is not None and "path" not in cfg.output:
         cfg.output["path"] = args.out
     if args.format is not None and "format" not in cfg.output:

@@ -17,47 +17,46 @@ round as free links allow, pausing mid-path when it hits a used link.
 
 from __future__ import annotations
 
-import logging
 from bisect import insort
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graphstate import GraphState
 from .network import NetworkState, NetworkTopology, NodeId, QubitId
-
-logger = logging.getLogger(__name__)
+from .record import Record
 
 
 class ExecutionError(RuntimeError):
     """A distribution run violated its own plan or failed verification."""
 
 
-@dataclass(frozen=True)
-class DistributionRequest:
+class DistributionRequest(Record):
     """Target graph plus where each of its vertices must end up."""
 
-    target: GraphState
-    assignment: dict  # target vertex -> NodeId
+    _fields = ("target", "assignment")
 
-    def __post_init__(self):
-        if set(self.assignment) != set(self.target.vertices):
+    def __init__(self, target: GraphState, assignment: dict):
+        if set(assignment) != set(target.vertices):
             raise ValueError("assignment must cover exactly the target vertices")
-        nodes = list(self.assignment.values())
+        nodes = list(assignment.values())
         if len(set(nodes)) != len(nodes):
             raise ValueError("assignment must send each vertex to a distinct node")
+        self.target = target
+        self.assignment = assignment  # target vertex -> NodeId
 
     @property
     def target_nodes(self) -> list[NodeId]:
         return sorted(self.assignment.values())
 
 
-@dataclass(frozen=True)
-class DistributionPlan:
+class DistributionPlan(Record):
     """One network path per target node; a path is the node sequence from
     the root (single-element path = the root's own target, zero hops)."""
 
-    root: NodeId
-    paths: dict  # target NodeId -> [root, ..., target]
+    _fields = ("root", "paths")
+
+    def __init__(self, root: NodeId, paths: dict):
+        self.root = root
+        self.paths = paths  # target NodeId -> [root, ..., target]
 
     def hops(self, node: NodeId) -> int:
         return len(self.paths[node]) - 1
@@ -67,26 +66,29 @@ class DistributionPlan:
         return sum(len(p) - 1 for p in self.paths.values())
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Rounds of (target node, from_index, to_index) path advances."""
 
-    rounds: tuple
+    _fields = ("rounds",)
+
+    def __init__(self, rounds: tuple):
+        self.rounds = rounds
 
     @property
     def timesteps(self) -> int:
         return len(self.rounds)
 
 
-@dataclass
-class TraceEvent:
-    kind: str        # "epr" | "measure_report" | "directive"
-    subject: tuple
-    bits: int = 0
+class TraceEvent(Record):
+    _fields = ("kind", "subject", "bits")
+
+    def __init__(self, kind: str, subject: tuple, bits: int = 0):
+        self.kind = kind  # "epr" | "measure_report" | "directive"
+        self.subject = subject
+        self.bits = bits
 
 
-@dataclass
-class RunReport:
+class RunReport(Record):
     """Cost accounting for one distribution run.
 
     ``trace`` lists every classical message of the run in the order it was
@@ -96,12 +98,18 @@ class RunReport:
     ``trace`` is read; a run without a walk sets ``trace`` itself.
     """
 
-    epr_pairs: int
-    timesteps: int
-    classical_bits: int
-    root_memory_qubits: int
-    resource_qubits: int = 0
-    walk: tuple = field(default=(), repr=False)  # (plan, schedule)
+    _fields = ("epr_pairs", "timesteps", "classical_bits", "root_memory_qubits",
+               "resource_qubits", "walk")
+    _unshown = ("walk",)
+
+    def __init__(self, epr_pairs: int, timesteps: int, classical_bits: int,
+                 root_memory_qubits: int, resource_qubits: int = 0, walk: tuple = ()):
+        self.epr_pairs = epr_pairs
+        self.timesteps = timesteps
+        self.classical_bits = classical_bits
+        self.root_memory_qubits = root_memory_qubits
+        self.resource_qubits = resource_qubits
+        self.walk = walk  # (plan, schedule)
 
     @cached_property
     def trace(self) -> list:
@@ -447,7 +455,9 @@ def distribute_via_resource(state: NetworkState, request: DistributionRequest,
 def warn_if_rounds_exceed(schedule: Schedule, k: int) -> None:
     """Flow plans promise per-link usage k; log when packing needs more rounds."""
     if schedule.timesteps > k:
-        logger.warning(
+        import logging  # here, not at module level: importing it slows every start-up
+
+        logging.getLogger(__name__).warning(
             "schedule needs %d rounds though max link usage is %d",
             schedule.timesteps, k,
         )

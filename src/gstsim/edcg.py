@@ -35,16 +35,13 @@ search that stops at its far end.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 
 from .network import NetworkTopology, link_key
-
-logger = logging.getLogger(__name__)
+from .record import Record
 
 EDCG_MODES = ("peel", "lex", "exhaustive")  # the cascade orderings edcg_order knows
 
@@ -401,18 +398,20 @@ def edcg_order(targets, topology: NetworkTopology, mode: str = "peel") -> list:
     return _exhaustive_order(topology, targets)
 
 
-@dataclass(frozen=True)
-class EdcgPlan:
+class EdcgPlan(Record):
     """Ordered cascade plus the size of the spanning tree charged to each suffix.
 
     The trees themselves (``suffix_trees``) are derived when first read, by
     walking one suffix chain along the order again, so a plan holds m - 1
-    sizes rather than about m^2/2 links.
+    sizes rather than about m^2/2 links.  Equality ignores the topology.
     """
 
-    order: tuple
-    tree_sizes: tuple  # links in each suffix {s_k..s_m}'s tree, k = 1..m-1
-    topology: NetworkTopology = field(compare=False, repr=False)
+    _fields = ("order", "tree_sizes")
+
+    def __init__(self, order: tuple, tree_sizes: tuple, topology: NetworkTopology):
+        self.order = order
+        self.tree_sizes = tree_sizes  # links in each suffix {s_k..s_m}'s tree, k = 1..m-1
+        self.topology = topology
 
     @property
     def epr_pairs(self) -> int:
@@ -433,12 +432,15 @@ def build_edcg_plan(topology: NetworkTopology, order) -> EdcgPlan:
     return EdcgPlan(order, sizes, topology)
 
 
-@dataclass(frozen=True)
-class EdcgCost:
-    epr_pairs: int
-    timesteps: int
-    classical_bits: int
-    resource_qubits: int
+class EdcgCost(Record):
+    _fields = ("epr_pairs", "timesteps", "classical_bits", "resource_qubits")
+
+    def __init__(self, epr_pairs: int, timesteps: int, classical_bits: int,
+                 resource_qubits: int):
+        self.epr_pairs = epr_pairs
+        self.timesteps = timesteps
+        self.classical_bits = classical_bits
+        self.resource_qubits = resource_qubits
 
 
 def edcg_cost(topology: NetworkTopology, targets, mode: str = "peel") -> tuple[EdcgPlan, EdcgCost]:
@@ -463,7 +465,9 @@ def edcg_cost(topology: NetworkTopology, targets, mode: str = "peel") -> tuple[E
         except ValueError:
             if mode != "exhaustive":
                 raise
-            logger.warning(
+            import logging  # here, not at module level: importing it slows every start-up
+
+            logging.getLogger(__name__).warning(
                 "exhaustive ordering unavailable for %d targets; falling back to peel", m
             )
             order = edcg_order(targets, topology, "peel")

@@ -23,33 +23,31 @@ explicit-stack DFS, so augmenting paths of any length fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .distribution import DistributionPlan
 from .network import NetworkTopology, NodeId
+from .record import Record
 
 
-@dataclass
-class FlowInstance:
+class FlowInstance(Record):
     """Directed max-flow encoding of one (root, S, k) question.
 
     Arcs live in flat lists indexed by arc id; arc ``a ^ 1`` is the reverse
-    of arc ``a`` and starts with capacity 0.
+    of arc ``a`` and starts with capacity 0.  The arrays derive from the
+    four fields, so equality compares the fields alone.
     """
 
-    topology: NetworkTopology
-    root: NodeId
-    targets: tuple
-    k: int
-    names: tuple = field(init=False)       # index -> node name; sink is index len(names)
-    source: int = field(init=False)
-    sink: int = field(init=False)
-    adj: list = field(init=False)          # adj[v] = arc ids leaving v, in insertion order
-    to: list = field(init=False)           # to[a] = head of arc a
-    cap: list = field(init=False)          # cap[a] = initial capacity of arc a
-    link: list = field(init=False)         # link[a] = (u_idx, v_idx) for link arcs, else None
+    _fields = ("topology", "root", "targets", "k")
+
+    def __init__(self, topology: NetworkTopology, root: NodeId, targets: tuple, k: int):
+        self.topology = topology
+        self.root = root
+        self.targets = targets
+        self.k = k
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate and build the arc arrays (bench/spans.py times this
+        method by name, as ``flow.instance_s``)."""
         if self.k < 1:
             raise ValueError("link capacity k must be at least 1")
         targets = tuple(sorted(set(self.targets)))
@@ -58,12 +56,14 @@ class FlowInstance:
         if missing or self.root not in self.topology.nodes:
             raise ValueError("root and targets must be topology nodes")
         names = self.topology.nodes
-        self.names = names
+        self.names = names  # index -> node name; the sink is index len(names)
         index = {v: i for i, v in enumerate(names)}
         self.source = index[self.root]
         self.sink = len(names)
-        self.adj = [[] for _ in range(len(names) + 1)]
-        self.to, self.cap, self.link = [], [], []
+        self.adj = [[] for _ in range(len(names) + 1)]  # adj[v] = arc ids leaving v, in order
+        self.to = []    # to[a] = head of arc a
+        self.cap = []   # cap[a] = initial capacity of arc a
+        self.link = []  # link[a] = (u_idx, v_idx) for link arcs, else None
         for u, v in sorted(self.topology.links):
             self._add_arc(index[u], index[v], self.k)
             self._add_arc(index[v], index[u], self.k)
@@ -79,11 +79,13 @@ class FlowInstance:
         self.link += ((u, v) if v != self.sink else None, None)
 
 
-@dataclass
-class FlowResult:
-    instance: FlowInstance
-    value: int
-    link_flow: dict  # directed (u_name, v_name) -> net units, positives only
+class FlowResult(Record):
+    _fields = ("instance", "value", "link_flow")
+
+    def __init__(self, instance: FlowInstance, value: int, link_flow: dict):
+        self.instance = instance
+        self.value = value
+        self.link_flow = link_flow  # directed (u_name, v_name) -> net units, positives only
 
 
 def max_flow(instance: FlowInstance) -> FlowResult:

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .distribution import (
@@ -29,6 +28,7 @@ from .edcg import EDCG_MODES, edcg_cost
 from .flow import minimize_completion_time
 from .graphstate import GraphState
 from .network import NetworkState, NetworkTopology, NodeId, load_topology
+from .record import Record
 from .topogen import generate_topology
 
 REPORT_COLUMNS = (
@@ -37,21 +37,29 @@ REPORT_COLUMNS = (
 )
 
 
-@dataclass
-class ScenarioConfig:
-    topology: object                  # path string or {"kind": ..., **params}
-    targets: object = "all"           # "all" | list of node ids | {"random": k}
-    target_edges: object = "complete"  # named shape | {"gnp": p} | explicit pair list
-    root: str = "center"              # "center" | "fixed:<id>" | "optimize"
-    strategy: str = "shortest"        # "shortest" | "flow"
-    edcg_mode: str = "peel"
-    seed: int = 0
-    output: dict = field(default_factory=dict)  # {"path": ..., "format": "csv"|"json"}
+class ScenarioConfig(Record):
+    _fields = ("topology", "targets", "target_edges", "root", "strategy",
+               "edcg_mode", "seed", "output")
+
+    def __init__(self, topology: object, targets: object = "all",
+                 target_edges: object = "complete", root: str = "center",
+                 strategy: str = "shortest", edcg_mode: str = "peel", seed: int = 0,
+                 output: dict | None = None):
+        self.topology = topology          # path string or {"kind": ..., **params}
+        self.targets = targets            # "all" | list of node ids | {"random": k}
+        self.target_edges = target_edges  # named shape | {"gnp": p} | explicit pair list
+        self.root = root                  # "center" | "fixed:<id>" | "optimize"
+        self.strategy = strategy          # "shortest" | "flow"
+        self.edcg_mode = edcg_mode
+        self.seed = seed
+        # {"path": ..., "format": "csv"|"json"}; a fresh dict per config
+        self.output = {} if output is None else output
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError("scenario file must hold a JSON object")
+        extra = set(data) - set(cls._fields)
         if extra:
             raise ValueError(f"unknown scenario keys: {sorted(extra)}")
         if "topology" not in data:
@@ -128,12 +136,15 @@ def _resolve_target_graph(spec, targets: list, rng: random.Random) -> GraphState
     return GraphState(ts, edges)
 
 
-@dataclass
-class ResolvedScenario:
-    config: ScenarioConfig
-    topology: NetworkTopology
-    targets: list
-    target_graph: GraphState
+class ResolvedScenario(Record):
+    _fields = ("config", "topology", "targets", "target_graph")
+
+    def __init__(self, config: ScenarioConfig, topology: NetworkTopology, targets: list,
+                 target_graph: GraphState):
+        self.config = config
+        self.topology = topology
+        self.targets = targets
+        self.target_graph = target_graph
 
     @property
     def request(self) -> DistributionRequest:
@@ -151,6 +162,13 @@ def resolve(config: ScenarioConfig) -> ResolvedScenario:
         raise ValueError(f"unknown ordering mode {config.edcg_mode!r}")
     if config.strategy not in ("shortest", "flow"):
         raise ValueError(f"unknown strategy {config.strategy!r}")
+    policy = config.root
+    if isinstance(policy, str) and policy.startswith("fixed:"):
+        root = policy.split(":", 1)[1]
+        if root not in topology.nodes:
+            raise ValueError(f"fixed root {root!r} is not a topology node")
+    elif policy not in ("center", "optimize"):
+        raise ValueError(f"unknown root policy {policy!r}")
     return ResolvedScenario(config, topology, targets, graph)
 
 
@@ -217,12 +235,8 @@ def run_scenario(config: ScenarioConfig) -> list[dict]:
         strategy = "flow"
     elif policy == "center":
         root = center_root(scn.topology)
-    elif isinstance(policy, str) and policy.startswith("fixed:"):
+    else:  # "fixed:<id>", checked by resolve
         root = policy.split(":", 1)[1]
-        if root not in scn.topology.nodes:
-            raise ValueError(f"fixed root {root!r} is not a topology node")
-    else:
-        raise ValueError(f"unknown root policy {policy!r}")
     free_root = (strategy == "shortest" and policy == "center"
                  and len(scn.targets) == len(scn.topology))
     gst_row, _, _ = _gst_leg(scn, strategy, root, free_root)

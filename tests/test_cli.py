@@ -122,6 +122,44 @@ def test_run_with_mistyped_root_is_config_error(tmp_path, capsys, root):
 
 
 @pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
+@pytest.mark.parametrize("root, message", [
+    ("fixed:zz", "fixed root 'zz' is not a topology node"),
+    ("bogus", "unknown root policy 'bogus'"),
+])
+def test_malformed_root_is_config_error(capsys, verb, root, message):
+    """Checked while the scenario resolves, so compare and optimize, which
+    pick their own roots, reject it as run does."""
+    code = main([verb, "--topology", '{"kind": "line", "n": 4}', "--root", root])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ['[["topology", {"kind": "line", "n": 3}]]',
+                                  '"abc"', "3", "null"])
+def test_scenario_file_must_hold_an_object(tmp_path, capsys, text):
+    scn = tmp_path / "scn.json"
+    scn.write_text(text)
+    assert main(["run", "--scenario", str(scn)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "scenario file must hold a JSON object" in captured.err
+    assert captured.out == ""
+
+
+def test_out_flag_does_not_carry_over_to_the_next_run(tmp_path, capsys):
+    """Every config starts from its own output settings: a run without
+    --out prints its report even after a run that wrote to a file."""
+    path = tmp_path / "rep.csv"
+    argv = ["run", "--topology", '{"kind": "line", "n": 3}']
+    assert main(argv + ["--out", str(path)]) == EXIT_OK
+    written = path.read_text()
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == written
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
 @pytest.mark.parametrize("output", ["x", None, ["path", "rep.csv"]])
 def test_mistyped_output_is_config_error(tmp_path, capsys, verb, output):
     scn = tmp_path / "scn.json"

@@ -13,7 +13,9 @@ from gstsim.distribution import (
     DistributionPlan,
     DistributionRequest,
     ExecutionError,
+    RunReport,
     Schedule,
+    TraceEvent,
     build_resource_state,
     center_root,
     connection_transfer,
@@ -523,6 +525,20 @@ class TestDerivedTrace:
         assert _trace_digest(report) == expected
         assert report.classical_bits == sum(ev.bits for ev in report.trace)
         assert report.trace is report.trace  # derived once, then kept
+
+
+def test_records_compare_and_show_their_fields():
+    """Reports and trace events compare by value and print their fields,
+    a report's walk excepted."""
+    assert repr(TraceEvent("epr", ("a", "b"))) == \
+        "TraceEvent(kind='epr', subject=('a', 'b'), bits=0)"
+    walk = (DistributionPlan("a", {"a": ["a"]}), Schedule(()))
+    report = RunReport(0, 0, 2, 1, walk=walk)
+    assert repr(report) == ("RunReport(epr_pairs=0, timesteps=0, classical_bits=2, "
+                            "root_memory_qubits=1, resource_qubits=0)")
+    assert report == RunReport(0, 0, 2, 1, walk=copy.deepcopy(walk))
+    assert report != RunReport(0, 0, 2, 1)
+    assert report.trace == [TraceEvent("directive", ("a",), bits=2)]
 
 
 class OpLog(NetworkState):

@@ -32,6 +32,13 @@ from helpers_brute import (
 )
 
 
+def test_plan_equality_and_repr_leave_out_the_topology():
+    plan = EdcgPlan(("n00", "n01"), (1,), line_topology(2))
+    assert plan == EdcgPlan(("n00", "n01"), (1,), line_topology(3))
+    assert plan != EdcgPlan(("n01", "n00"), (1,), plan.topology)
+    assert repr(plan) == "EdcgPlan(order=('n00', 'n01'), tree_sizes=(1,))"
+
+
 def record_steiner_calls(monkeypatch) -> list:
     """Route the module's Steiner-tree lookups through a recorder; returns
     the log of terminal sets, one per tree built."""

@@ -2,8 +2,11 @@
 
 ``gstsim`` resolves the oracle's names on first access, so `gen-topo`,
 `run`, `optimize` and `compare` start without numpy; `verify-oracle` loads
-it.  Import state is process-wide, so the CLI checks run in a fresh
-interpreter.
+it.  Those four verbs and ``import gstsim.cli`` also leave ``logging``,
+``dataclasses`` and ``inspect`` unloaded, which together cost about a third
+of a fresh import.  Import state is process-wide, so the CLI checks run in
+a fresh interpreter, and they count only modules that were not loaded
+before ``import gstsim`` (``site`` may preload some).
 """
 
 import json
@@ -20,25 +23,33 @@ ORACLE_NAMES = ["StateVector", "build_graph_state", "certification_report",
                 "lc_equivalent", "measure_pauli", "verify_graphical_rule",
                 "verify_teleport_transfer", "verify_transfer_sequence"]
 
-# Prints, after each step, whether numpy has been imported, then the
-# verify-oracle exit code and whether numpy is loaded after it.
+KEPT_OFF = ["dataclasses", "inspect", "logging", "numpy"]
+
+# Prints, after each step, which of the KEPT_OFF modules it has loaded
+# since the start, then the verify-oracle exit code and whether numpy is
+# loaded after it.
 PROBE = """
 import json, sys
+before = set(sys.modules)
+kept_off = json.loads(sys.argv[2])
 steps = {}
+def loaded():
+    return [m for m in kept_off if m in sys.modules and m not in before]
 import gstsim
-steps["import gstsim"] = "numpy" in sys.modules
+steps["import gstsim"] = loaded()
 import gstsim.cli
-steps["import gstsim.cli"] = "numpy" in sys.modules
+steps["import gstsim.cli"] = loaded()
 from gstsim.cli import main
 scenario = ["--topology", '{"kind": "grid", "rows": 2, "cols": 3}', "--seed", "1"]
 for argv in (["gen-topo", "--kind", "line", "--n", "4", "--out", sys.argv[1]],
              ["run"] + scenario, ["optimize"] + scenario, ["compare"] + scenario):
     assert main(argv) == 0, argv
-    steps[argv[0]] = "numpy" in sys.modules
+    steps[argv[0]] = loaded()
 code = main(["verify-oracle", "--samples", "1"])
 print(json.dumps({"steps": steps, "oracle_exit": code,
                   "oracle_numpy": "numpy" in sys.modules}))
 """
+STEPS = ["import gstsim", "import gstsim.cli", "gen-topo", "run", "optimize", "compare"]
 
 
 def fresh_python(code: str, *args: str) -> str:
@@ -53,13 +64,23 @@ def fresh_python(code: str, *args: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-def test_cli_verbs_leave_numpy_unloaded(tmp_path):
-    result = json.loads(fresh_python(PROBE, str(tmp_path / "line.json")))
-    assert result["steps"] == {"import gstsim": False, "import gstsim.cli": False,
-                               "gen-topo": False, "run": False,
-                               "optimize": False, "compare": False}
-    assert result["oracle_exit"] == 0
-    assert result["oracle_numpy"]
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    out = tmp_path_factory.mktemp("probe") / "line.json"
+    return json.loads(fresh_python(PROBE, str(out), json.dumps(KEPT_OFF)))
+
+
+def test_cli_verbs_leave_numpy_unloaded(probe):
+    assert [step for step in STEPS if "numpy" in probe["steps"][step]] == []
+    assert probe["oracle_exit"] == 0
+    assert probe["oracle_numpy"]
+
+
+def test_cli_start_up_leaves_logging_and_dataclasses_unloaded(probe):
+    """Neither ``import gstsim.cli`` nor a planning verb loads any of
+    KEPT_OFF: records are plain classes, and only a warning imports
+    ``logging``."""
+    assert probe["steps"] == {step: [] for step in STEPS}
 
 
 def test_oracle_attribute_imports_the_submodule():

@@ -33,6 +33,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="topology"):
             ScenarioConfig.from_dict({"targets": "all"})
 
+    @pytest.mark.parametrize("data", [[["topology", {"kind": "line", "n": 3}]], "abc"])
+    def test_data_must_be_an_object(self, data):
+        with pytest.raises(ValueError, match="scenario file must hold a JSON object"):
+            ScenarioConfig.from_dict(data)
+
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "scn.json"
         p.write_text(json.dumps({"topology": {"kind": "line", "n": 3},
