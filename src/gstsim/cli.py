@@ -15,6 +15,7 @@ import sys
 from .distribution import ExecutionError
 from .network import topology_to_dict
 from .scenario import (
+    REPORT_FORMATS,
     ScenarioConfig,
     compare_scenario,
     emit_report,
@@ -62,6 +63,8 @@ def _scenario_from_args(args) -> ScenarioConfig:
     for key in ("path", "format"):
         if key in out and not isinstance(out[key], str):
             raise ValueError(f"scenario output {key} must be a string, not {out[key]!r}")
+    if out.get("format", "csv") not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {out['format']!r}")
     cfg = ScenarioConfig.from_dict(data)
     if args.out is not None and "path" not in cfg.output:
         cfg.output["path"] = args.out
@@ -90,7 +93,7 @@ def _add_scenario_flags(sub, with_strategy: bool = True) -> None:
         sub.add_argument("--strategy", choices=["shortest", "flow"])
     sub.add_argument("--seed", type=int)
     sub.add_argument("--out", help="report output path")
-    sub.add_argument("--format", choices=["csv", "json"])
+    sub.add_argument("--format", choices=REPORT_FORMATS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -175,7 +175,7 @@ def center_root(topology: NetworkTopology) -> NodeId:
         else:
             v = min(lower, key=lambda w: (lower[w], w))
         high = not high
-        hops = topology._bfs(v)
+        hops = topology.bfs_distances(v)
         ecc = max(hops.values())
         if best is None or (ecc, v) < best:
             best = (ecc, v)

@@ -11,7 +11,9 @@ so reported pair counts are a modeled upper estimate — report rows carry a
 "modeled-cost" marker for exactly this reason.
 
 Consecutive suffixes differ by one terminal, so one ``_SuffixChain`` walks
-a whole cascade, and a drop costs only what changes: the departing
+a whole cascade, and one loop, ``_cascade``, walks it for every ordering:
+it drops the peel pick it reads off the chain, or the next terminal of a
+given order.  A drop costs only what changes: the departing
 terminal's closure edges, the edges that replace them (none when it had one
 closure neighbour) and their paths in the counted union.  Every leaf of
 that union ends a closure path, so it is a terminal, and a union that is a
@@ -36,7 +38,7 @@ search that stops at its far end.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import deque
+from collections import Counter, deque
 from functools import cached_property
 from itertools import permutations
 
@@ -257,11 +259,6 @@ class _SuffixChain:
         Steiner tree as it stands, and its degrees are the tree's."""
         return len(self.count) == len(self.adj) - 1
 
-    def size(self) -> int:
-        """Number of links in ``tree()``, which is built only when the union
-        is not a tree."""
-        return len(self.count) if self.union_is_tree() else len(self.tree())
-
     def tree(self) -> set:
         """Edge set of the current terminals' Steiner tree (see steiner_tree)."""
         if len(self.terminals) < 2:
@@ -323,38 +320,34 @@ def steiner_tree(topology: NetworkTopology, terminals) -> set:
     return _SuffixChain(topology, terminals).tree()
 
 
-def _peel_order(topology: NetworkTopology, targets: list) -> tuple[list, list]:
-    """Repeatedly strip the smallest terminal sitting on a leaf of the tree.
+def _cascade(topology: NetworkTopology, targets, order=None) -> tuple[list, list]:
+    """Walk one ``_SuffixChain`` down a cascade: the order and the size of
+    each suffix {s_k..s_m}'s Steiner tree, k = 1..m-1.
 
-    The terminal removed first becomes s_1, so every suffix's spanning tree
-    loses exactly one leaf edge relative to the previous one whenever the
-    network itself is a tree — the ordering the cascade cost story assumes.
-    Returns the order and the size of each suffix {s_k..s_m}'s Steiner
-    tree, k = 1..m-1.  One ``_SuffixChain`` walks them all, dropping each
-    pick in turn.  While its union is a tree the pick is its smallest leaf
-    terminal and the size its link count; only a union with a cycle builds
-    a tree.  A tree's leaves are terminals once pruned, so a leaf terminal
-    exists.
+    With an ``order`` the chain drops its terminals in turn.  Without one it
+    drops the peel pick: the smallest terminal on a leaf of the tree, so
+    every suffix's tree loses exactly one leaf edge relative to the previous
+    one whenever the network itself is a tree — the ordering the cascade
+    cost story assumes.  While the union is a tree the pick is its smallest
+    leaf terminal and the size its link count; only a union with a cycle
+    builds a tree, and then the pick reads the tree's degrees.  A tree's
+    leaves are terminals once pruned, so a leaf terminal exists.
     """
-    suffixes = _SuffixChain(topology, targets)
-    order, sizes = [], []
-    while len(suffixes.terminals) > 1:
-        if suffixes.union_is_tree():
-            sizes.append(len(suffixes.count))
-            pick = suffixes.leaves[0]
-        else:
-            edges = suffixes.tree()
-            sizes.append(len(edges))
-            degree = dict.fromkeys(suffixes.terminals, 0)
-            for a, b in edges:
-                if a in degree:
-                    degree[a] += 1
-                if b in degree:
-                    degree[b] += 1
-            pick = min(t for t, d in degree.items() if d <= 1)
-        order.append(pick)
-        suffixes.drop(pick)
-    return order + list(suffixes.terminals), sizes
+    chain = _SuffixChain(topology, targets)
+    picks, sizes = [] if order is None else list(order), []
+    while len(chain.terminals) > 1:
+        bare = chain.union_is_tree()
+        edges = chain.count if bare else chain.tree()  # keyed by the tree's links
+        sizes.append(len(edges))
+        if order is None and bare:
+            picks.append(chain.leaves[0])
+        elif order is None:
+            degree = Counter(x for link in edges for x in link)
+            picks.append(min(t for t in chain.terminals if degree[t] <= 1))
+        chain.drop(picks[len(sizes) - 1])
+    if order is None:
+        picks += chain.terminals
+    return picks, sizes
 
 
 def _exhaustive_order(topology: NetworkTopology, targets: list) -> list:
@@ -390,7 +383,7 @@ def edcg_order(targets, topology: NetworkTopology, mode: str = "peel") -> list:
     if mode == "lex":
         return targets
     if mode == "peel":
-        return _peel_order(topology, targets)[0]
+        return _cascade(topology, targets)[0]
     if len(targets) > 8:
         raise ValueError(
             f"exhaustive ordering supports at most 8 targets, got {len(targets)}"
@@ -428,8 +421,8 @@ def build_edcg_plan(topology: NetworkTopology, order) -> EdcgPlan:
     order = tuple(order)
     if len(set(order)) != len(order):
         raise ValueError("the cascade order repeats a target")
-    sizes = tuple(chain.size() for chain in _suffixes(topology, order))
-    return EdcgPlan(order, sizes, topology)
+    sizes = _cascade(topology, order, order)[1] if order else ()
+    return EdcgPlan(order, tuple(sizes), topology)
 
 
 class EdcgCost(Record):
@@ -449,29 +442,25 @@ def edcg_cost(topology: NetworkTopology, targets, mode: str = "peel") -> tuple[E
     EPR pairs: sum of suffix spanning-tree sizes.  Timesteps: m - 1 (one
     GHZ layer per step).  Resource qubits: m(m+1)/2 — the complete graph's
     vertices plus one decoration per edge.  Classical bits: 2 per EPR pair
-    plus 2 per complete-graph edge slot.  In "peel" mode the plan takes the
-    tree sizes the ordering already counted, so its chain is walked once.
+    plus 2 per complete-graph edge slot.  Every mode walks one suffix
+    chain: "peel" picks its order on the way, and the others walk the order
+    ``edcg_order`` gives.  Over 8 targets "exhaustive" falls back to "peel"
+    with a warning.
     """
     targets = sorted(set(targets))
     m = len(targets)
     if m == 0:
         raise ValueError("need at least one target")
-    if mode == "peel":
-        order, sizes = _peel_order(topology, targets)
-        plan = EdcgPlan(tuple(order), tuple(sizes), topology)
-    else:
-        try:
-            order = edcg_order(targets, topology, mode)
-        except ValueError:
-            if mode != "exhaustive":
-                raise
-            import logging  # here, not at module level: importing it slows every start-up
+    if mode == "exhaustive" and m > 8:
+        import logging  # here, not at module level: importing it slows every start-up
 
-            logging.getLogger(__name__).warning(
-                "exhaustive ordering unavailable for %d targets; falling back to peel", m
-            )
-            order = edcg_order(targets, topology, "peel")
-        plan = build_edcg_plan(topology, order)
+        logging.getLogger(__name__).warning(
+            "exhaustive ordering unavailable for %d targets; falling back to peel", m
+        )
+        mode = "peel"
+    order = None if mode == "peel" else edcg_order(targets, topology, mode)
+    order, sizes = _cascade(topology, targets, order)
+    plan = EdcgPlan(tuple(order), tuple(sizes), topology)
     epr = plan.epr_pairs
     cost = EdcgCost(
         epr_pairs=epr,

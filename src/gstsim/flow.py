@@ -52,12 +52,11 @@ class FlowInstance(Record):
             raise ValueError("link capacity k must be at least 1")
         targets = tuple(sorted(set(self.targets)))
         self.targets = targets
-        missing = [t for t in targets if t not in self.topology.nodes]
-        if missing or self.root not in self.topology.nodes:
-            raise ValueError("root and targets must be topology nodes")
         names = self.topology.nodes
         self.names = names  # index -> node name; the sink is index len(names)
         index = {v: i for i, v in enumerate(names)}
+        if self.root not in index or any(t not in index for t in targets):
+            raise ValueError("root and targets must be topology nodes")
         self.source = index[self.root]
         self.sink = len(names)
         self.adj = [[] for _ in range(len(names) + 1)]  # adj[v] = arc ids leaving v, in order

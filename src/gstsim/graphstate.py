@@ -27,7 +27,7 @@ mutable adjacency map.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Hashable, Iterable
+from collections.abc import Hashable, Iterable
 
 # Vertex ids only need to be hashable and mutually orderable; the network
 # layer uses ints, target descriptions use strings.

@@ -6,6 +6,11 @@ shared entanglement graph over all live qubits; local gates are free, and
 the only way two qubits at different nodes ever become entangled is an EPR
 pair generated across a link.
 
+Distances are searched, never stored: one loop,
+``NetworkTopology.bfs_distances``, runs every full BFS (components,
+eccentricities, ``distribution.center_root``), and paths come from
+searches that stop at their last target.
+
 Timesteps model link contention: within one step each link may source at
 most one EPR pair; a second pair raises LocalityError (a planner bug, not a
 user error).
@@ -36,8 +41,8 @@ class NetworkTopology:
 
     The topology keeps no derived state: every distance query searches.
     ``shortest_paths`` runs one search per call that stops at its last
-    target; ``bfs_distances`` and ``eccentricity`` run one full BFS each,
-    and ``center_root`` a few (see there).
+    target.  Every full BFS is ``bfs_distances``: ``eccentricity`` runs one,
+    ``components`` one per component and ``center_root`` a few (see there).
     """
 
     def __init__(self, nodes, links):
@@ -93,28 +98,19 @@ class NetworkTopology:
         seen = set()
         comps = []
         for start in self._nodes:
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for nb in self._adj[cur]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        comp.append(nb)
-                        queue.append(nb)
-            comps.append(sorted(comp))
+            if start not in seen:
+                comp = self.bfs_distances(start)
+                seen.update(comp)
+                comps.append(sorted(comp))
         return comps
 
     # -- shortest-path machinery (deterministic: lexicographic everywhere) --
 
     def bfs_distances(self, src: NodeId) -> dict:
-        """Hop counts from ``src`` to every reachable node (a fresh dict)."""
-        return self._bfs(src)
+        """Hop counts from ``src`` to every reachable node (a fresh dict).
 
-    def _bfs(self, src: NodeId) -> dict:
+        The one full BFS: ``components``, ``eccentricity`` and
+        ``distribution.center_root`` all call it."""
         if src not in self._adj:
             raise ValueError(f"unknown node {src!r}")
         dist = {src: 0}
@@ -173,7 +169,7 @@ class NetworkTopology:
         return self.shortest_paths(src, (dst,))[dst]
 
     def eccentricity(self, v: NodeId) -> int:
-        return max(self._bfs(v).values())
+        return max(self.bfs_distances(v).values())
 
 
 def topology_from_dict(data: dict) -> NetworkTopology:

@@ -31,6 +31,7 @@ from .network import NetworkState, NetworkTopology, NodeId, load_topology
 from .record import Record
 from .topogen import generate_topology
 
+REPORT_FORMATS = ("csv", "json")  # what emit_report writes
 REPORT_COLUMNS = (
     "algorithm", "n", "targets", "epr_pairs", "epr_bound", "timesteps",
     "classical_bits", "resource_qubits", "root", "strategy", "seed",
@@ -97,7 +98,8 @@ def _resolve_targets(spec, topology: NetworkTopology, rng: random.Random) -> lis
     if isinstance(spec, list):
         if not spec:
             raise ValueError("target list is empty: name at least one target node")
-        missing = [t for t in spec if t not in set(nodes)]
+        known = set(nodes)
+        missing = [t for t in spec if t not in known]
         if missing:
             raise ValueError(f"targets not in topology: {missing}")
         if len(set(spec)) != len(spec):
@@ -128,8 +130,9 @@ def _resolve_target_graph(spec, targets: list, rng: random.Random) -> GraphState
         edges = [e for e in combinations(ts, 2) if rng.random() < p]
     elif isinstance(spec, list):
         edges = [tuple(e) for e in spec]
+        known = set(ts)
         for u, v in edges:
-            if u not in set(ts) or v not in set(ts):
+            if u not in known or v not in known:
                 raise ValueError(f"target edge ({u!r}, {v!r}) leaves the target set")
     else:
         raise ValueError(f"bad target_edges spec: {spec!r}")

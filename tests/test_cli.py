@@ -6,7 +6,10 @@ import json
 import pytest
 
 import gstsim.cli as cli
+import gstsim.scenario
 from gstsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from gstsim.network import topology_to_dict
+from gstsim.topogen import generate_topology
 
 
 def test_gen_topo_writes_loadable_json(tmp_path, capsys):
@@ -23,6 +26,16 @@ def test_gen_topo_stdout(capsys):
     assert main(["gen-topo", "--kind", "line", "--n", "3"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
     assert data["nodes"] == ["n00", "n01", "n02"]
+
+
+def test_gen_topo_gnp_uses_the_seed_flag(capsys):
+    argv = ["gen-topo", "--kind", "gnp", "--n", "12", "--p", "0.3"]
+    for seed in (5, 6):
+        assert main(argv + ["--seed", str(seed)]) == EXIT_OK
+        expected = generate_topology("gnp", n=12, p=0.3, seed=seed)
+        assert json.loads(capsys.readouterr().out) == topology_to_dict(expected)
+    assert (topology_to_dict(generate_topology("gnp", n=12, p=0.3, seed=5))
+            != topology_to_dict(generate_topology("gnp", n=12, p=0.3, seed=6)))
 
 
 def test_gen_topo_wrong_params_is_config_error(capsys):
@@ -60,6 +73,24 @@ def test_run_writes_report_file(tmp_path, capsys):
     assert code == EXIT_OK
     rows = json.loads(out.read_text())
     assert rows[0]["algorithm"] == "gst"
+
+
+def test_target_and_strategy_flags_match_the_scenario_file(tmp_path, capsys):
+    topology = {"kind": "grid", "rows": 3, "cols": 4}
+    targets = ["r00c00", "r01c02", "r02c03", "r02c01"]
+    code = main(["run", "--topology", json.dumps(topology), "--targets", ",".join(targets),
+                 "--edges", "path", "--strategy", "flow", "--root", "fixed:r01c01",
+                 "--seed", "2"])
+    assert code == EXIT_OK
+    from_flags = capsys.readouterr().out
+    assert from_flags.splitlines()[1].startswith("gst,12,4,")
+    assert ",r01c01,flow,2" in from_flags
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": topology, "targets": targets,
+                               "target_edges": "path", "strategy": "flow",
+                               "root": "fixed:r01c01", "seed": 2}))
+    assert main(["run", "--scenario", str(scn)]) == EXIT_OK
+    assert capsys.readouterr().out == from_flags
 
 
 def test_missing_topology_is_config_error(capsys):
@@ -179,6 +210,19 @@ def test_output_path_and_format_must_be_strings(tmp_path, capsys, verb, output):
     assert main([verb, "--scenario", str(scn)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "must be a string" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
+def test_unknown_report_format_is_rejected_before_running(tmp_path, capsys, monkeypatch, verb):
+    """The format is checked with the other output entries, so no scenario
+    resolves and `optimize` prints no root line."""
+    monkeypatch.setattr(gstsim.scenario, "resolve", lambda cfg: pytest.fail("resolved"))
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": {"kind": "line", "n": 4}, "output": {"format": "xml"}}))
+    assert main([verb, "--scenario", str(scn)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "unknown report format 'xml'" in captured.err
     assert captured.out == ""
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as hs
 
 from gstsim import edcg
 from gstsim.edcg import (
+    EdcgCost,
     EdcgPlan,
     build_edcg_plan,
     edcg_cost,
@@ -206,6 +207,25 @@ class TestCost:
         assert any("exhaustive" in rec.message for rec in caplog.records)
         assert cost.epr_pairs == edcg_cost(topo, S, mode="peel")[1].epr_pairs
 
+    def test_exhaustive_fallback_walks_one_chain(self, caplog, monkeypatch):
+        """Over 8 targets the fallback to peel is decided before the walk,
+        so one closure MST is built, and the warning and the cost stay."""
+        topo = gnp_topology(10, 0.45, seed=6)
+        S = sorted(topo.nodes)[:9]
+        fresh_mst, builds = edcg._mst_on_terminals, []
+        monkeypatch.setattr(edcg, "_mst_on_terminals",
+                            lambda t, ts: builds.append(list(ts)) or fresh_mst(t, ts))
+        with caplog.at_level(logging.WARNING, logger="gstsim.edcg"):
+            plan, cost = edcg_cost(topo, S, mode="exhaustive")
+        assert builds == [S]
+        assert [(rec.name, rec.getMessage()) for rec in caplog.records] == [
+            ("gstsim.edcg", "exhaustive ordering unavailable for 9 targets; falling back to peel")]
+        assert cost == EdcgCost(epr_pairs=36, timesteps=8, classical_bits=144, resource_qubits=45)
+        assert plan == EdcgPlan(("n02", "n05", "n00", "n04", "n06", "n01", "n07", "n03", "n08"),
+                                (8, 7, 6, 5, 4, 3, 2, 1), topo)
+        monkeypatch.undo()
+        assert (plan, cost) == edcg_cost(topo, S, mode="peel")
+
     @pytest.mark.parametrize("topo", [
         gnp_topology(12, 0.3, seed=2), gnp_topology(20, 0.15, seed=7),
         grid_topology(4, 5), tree_topology(3), line_topology(9),
@@ -254,7 +274,7 @@ class TestCost:
         nodes = list(topo.nodes)
         fresh_mst = edcg._mst_on_terminals
         for S in [nodes] + [rng.sample(nodes, rng.randint(2, len(nodes))) for _ in range(4)]:
-            order, sizes = edcg._peel_order(topo, sorted(S))
+            order, sizes = edcg._cascade(topo, sorted(S))
 
             for walk in (order, sorted(S)):
                 fresh_builds = []
@@ -450,12 +470,12 @@ def test_theta_unions_need_the_bfs_and_deep_pruning():
         chain = edcg._SuffixChain(topo, core)
         if len(chain.count) != len(chain.adj) - 1:
             deep += len(chain.adj) - 1 - len(chain.tree()) > 1
-        order = edcg._peel_order(topo, sorted(core))[0]
+        order = edcg._cascade(topo, sorted(core))[0]
         for walk in (order, sorted(core), core[::-1]):
             check_chain_against_reference(topo, walk)
         for extra in topo.nodes:
             S = sorted(set(core) | {extra})
-            order, sizes = edcg._peel_order(topo, S)
+            order, sizes = edcg._cascade(topo, S)
             ref_order, ref_trees = reference_peel(topo, S)
             assert (order, sizes) == (ref_order, [len(tree) for tree in ref_trees])
     assert deep >= 5
@@ -471,7 +491,7 @@ def test_suffix_chain_trees_match_the_reference(case, data):
     S = sorted(set(core) | set(extra))
     how = data.draw(hs.sampled_from(["peel", "lex", "random"]))
     if how == "peel":
-        order, sizes = edcg._peel_order(topo, S)
+        order, sizes = edcg._cascade(topo, S)
         assert sizes == [len(reference_steiner_tree(topo, order[k:])) for k in range(len(order) - 1)]
     else:
         order = S if how == "lex" else data.draw(hs.permutations(S))

@@ -4,9 +4,11 @@
 `run`, `optimize` and `compare` start without numpy; `verify-oracle` loads
 it.  Those four verbs and ``import gstsim.cli`` also leave ``logging``,
 ``dataclasses`` and ``inspect`` unloaded, which together cost about a third
-of a fresh import.  Import state is process-wide, so the CLI checks run in
-a fresh interpreter, and they count only modules that were not loaded
-before ``import gstsim`` (``site`` may preload some).
+of a fresh import, and ``run``, ``optimize`` and ``compare`` load no
+``typing`` in an interpreter whose ``site`` has not loaded it.  Import
+state is process-wide, so the CLI checks run in a fresh interpreter, and
+they count only modules that were not loaded before ``import gstsim``
+(``site`` may preload some).
 """
 
 import json
@@ -52,13 +54,25 @@ print(json.dumps({"steps": steps, "oracle_exit": code,
 STEPS = ["import gstsim", "import gstsim.cli", "gen-topo", "run", "optimize", "compare"]
 
 
-def fresh_python(code: str, *args: str) -> str:
-    """Run ``code`` in a new interpreter that imports this gstsim; returns
-    the last line it printed."""
+# ``site`` may preload ``typing``, so PROBE cannot see it; this runs without
+# ``site`` (python -S) and prints whether the planning verbs loaded it.
+NO_SITE_PROBE = """
+import sys
+from gstsim.cli import main
+scenario = ["--topology", '{"kind": "grid", "rows": 2, "cols": 3}', "--seed", "1"]
+for verb in ("run", "optimize", "compare"):
+    assert main([verb] + scenario) == 0, verb
+print("typing" in sys.modules)
+"""
+
+
+def fresh_python(code: str, *args: str, flags: tuple = ()) -> str:
+    """Run ``code`` in a new interpreter (with interpreter ``flags``) that
+    imports this gstsim; returns the last line it printed."""
     src = str(Path(gstsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code, *args],
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
@@ -81,6 +95,10 @@ def test_cli_start_up_leaves_logging_and_dataclasses_unloaded(probe):
     KEPT_OFF: records are plain classes, and only a warning imports
     ``logging``."""
     assert probe["steps"] == {step: [] for step in STEPS}
+
+
+def test_cli_verbs_leave_typing_unloaded_without_site():
+    assert fresh_python(NO_SITE_PROBE, flags=("-S",)) == "False"
 
 
 def test_oracle_attribute_imports_the_submodule():

@@ -39,13 +39,13 @@ def diamond():
 def count_full_bfs(monkeypatch) -> Counter:
     """Count the full BFS each source gets from here on."""
     searched = Counter()
-    bfs = NetworkTopology._bfs
+    bfs = NetworkTopology.bfs_distances
 
     def counting(self, src):
         searched[src] += 1
         return bfs(self, src)
 
-    monkeypatch.setattr(NetworkTopology, "_bfs", counting)
+    monkeypatch.setattr(NetworkTopology, "bfs_distances", counting)
     return searched
 
 
@@ -238,6 +238,18 @@ class TestPathsAndDistances:
             for _ in range(4):
                 edcg_cost(t, rng.sample(nodes, rng.randint(2, len(nodes))), mode)
         assert not searched
+
+    def test_every_full_bfs_is_bfs_distances(self, monkeypatch):
+        """components (so the constructor's connectivity check) and
+        eccentricity search through bfs_distances, as center_root does."""
+        searched = count_full_bfs(monkeypatch)
+        t = diamond()
+        assert searched == {"a": 1}
+        assert t.eccentricity("d") == 2
+        assert searched == {"a": 1, "d": 1}
+        with pytest.raises(ValueError, match="disconnected into 2 components"):
+            NetworkTopology(["a", "b", "c"], [("a", "b")])
+        assert searched == {"a": 2, "c": 1, "d": 1}
 
     @pytest.mark.parametrize("t", [line_topology(1000), grid_topology(40, 40), tree_topology(10)],
                              ids=["line1000", "grid40x40", "tree10"])
