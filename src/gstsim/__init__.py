@@ -48,6 +48,18 @@ from .scenario import (
 )
 from .topogen import generate_topology
 
+# Loaded on first access, by __getattr__ below.
+_ORACLE_NAMES = (
+    "StateVector",
+    "build_graph_state",
+    "certification_report",
+    "lc_equivalent",
+    "measure_pauli",
+    "verify_graphical_rule",
+    "verify_teleport_transfer",
+    "verify_transfer_sequence",
+)
+
 __all__ = [
     "GraphState",
     "LocalityError",
@@ -80,14 +92,7 @@ __all__ = [
     "max_flow",
     "min_saturating_k",
     "minimize_completion_time",
-    "StateVector",
-    "build_graph_state",
-    "certification_report",
-    "lc_equivalent",
-    "measure_pauli",
-    "verify_graphical_rule",
-    "verify_teleport_transfer",
-    "verify_transfer_sequence",
+    *_ORACLE_NAMES,
     "ScenarioConfig",
     "compare_scenario",
     "emit_report",
@@ -99,17 +104,6 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-_ORACLE_NAMES = frozenset({
-    "StateVector",
-    "build_graph_state",
-    "certification_report",
-    "lc_equivalent",
-    "measure_pauli",
-    "verify_graphical_rule",
-    "verify_teleport_transfer",
-    "verify_transfer_sequence",
-})
-
 
 def __getattr__(name):
     if name == "oracle" or name in _ORACLE_NAMES:
@@ -119,4 +113,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | _ORACLE_NAMES | {"oracle"})
+    return sorted(set(globals()).union(_ORACLE_NAMES, {"oracle"}))

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Verbs: gen-topo, run, optimize, compare, verify-oracle.  Exit codes:
-0 success, 2 verification/assertion failure, 3 configuration error.
+0 success, 2 verification/assertion failure, 3 configuration error (a
+malformed flag among them).
 Scenario flags mirror the scenario JSON; when --scenario is given the file's
 values take precedence over flags.
 """
@@ -96,8 +97,16 @@ def _add_scenario_flags(sub, with_strategy: bool = True) -> None:
     sub.add_argument("--format", choices=REPORT_FORMATS)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's message as a ValueError, a configuration error,
+    where argparse would exit 2; its subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gstsim",
         description="Plan, simulate and cost graph-state distribution over networks.",
     )
@@ -165,8 +174,8 @@ def _verify_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.verb == "gen-topo":
             return _gen_topo(args)
         if args.verb == "verify-oracle":

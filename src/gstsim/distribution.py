@@ -289,17 +289,21 @@ def make_local_copy(state: NetworkState, target: GraphState, root: NodeId) -> di
 
 
 def _walk_rounds(state: NetworkState, plan: DistributionPlan, schedule: Schedule,
-                 carrier: dict) -> tuple[int, int, int]:
+                 carrier: dict) -> RunReport:
     """Walk every scheduled hop, moving ``carrier[target]`` one link per EPR pair.
 
-    Returns (hops made, transfers that reached their path's end, peak live
-    qubits at the root).  The messages sent are those of
-    ``_walk_messages(plan, schedule)``.
+    Returns the run's report.  Its counts are read off the plan: a walk
+    that skipped or repeated a hop would fail in ``transfer`` or in the
+    caller's checks of the delivered state before any report is returned.
+    The walk sends the messages of ``_walk_messages(plan, schedule)``, one
+    EPR pair and 2-bit report per hop and one 2-bit directive per target,
+    so ``classical_bits`` is 2·(EPR pairs + targets).  Only the root's peak
+    live qubit count is measured, on every hop, since a path may revisit
+    the root.
     """
     generate_epr, transfer = state.generate_epr, state.transfer
     count = state._count  # live qubits per node
     root = plan.root
-    transfers = arrivals = 0
     peak_root = count[root]
     for rnum, round_entries in enumerate(schedule.rounds):
         state.advance_timestep()
@@ -315,11 +319,14 @@ def _walk_rounds(state: NetworkState, plan: DistributionPlan, schedule: Schedule
                 except ValueError as exc:
                     raise ExecutionError(f"round {rnum}: {exc}") from exc
                 qubit = qv
-            transfers += end - start
             carrier[tnode] = qubit
-            if end == len(path) - 1:
-                arrivals += 1
-    return transfers, arrivals, peak_root
+    return RunReport(
+        epr_pairs=plan.epr_cost,
+        timesteps=schedule.timesteps,
+        classical_bits=2 * (plan.epr_cost + len(plan.paths)),
+        root_memory_qubits=peak_root,
+        walk=(plan, schedule),
+    )
 
 
 def execute(state: NetworkState, request: DistributionRequest, plan: DistributionPlan,
@@ -328,12 +335,10 @@ def execute(state: NetworkState, request: DistributionRequest, plan: Distributio
 
     Builds the local copy at the root, walks every vertex qubit along its
     scheduled path, and finally demands the live entanglement graph match
-    the request exactly (raising ExecutionError otherwise).  The report's
-    trace is derived from (plan, schedule) when first read: one 2-bit
-    measurement report per consumed EPR pair and one 2-bit completion
-    directive per target — zero-hop targets (the root's own vertex) are
-    confirmed up front, every other one when its qubit arrives.  So
-    ``classical_bits`` is 2·hops + 2·|targets|, counted without the trace.
+    the request exactly (raising ExecutionError otherwise).  Returns the
+    walk's report (see ``_walk_rounds``).  Its trace is derived from (plan,
+    schedule) when first read: zero-hop targets (the root's own vertex) are
+    confirmed up front, every other one when its qubit arrives.
     """
     # looked up at call time, so bench/spans.py can time network.verify_target
     from .network import verify_target
@@ -342,22 +347,12 @@ def execute(state: NetworkState, request: DistributionRequest, plan: Distributio
     if schedule is None:
         schedule = make_schedule(plan)
     copy_map = make_local_copy(state, request.target, plan.root)
-    node_of_vertex = dict(request.assignment)
-    vertex_at = {node: v for v, node in node_of_vertex.items()}
-    carrier = {node: copy_map[vertex_at[node]] for node in plan.paths}
-    transfers, arrivals, peak_root = _walk_rounds(state, plan, schedule, carrier)
-    directives = arrivals + sum(len(p) == 1 for p in plan.paths.values())
-
+    carrier = {node: copy_map[v] for v, node in request.assignment.items()}
+    report = _walk_rounds(state, plan, schedule, carrier)
     if not verify_target(state, request.target, request.assignment):
         raise ExecutionError("delivered state does not realize the request")
-    assert transfers == state.epr_generated == plan.epr_cost
-    return RunReport(
-        epr_pairs=transfers,
-        timesteps=schedule.timesteps,
-        classical_bits=2 * (transfers + directives),
-        root_memory_qubits=peak_root,
-        walk=(plan, schedule),
-    )
+    assert state.epr_generated == plan.epr_cost
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -384,21 +379,14 @@ def build_resource_state(state: NetworkState, targets, root: NodeId) -> tuple[di
         state.apply_cz(anchor, mover)
         anchors[t] = anchor
         carrier[t] = mover
-    transfers, arrivals, peak_root = _walk_rounds(state, plan, schedule, carrier)
+    report = _walk_rounds(state, plan, schedule, carrier)
+    report.resource_qubits = 2 * len(others)
     pairs = {t: (anchors[t], carrier[t]) for t in others}
     for t, (anchor, remote) in pairs.items():
         if state.neighbors(anchor) != {remote}:
             raise ExecutionError(f"resource pair for {t!r} is not a clean pair")
         if state.node_of(remote) != t:
             raise ExecutionError(f"resource pair half for {t!r} ended up elsewhere")
-    report = RunReport(
-        epr_pairs=transfers,
-        timesteps=schedule.timesteps,
-        classical_bits=2 * (transfers + arrivals),
-        root_memory_qubits=peak_root,
-        resource_qubits=2 * len(others),
-        walk=(plan, schedule),
-    )
     return pairs, report
 
 

@@ -32,8 +32,11 @@ class FlowInstance(Record):
     """Directed max-flow encoding of one (root, S, k) question.
 
     Arcs live in flat lists indexed by arc id; arc ``a ^ 1`` is the reverse
-    of arc ``a`` and starts with capacity 0.  The arrays derive from the
-    four fields, so equality compares the fields alone.
+    of arc ``a`` and starts with capacity 0.  Link i of ``links`` (the
+    topology's links, sorted) owns arc 4i (u->v) and arc 4i + 2 (v->u),
+    both of capacity k; target t of ``targets`` owns arc 4L + 2t to the
+    sink, of capacity 1, where L is the number of links.  The arrays derive
+    from the four fields, so equality compares the fields alone.
     """
 
     _fields = ("topology", "root", "targets", "k")
@@ -52,8 +55,7 @@ class FlowInstance(Record):
             raise ValueError("link capacity k must be at least 1")
         targets = tuple(sorted(set(self.targets)))
         self.targets = targets
-        names = self.topology.nodes
-        self.names = names  # index -> node name; the sink is index len(names)
+        names = self.topology.nodes  # index -> node name; the sink is index len(names)
         index = {v: i for i, v in enumerate(names)}
         if self.root not in index or any(t not in index for t in targets):
             raise ValueError("root and targets must be topology nodes")
@@ -62,8 +64,8 @@ class FlowInstance(Record):
         self.adj = [[] for _ in range(len(names) + 1)]  # adj[v] = arc ids leaving v, in order
         self.to = []    # to[a] = head of arc a
         self.cap = []   # cap[a] = initial capacity of arc a
-        self.link = []  # link[a] = (u_idx, v_idx) for link arcs, else None
-        for u, v in sorted(self.topology.links):
+        self.links = sorted(self.topology.links)
+        for u, v in self.links:
             self._add_arc(index[u], index[v], self.k)
             self._add_arc(index[v], index[u], self.k)
         for t in targets:
@@ -75,7 +77,6 @@ class FlowInstance(Record):
         self.adj[v].append(a + 1)
         self.to += (v, u)
         self.cap += (cap, 0)
-        self.link += ((u, v) if v != self.sink else None, None)
 
 
 class FlowResult(Record):
@@ -149,20 +150,14 @@ def max_flow(instance: FlowInstance) -> FlowResult:
             else:
                 break
 
-    # Per-arc flow = initial cap - residual cap; then cancel the two opposite
-    # arcs of each undirected link so only the net direction carries flow.
-    raw: dict = {}
-    for a, key in enumerate(instance.link):
-        if key is not None:
-            sent = instance.cap[a] - cap[a]
-            if sent:
-                raw[key] = sent
+    # Link i's arcs 4i (u->v) and 4i + 2 (v->u) both start at k, so the net
+    # flow u->v is the residual capacity of the second less that of the first.
     net: dict = {}
-    for (u, v), sent in sorted(raw.items()):
-        back = raw.get((v, u), 0)
-        keep = sent - back
-        if keep > 0:
-            net[(instance.names[u], instance.names[v])] = keep
+    for (u, v), uv_left, vu_left in zip(instance.links, cap[::4], cap[2::4]):
+        if vu_left > uv_left:
+            net[(u, v)] = vu_left - uv_left
+        elif uv_left > vu_left:
+            net[(v, u)] = uv_left - vu_left
     return FlowResult(instance, total, net)
 
 

@@ -1,4 +1,4 @@
-"""Graph states as pure edge-set rewrites.
+"""Graph states as pure graph rewrites over one adjacency map.
 
 A graph state on vertex set V is the stabilizer state prepared by putting
 every vertex qubit in |+> and applying CZ across every edge.  All the
@@ -13,7 +13,9 @@ entanglement structure; the rewrite therefore tracks a single canonical graph
 per operation and the corrections are never modeled here.
 
 ``GraphState`` values are immutable: every operation returns a new instance
-and never mutates its receiver.  Measured (removed) vertex ids are retired
+and never mutates its receiver.  Each value keeps only its adjacency map,
+as the graph-state simulator of Anders & Briegel (quant-ph/0504117) does;
+the edge set is read off it.  Measured (removed) vertex ids are retired
 permanently and may not be re-added — fresh ids must always be minted by the
 caller.
 
@@ -26,7 +28,6 @@ mutable adjacency map.
 
 from __future__ import annotations
 
-from itertools import combinations
 from collections.abc import Hashable, Iterable
 
 # Vertex ids only need to be hashable and mutually orderable; the network
@@ -42,12 +43,12 @@ def edge_key(u: VertexId, v: VertexId) -> tuple:
 class GraphState:
     """Immutable simple graph representing a stabilizer graph state.
 
-    Stores both an adjacency map (frozensets, so neighborhood queries are
-    O(deg) and structure can be shared between versions) and the canonical
-    edge set (O(1) membership).
+    Keeps one adjacency map of frozensets: neighborhood queries are O(deg),
+    unchanged neighborhoods are shared between versions, and the canonical
+    edge set is derived from the map each time ``edges`` is read.
     """
 
-    __slots__ = ("_adj", "_edges", "_retired")
+    __slots__ = ("_adj", "_retired")
 
     def __init__(
         self,
@@ -56,32 +57,25 @@ class GraphState:
         _retired: frozenset = frozenset(),
     ):
         adj: dict = {v: set() for v in vertices}
-        eset = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop on {u!r} is not a valid edge")
             if u not in adj or v not in adj:
                 raise ValueError(f"edge ({u!r}, {v!r}) references unknown vertex")
-            key = edge_key(u, v)
-            if key in eset:
-                continue
-            eset.add(key)
             adj[u].add(v)
             adj[v].add(u)
         bad = _retired.intersection(adj)
         if bad:
             raise ValueError(f"vertices {sorted(bad)!r} are retired")
         self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
-        self._edges = frozenset(eset)
         self._retired = _retired
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def _from_parts(cls, adj: dict, edges: frozenset, retired: frozenset) -> "GraphState":
+    def _from_parts(cls, adj: dict, retired: frozenset) -> "GraphState":
         g = cls.__new__(cls)
         g._adj = adj
-        g._edges = edges
         g._retired = retired
         return g
 
@@ -93,7 +87,7 @@ class GraphState:
             raise ValueError(f"vertex id {v!r} is retired and may not be reused")
         adj = dict(self._adj)
         adj[v] = frozenset()
-        return GraphState._from_parts(adj, self._edges, self._retired)
+        return GraphState._from_parts(adj, self._retired)
 
     # -- queries -------------------------------------------------------------
 
@@ -104,7 +98,7 @@ class GraphState:
     @property
     def edges(self) -> frozenset:
         """Canonicalized edge set (each edge as a sorted pair)."""
-        return self._edges
+        return frozenset((u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v)
 
     @property
     def retired(self) -> frozenset:
@@ -119,7 +113,7 @@ class GraphState:
         return len(self.neighbors(v))
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        return edge_key(u, v) in self._edges if u != v else False
+        return v in self._adj.get(u, ())
 
     def __contains__(self, v: VertexId) -> bool:
         return v in self._adj
@@ -132,14 +126,14 @@ class GraphState:
         # bookkeeping, not state.
         if not isinstance(other, GraphState):
             return NotImplemented
-        return self.vertices == other.vertices and self._edges == other._edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self._edges))
+        return hash((self.vertices, self.edges))
 
     def __repr__(self) -> str:
         vs = ",".join(repr(v) for v in sorted(self._adj))
-        return f"GraphState([{vs}], {len(self._edges)} edges)"
+        return f"GraphState([{vs}], {len(self.edges)} edges)"
 
     def _check(self, v: VertexId) -> None:
         if v not in self._adj:
@@ -155,17 +149,10 @@ class GraphState:
         self._check(v)
         if u == v:
             raise ValueError(f"cannot toggle a self-loop on {u!r}")
-        key = edge_key(u, v)
         adj = dict(self._adj)
-        if key in self._edges:
-            edges = self._edges - {key}
-            adj[u] = self._adj[u] - {v}
-            adj[v] = self._adj[v] - {u}
-        else:
-            edges = self._edges | {key}
-            adj[u] = self._adj[u] | {v}
-            adj[v] = self._adj[v] | {u}
-        return GraphState._from_parts(adj, edges, self._retired)
+        adj[u] = self._adj[u] ^ {v}
+        adj[v] = self._adj[v] ^ {u}
+        return GraphState._from_parts(adj, self._retired)
 
     def local_complement(self, a: VertexId) -> "GraphState":
         """Complement the subgraph induced on the neighborhood of ``a``.
@@ -174,33 +161,20 @@ class GraphState:
         ``a`` itself and everything outside N(a) are untouched.
         """
         self._check(a)
-        nbrs = sorted(self._adj[a])
-        adj = {v: set(ns) for v, ns in self._adj.items()}
-        edges = set(self._edges)
-        for x, y in combinations(nbrs, 2):
-            key = edge_key(x, y)
-            if key in edges:
-                edges.remove(key)
-                adj[x].discard(y)
-                adj[y].discard(x)
-            else:
-                edges.add(key)
-                adj[x].add(y)
-                adj[y].add(x)
-        return GraphState._from_parts(
-            {v: frozenset(ns) for v, ns in adj.items()}, frozenset(edges), self._retired
-        )
+        nbrs = self._adj[a]
+        adj = dict(self._adj)
+        for x in nbrs:
+            adj[x] = self._adj[x] ^ (nbrs - {x})
+        return GraphState._from_parts(adj, self._retired)
 
     def measure_z(self, a: VertexId) -> "GraphState":
         """Z measurement of ``a``: delete the vertex and its incident edges."""
         self._check(a)
         adj = dict(self._adj)
-        edges = self._edges
         for nbr in self._adj[a]:
             adj[nbr] = self._adj[nbr] - {a}
-            edges = edges - {edge_key(a, nbr)}
         del adj[a]
-        return GraphState._from_parts(adj, edges, self._retired | {a})
+        return GraphState._from_parts(adj, self._retired | {a})
 
     def measure_y(self, a: VertexId) -> "GraphState":
         """Y measurement of ``a``: locally complement at ``a``, then delete it."""

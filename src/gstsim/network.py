@@ -21,19 +21,14 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 
-from .graphstate import GraphState
+from .graphstate import GraphState, edge_key as link_key
 
 NodeId = str
 QubitId = int
-Link = tuple  # canonical (min, max) node pair
 
 
 class LocalityError(ValueError):
     """A two-qubit gate was requested across nodes."""
-
-
-def link_key(u: NodeId, v: NodeId) -> Link:
-    return (u, v) if u <= v else (v, u)
 
 
 class NetworkTopology:

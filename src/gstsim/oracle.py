@@ -19,6 +19,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -449,43 +450,35 @@ def verify_transfer_sequence(graph: GraphState, a: VertexId, b: VertexId, c: Ver
 # Certification sweeps (exposed to the CLI and the acceptance tests)
 # ---------------------------------------------------------------------------
 
+def _connected(g: GraphState) -> bool:
+    """Does a depth-first search from any one vertex reach them all?"""
+    stack = list(g.vertices)[:1]
+    seen = set(stack)
+    while stack:
+        for nb in g.neighbors(stack.pop()):
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(g)
+
+
 def all_connected_graphs(n_vertices: int):
     """Yield every connected labeled graph on vertices 0..n-1."""
-    from itertools import combinations
-
     verts = list(range(n_vertices))
     slots = list(combinations(verts, 2))
     for mask in range(2 ** len(slots)):
-        edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
-        g = GraphState(verts, edges)
-        seen = {0} if verts else set()
-        stack = [0] if verts else []
-        while stack:
-            for nb in g.neighbors(stack.pop()):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) == n_vertices:
+        g = GraphState(verts, [slots[i] for i in range(len(slots)) if mask >> i & 1])
+        if _connected(g):
             yield g
 
 
 def random_connected_graph(n_vertices: int, rng) -> GraphState:
     """One uniform-ish connected draw: resample edge sets until connected."""
-    from itertools import combinations
-
     verts = list(range(n_vertices))
     slots = list(combinations(verts, 2))
     while True:
-        edges = [e for e in slots if rng.random() < 0.5]
-        g = GraphState(verts, edges)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nb in g.neighbors(stack.pop()):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) == n_vertices:
+        g = GraphState(verts, [e for e in slots if rng.random() < 0.5])
+        if _connected(g):
             return g
 
 
@@ -495,8 +488,6 @@ def transfer_instances():
     Vertices: the traveling qubit 'a', the pair (b, c), and up to two extra
     vertices carrying any combination of edges among themselves and to a.
     """
-    from itertools import combinations
-
     a, b, c, e1, e2 = "a", "b", "c", "x1", "x2"
     yield GraphState([a, b, c], [(b, c)]), a, b, c
     for mask in range(2):

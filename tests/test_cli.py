@@ -101,6 +101,30 @@ def test_missing_scenario_file_is_config_error(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--strategy", "bogus"], "argument --strategy: invalid choice: 'bogus'"),
+    (["run", "--topology", '{"kind": "line", "n": 3}', "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (["run", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["run", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: verb"),
+], ids=["strategy", "format", "seed", "unknown-flag", "no-verb"])
+def test_malformed_flag_is_config_error(capsys, argv, message):
+    """A bad flag is a configuration error, as the same value in a scenario
+    file is: main returns 3 with argparse's message and runs nothing."""
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: {message}")
+    assert captured.out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--strategy" in capsys.readouterr().out
+
+
 def test_compare_succeeds_on_tree(capsys):
     code = main(["compare", "--topology", '{"kind": "tree", "height": 2}'])
     assert code == EXIT_OK

@@ -432,6 +432,20 @@ class TestExecute:
         with pytest.raises(ExecutionError):
             execute(NetworkState(topo), req, plan, schedule=stuck)
 
+    @pytest.mark.parametrize("rounds", [
+        ((("n02", 1, 2),),),                                     # skips n00-n01
+        ((("n02", 0, 1),), (("n02", 0, 1),), (("n02", 1, 2),)),  # repeats it
+        ((("n02", 0, 2),), (("n02", 1, 2),)),                    # repeats n01-n02
+    ], ids=["skip", "repeat-first", "repeat-last"])
+    def test_schedule_that_skips_or_repeats_a_hop_fails(self, rounds):
+        """The report's counts are read off the plan, so a walk that
+        deviates from it must raise before any report exists."""
+        topo = line(3)
+        req = identity_request(["n00", "n02"], [("n00", "n02")])
+        plan = plan_shortest(topo, ["n00", "n02"], "n00")
+        with pytest.raises(ExecutionError):
+            execute(NetworkState(topo), req, plan, schedule=Schedule(rounds=rounds))
+
     def test_link_overuse_reports_round(self):
         topo = line(3)
         req = identity_request(["n00", "n01", "n02"], [])

@@ -1,8 +1,11 @@
 """Graph-state rewrite rules at the pure-graph level."""
 
 import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from gstsim.graphstate import GraphState, edge_key
 
@@ -163,3 +166,72 @@ def test_transfer_identity_moves_neighborhood():
         # spectator edges and non-c endpoints must be exactly preserved
         kept = {e for e in g.edges if "a" not in e and "b" not in e and "c" not in e}
         assert {e for e in moved.edges if "c" not in e} == kept
+
+
+REWRITE_OPS = hs.lists(
+    hs.tuples(hs.sampled_from(["toggle_edge", "local_complement", "measure_z", "measure_y"]),
+              hs.integers(0, 63), hs.integers(0, 63)),
+    max_size=40,
+)
+
+
+def _nx_local_complement(ref: nx.Graph, a) -> None:
+    for x, y in combinations(sorted(ref[a]), 2):
+        if ref.has_edge(x, y):
+            ref.remove_edge(x, y)
+        else:
+            ref.add_edge(x, y)
+
+
+def _assert_matches(g: GraphState, ref: nx.Graph, ids: range) -> None:
+    assert g.vertices == frozenset(ref.nodes)
+    assert g.edges == frozenset(edge_key(u, v) for u, v in ref.edges)
+    assert g.retired == frozenset(ids) - g.vertices
+    for v in ref.nodes:
+        assert g.neighbors(v) == frozenset(ref[v])
+    for u in ids:
+        for v in ids:
+            assert g.has_edge(u, v) == ref.has_edge(u, v)
+    twin = GraphState(ref.nodes, ref.edges)
+    assert g == twin and hash(g) == hash(twin)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=hs.integers(1, 12),
+       pairs=hs.lists(hs.tuples(hs.integers(0, 11), hs.integers(0, 11)), max_size=40),
+       ops=REWRITE_OPS)
+def test_rewrite_sequences_match_networkx(n, pairs, ops):
+    """Random rewrite sequences on random graphs, against an nx.Graph
+    rewritten independently: edges, has_edge, neighbors, == and hash agree
+    after every step, and no earlier value changes."""
+    ids = range(n)
+    edges = [(i % n, j % n) for i, j in pairs if i % n != j % n]  # repeats kept
+    g = start = GraphState(ids, edges)
+    ref = nx.Graph()
+    ref.add_nodes_from(ids)
+    ref.add_edges_from(edges)
+    first = ref.copy()
+    _assert_matches(g, ref, ids)
+    for op, i, j in ops:
+        live = sorted(ref.nodes)
+        if not live:
+            break
+        a = live[i % len(live)]
+        if op == "toggle_edge":
+            others = [v for v in live if v != a]
+            if not others:
+                continue
+            b = others[j % len(others)]
+            g = g.toggle_edge(a, b)
+            if ref.has_edge(a, b):
+                ref.remove_edge(a, b)
+            else:
+                ref.add_edge(a, b)
+        else:
+            g = getattr(g, op)(a)
+            if op != "measure_z":
+                _nx_local_complement(ref, a)
+            if op != "local_complement":
+                ref.remove_node(a)
+        _assert_matches(g, ref, ids)
+    _assert_matches(start, first, ids)

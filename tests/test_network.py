@@ -19,7 +19,7 @@ from gstsim.network import (
     topology_to_dict,
     verify_target,
 )
-from gstsim.graphstate import GraphState
+from gstsim.graphstate import GraphState, edge_key
 from gstsim.distribution import center_root, plan_shortest
 from gstsim import edcg
 from gstsim.edcg import edcg_cost
@@ -55,6 +55,7 @@ class TestTopology:
         assert t.nodes == ("a", "b")
         assert t.links == frozenset({("a", "b")})
         assert link_key("b", "a") == ("a", "b")
+        assert link_key is edge_key  # one canonical pair for links and edges
 
     def test_duplicate_node_rejected(self):
         with pytest.raises(ValueError):
