@@ -3,8 +3,9 @@
 Verbs: gen-topo, run, optimize, compare, verify-oracle.  Exit codes:
 0 success, 2 verification/assertion failure, 3 configuration error (a
 malformed flag among them).
-Scenario flags mirror the scenario JSON; when --scenario is given the file's
-values take precedence over flags.
+Scenario flags mirror the scenario JSON.  They reach
+``ScenarioConfig.from_dict`` as defaults, which checks the document and lets
+a --scenario file's values take precedence over flags.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .distribution import ExecutionError
 from .network import topology_to_dict
@@ -20,6 +22,7 @@ from .scenario import (
     ScenarioConfig,
     compare_scenario,
     emit_report,
+    load_scenario,
     optimize_scenario,
     run_scenario,
 )
@@ -31,42 +34,29 @@ EXIT_CONFIG = 3
 
 
 def _scenario_from_args(args) -> ScenarioConfig:
-    data = {}
+    flags = {}
     if args.topology is not None:
         if args.topology.lstrip().startswith("{"):
-            data["topology"] = json.loads(args.topology)
+            flags["topology"] = json.loads(args.topology)
         else:
-            data["topology"] = args.topology
+            flags["topology"] = args.topology
     if args.targets is not None:
-        data["targets"] = "all" if args.targets == "all" else args.targets.split(",")
+        flags["targets"] = "all" if args.targets == "all" else args.targets.split(",")
     if args.edges is not None:
         if args.edges.startswith("gnp:"):
-            data["target_edges"] = {"gnp": float(args.edges.split(":", 1)[1])}
+            flags["target_edges"] = {"gnp": float(args.edges.split(":", 1)[1])}
         else:
-            data["target_edges"] = args.edges
+            flags["target_edges"] = args.edges
     if args.root is not None:
-        data["root"] = args.root
+        flags["root"] = args.root
     if getattr(args, "strategy", None) is not None:
-        data["strategy"] = args.strategy
+        flags["strategy"] = args.strategy
     if args.seed is not None:
-        data["seed"] = args.seed
+        flags["seed"] = args.seed
     if args.scenario is not None:
-        with open(args.scenario) as fh:
-            file_data = json.load(fh)
-        if not isinstance(file_data, dict):
-            raise ValueError("scenario file must hold a JSON object")
-        data.update(file_data)  # the file wins over flags
-    if "topology" not in data:
-        raise ValueError("a topology is required (flag --topology or scenario file)")
-    out = data.get("output", {})
-    if not isinstance(out, dict):
-        raise ValueError(f"scenario output must be an object, not {out!r}")
-    for key in ("path", "format"):
-        if key in out and not isinstance(out[key], str):
-            raise ValueError(f"scenario output {key} must be a string, not {out[key]!r}")
-    if out.get("format", "csv") not in REPORT_FORMATS:
-        raise ValueError(f"unknown report format {out['format']!r}")
-    cfg = ScenarioConfig.from_dict(data)
+        cfg = load_scenario(args.scenario, flags)
+    else:
+        cfg = ScenarioConfig.from_dict(flags)
     if args.out is not None and "path" not in cfg.output:
         cfg.output["path"] = args.out
     if args.format is not None and "format" not in cfg.output:
@@ -105,7 +95,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves no state on it."""
     parser = _Parser(
         prog="gstsim",
         description="Plan, simulate and cost graph-state distribution over networks.",

@@ -396,45 +396,41 @@ def distribute_via_resource(state: NetworkState, request: DistributionRequest,
 
     No network link is touched — every transfer consumes one resource pair
     with purely local operations plus classical messages — so all transfers
-    share a single timestep regardless of the target graph.
+    share a single timestep regardless of the target graph.  The counts are
+    read off the request: one pair, one 2-bit report and one 2-bit directive
+    per remote target, and a 2-bit directive for the root's own.  A request
+    sends each vertex to its own node, so no pair serves twice.
     """
     # looked up at call time, so bench/spans.py can time network.verify_target
     from .network import verify_target
 
-    pairs = dict(pairs)
     copy_map = make_local_copy(state, request.target, root)
-    node_of_vertex = dict(request.assignment)
-    trace: list[TraceEvent] = []
-    transfers = 0
-    used = 2 * len(pairs)
     peak_root = state.qubit_count(root)
-    remote_targets = [v for v in sorted(request.target.vertices)
-                      if node_of_vertex[v] != root]
-    for v in sorted(request.target.vertices):
-        if node_of_vertex[v] == root:
-            trace.append(TraceEvent("directive", (root,), bits=2))
-    if remote_targets:
+    vertices = sorted(request.target.vertices)
+    node_of = request.assignment
+    remote = [v for v in vertices if node_of[v] != root]
+    trace = [TraceEvent("directive", (root,), bits=2) for v in vertices if node_of[v] == root]
+    if remote:
         state.advance_timestep()
-    for v in remote_targets:
-        node = node_of_vertex[v]
+    for v in remote:
+        node = node_of[v]
         if node not in pairs:
             raise ExecutionError(f"no resource pair reaches node {node!r}")
-        anchor, remote = pairs.pop(node)
+        anchor, qubit = pairs[node]
         try:
-            connection_transfer(state, copy_map[v], anchor, remote)
+            connection_transfer(state, copy_map[v], anchor, qubit)
         except ValueError as exc:
             raise ExecutionError(f"resource transfer to {node!r}: {exc}") from exc
-        transfers += 1
         trace.append(TraceEvent("measure_report", (node, 0), bits=2))
         trace.append(TraceEvent("directive", (node,), bits=2))
     if not verify_target(state, request.target, request.assignment):
         raise ExecutionError("delivered state does not realize the request")
     report = RunReport(
-        epr_pairs=transfers,
-        timesteps=1 if remote_targets else 0,
-        classical_bits=sum(ev.bits for ev in trace),
+        epr_pairs=len(remote),
+        timesteps=1 if remote else 0,
+        classical_bits=2 * (len(vertices) + len(remote)),
         root_memory_qubits=peak_root,
-        resource_qubits=used,
+        resource_qubits=2 * len(pairs),
     )
     report.trace = trace
     return report

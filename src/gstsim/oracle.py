@@ -13,11 +13,12 @@ Conventions
   the most significant bit, so ``amplitudes.reshape((2,)*n)`` puts qubit ``i``
   on axis ``i``.
 * Measurement outcome 0 is the +1 eigenvector, outcome 1 the -1 eigenvector.
-* Two states are compared up to global phase: |<a|b>| >= 1 - tol.
+* Two states are compared up to global phase: |<a|b>| >= 1 - DEFAULT_TOL.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -92,19 +93,14 @@ def build_graph_state(graph: GraphState) -> StateVector:
     endpoints set in x}.  This function deliberately takes the gate route so
     the two never share code.
     """
-    order = tuple(sorted(graph.vertices))
-    n = len(order)
-    if n > MAX_SIM_QUBITS:
+    n = len(graph)
+    if n > MAX_SIM_QUBITS:  # before the 2^n amplitudes are allocated
         raise ValueError(f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit oracle cap")
-    amps = np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex)
-    t = amps.reshape((2,) * n)
-    pos = {q: i for i, q in enumerate(order)}
+    state = StateVector(tuple(sorted(graph.vertices)),
+                        np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex))
     for u, v in sorted(graph.edges):
-        sl = [slice(None)] * n
-        sl[pos[u]] = 1
-        sl[pos[v]] = 1
-        t[tuple(sl)] *= -1.0
-    return StateVector(order, amps)
+        state = apply_cz(state, u, v)
+    return state
 
 
 def apply_cz(state: StateVector, u: VertexId, v: VertexId) -> StateVector:
@@ -134,29 +130,36 @@ def overlap(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
 
 
+def _project(state: StateVector, qubits: tuple,
+             vec: np.ndarray) -> tuple[float, StateVector | None]:
+    """Project ``qubits`` onto ``vec`` (over them, in the order given); they
+    leave the register.
+
+    Returns (probability, normalized remainder state), or (0.0, None) when
+    the probability is at most 1e-12.  After projection the qubits are in a
+    product state with the rest, so dropping them is exact.
+    """
+    axes = [state.axis(q) for q in qubits]
+    rest = tuple(q for q in state.qubit_order if q not in qubits)
+    amp = np.tensordot(vec.conj().reshape((2,) * len(qubits)), state.tensor(),
+                       axes=(list(range(len(qubits))), axes))
+    flat = np.ascontiguousarray(amp).reshape(-1)
+    prob = float(np.vdot(flat, flat).real)
+    if prob <= 1e-12:
+        return 0.0, None
+    return prob, StateVector(rest, flat / np.sqrt(prob))
+
+
 def measure_pauli(state: StateVector, qubit: VertexId, basis: str) -> list[MeasurementOutcome]:
     """Projective Y or Z measurement; the measured qubit leaves the register.
 
-    Returns both branches.  After projection the measured qubit is in a
-    product eigenstate, so dropping it is exact.
+    Returns both branches.
     """
     basis = basis.upper()
     if basis not in _MEAS_EIGVECS:
         raise ValueError(f"basis must be 'Y' or 'Z', got {basis!r}")
-    ax = state.axis(qubit)
-    rest = tuple(q for q in state.qubit_order if q != qubit)
-    t = state.tensor()
-    outcomes = []
-    for k, vec in enumerate(_MEAS_EIGVECS[basis]):
-        amp = np.tensordot(vec.conj(), t, axes=([0], [ax]))
-        flat = np.ascontiguousarray(amp).reshape(-1)
-        prob = float(np.vdot(flat, flat).real)
-        if prob <= 1e-12:
-            outcomes.append(MeasurementOutcome(k, 0.0, None))
-            continue
-        post = StateVector(rest, flat / np.sqrt(prob))
-        outcomes.append(MeasurementOutcome(k, prob, post))
-    return outcomes
+    return [MeasurementOutcome(k, *_project(state, (qubit,), vec))
+            for k, vec in enumerate(_MEAS_EIGVECS[basis])]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +226,7 @@ def _apply_all_cliffords(flat: np.ndarray, k: int, n: int) -> np.ndarray:
     return out.reshape(24, -1)
 
 
-def _search_local_cliffords(a_flat: np.ndarray, b_flat: np.ndarray, n: int, tol: float):
+def _search_local_cliffords(a_flat: np.ndarray, b_flat: np.ndarray, n: int):
     """Depth-first exhaustive search for per-qubit Cliffords mapping b to a.
 
     Branches on qubits in order.  A branch with Cliffords fixed on qubits
@@ -242,7 +245,7 @@ def _search_local_cliffords(a_flat: np.ndarray, b_flat: np.ndarray, n: int, tol:
             g = amat.conj().T @ bmat
             vals = np.abs(np.einsum("cxy,xy->c", _CLIFF_STACK, g))
             hit = int(np.argmax(vals))
-            if vals[hit] >= 1.0 - tol:
+            if vals[hit] >= 1.0 - DEFAULT_TOL:
                 return [hit]
             return None
         children = _apply_all_cliffords(b_cur, k, n)
@@ -264,8 +267,8 @@ def _search_local_cliffords(a_flat: np.ndarray, b_flat: np.ndarray, n: int, tol:
     return dfs(0, b_flat)
 
 
-def find_local_cliffords(a: StateVector, b: StateVector, tol: float = DEFAULT_TOL):
-    """Per-qubit Cliffords C_i with |<a|(C_1 x ... x C_n)|b>| >= 1 - tol.
+def find_local_cliffords(a: StateVector, b: StateVector):
+    """Per-qubit Cliffords C_i with |<a|(C_1 x ... x C_n)|b>| >= 1 - DEFAULT_TOL.
 
     Returns the list of 2x2 matrices (aligned with qubit_order) or None.
     """
@@ -273,25 +276,24 @@ def find_local_cliffords(a: StateVector, b: StateVector, tol: float = DEFAULT_TO
         raise ValueError("states must share the same qubit_order")
     if a.n > MAX_LC_QUBITS:
         raise ValueError(f"local-Clifford search capped at {MAX_LC_QUBITS} qubits")
-    if a.n and abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol:
+    if a.n and abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - DEFAULT_TOL:
         return [CLIFFORDS_1Q[0]] * a.n
-    idxs = _search_local_cliffords(a.amplitudes, b.amplitudes, a.n, tol)
+    idxs = _search_local_cliffords(a.amplitudes, b.amplitudes, a.n)
     if idxs is None:
         return None
     return [CLIFFORDS_1Q[i] for i in idxs]
 
 
-def lc_equivalent(a: StateVector, b: StateVector, tol: float = DEFAULT_TOL) -> bool:
+def lc_equivalent(a: StateVector, b: StateVector) -> bool:
     """True iff some tensor product of single-qubit Cliffords maps b onto a."""
-    return find_local_cliffords(a, b, tol) is not None
+    return find_local_cliffords(a, b) is not None
 
 
 # ---------------------------------------------------------------------------
 # Rule-level verifiers
 # ---------------------------------------------------------------------------
 
-def verify_graphical_rule(graph: GraphState, vertex: VertexId, rule: str,
-                          tol: float = DEFAULT_TOL) -> bool:
+def verify_graphical_rule(graph: GraphState, vertex: VertexId, rule: str) -> bool:
     """Check one measurement rewrite against the state vector.
 
     Simulates a Y or Z measurement of ``vertex`` on the graph's state vector
@@ -310,7 +312,7 @@ def verify_graphical_rule(graph: GraphState, vertex: VertexId, rule: str,
     for branch in measure_pauli(sv, vertex, rule):
         if branch.post_state is None:
             continue
-        if not lc_equivalent(expect, branch.post_state, tol):
+        if not lc_equivalent(expect, branch.post_state):
             return False
     return True
 
@@ -332,22 +334,6 @@ def _transfer_basis() -> list[np.ndarray]:
         _SQ2 * (np.kron(zero, minus) + np.kron(one, plus)),
         _SQ2 * (np.kron(zero, minus) - np.kron(one, plus)),
     ]
-
-
-def project_two_qubits(state: StateVector, qa: VertexId, qb: VertexId,
-                       vec: np.ndarray) -> tuple[float, StateVector | None]:
-    """Project qubits (qa, qb) onto a two-qubit vector; they leave the register.
-
-    Returns (probability, normalized remainder state or None).
-    """
-    ia, ib = state.axis(qa), state.axis(qb)
-    rest = tuple(q for q in state.qubit_order if q not in (qa, qb))
-    amp = np.tensordot(vec.conj().reshape(2, 2), state.tensor(), axes=([0, 1], [ia, ib]))
-    flat = np.ascontiguousarray(amp).reshape(-1)
-    prob = float(np.vdot(flat, flat).real)
-    if prob <= 1e-12:
-        return 0.0, None
-    return prob, StateVector(rest, flat / np.sqrt(prob))
 
 
 def _transfer_end_graph(graph: GraphState, a: VertexId, b: VertexId, c: VertexId) -> GraphState:
@@ -373,57 +359,45 @@ def _check_transfer_shape(graph: GraphState, a: VertexId, b: VertexId, c: Vertex
         raise ValueError("a must not be adjacent to b")
 
 
-def teleport_corrections(graph: GraphState, a: VertexId, b: VertexId, c: VertexId,
-                         tol: float = DEFAULT_TOL) -> list[str | None]:
+def teleport_corrections(graph: GraphState, a: VertexId, b: VertexId,
+                         c: VertexId) -> list[str | None]:
     """Which correction on c fixes up each of the four projection outcomes.
 
     For every outcome, projects (a, b) of the graph's state vector onto the
     transfer basis and searches single-qubit Cliffords on c alone for one
     matching the moved-neighborhood end state.  Returns one label per
-    outcome: 'I', 'X', 'Z' or 'XZ' when a Pauli works, 'C' when only a
-    non-Pauli Clifford does, None when nothing does.
+    outcome, the first match of one scan: 'I', 'X', 'Z' or 'XZ' when a Pauli
+    works, else 'C' when a Clifford does, None when nothing does.
     """
     _check_transfer_shape(graph, a, b, c)
     if len(graph) > MAX_LC_QUBITS:
         raise ValueError(f"transfer oracle capped at {MAX_LC_QUBITS} qubits")
     sv = build_graph_state(graph)
     expect = build_graph_state(_transfer_end_graph(graph, a, b, c))
-    eye = np.eye(2, dtype=complex)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
-    paulis = [("I", eye), ("X", x), ("Z", z), ("XZ", x @ z)]
+    corrections = [("I", np.eye(2, dtype=complex)), ("X", x), ("Z", z), ("XZ", x @ z)]
+    corrections += [("C", gate) for gate in CLIFFORDS_1Q]
     labels: list[str | None] = []
     for vec in _transfer_basis():
-        prob, post = project_two_qubits(sv, a, b, vec)
-        if post is None:
-            labels.append(None)
-            continue
-        found = None
-        for name, gate in paulis:
-            if overlap(expect, apply_single_qubit(post, c, gate)) >= 1.0 - tol:
-                found = name
-                break
-        if found is None:
-            for gate in CLIFFORDS_1Q:
-                if overlap(expect, apply_single_qubit(post, c, gate)) >= 1.0 - tol:
-                    found = "C"
-                    break
-        labels.append(found)
+        _, post = _project(sv, (a, b), vec)
+        labels.append(None if post is None else next(
+            (name for name, gate in corrections
+             if overlap(expect, apply_single_qubit(post, c, gate)) >= 1.0 - DEFAULT_TOL),
+            None))
     return labels
 
 
-def verify_teleport_transfer(graph: GraphState, a: VertexId, b: VertexId, c: VertexId,
-                             tol: float = DEFAULT_TOL) -> bool:
+def verify_teleport_transfer(graph: GraphState, a: VertexId, b: VertexId, c: VertexId) -> bool:
     """True iff all four projection outcomes reach the moved-neighborhood state.
 
     The projection basis is the four-vector family above; equivalence allows
     a single-qubit Clifford on c only (the designated receiving qubit).
     """
-    return all(lbl is not None for lbl in teleport_corrections(graph, a, b, c, tol))
+    return None not in teleport_corrections(graph, a, b, c)
 
 
-def verify_transfer_sequence(graph: GraphState, a: VertexId, b: VertexId, c: VertexId,
-                             tol: float = DEFAULT_TOL) -> bool:
+def verify_transfer_sequence(graph: GraphState, a: VertexId, b: VertexId, c: VertexId) -> bool:
     """Check the three-step transfer rewrite against full quantum simulation.
 
     Applies CZ(a, b) to the state vector, takes both branches of a Y
@@ -441,7 +415,7 @@ def verify_transfer_sequence(graph: GraphState, a: VertexId, b: VertexId, c: Ver
         for branch_b in measure_pauli(branch_a.post_state, b, "Y"):
             if branch_b.post_state is None:
                 continue
-            if not lc_equivalent(expect, branch_b.post_state, tol):
+            if not lc_equivalent(expect, branch_b.post_state):
                 return False
     return True
 
@@ -508,45 +482,27 @@ def certification_report(five_qubit_samples: int = 100, seed: int = 7) -> dict:
     (<= 5)-qubit transfer shape.  Raises ValueError for a negative sample
     count.
     """
-    import random as _random
-
     if five_qubit_samples < 0:
         raise ValueError(f"five_qubit_samples must be >= 0, got {five_qubit_samples}")
 
-    report: dict = {}
-    passed = total = 0
-    for size in (1, 2, 3, 4):
-        for g in all_connected_graphs(size):
-            for v in sorted(g.vertices):
-                for rule in ("Y", "Z"):
-                    total += 1
-                    passed += verify_graphical_rule(g, v, rule)
-    report["rules_exhaustive_small"] = (passed, total)
+    def tally(checks) -> tuple[int, int]:
+        checks = list(checks)
+        return sum(checks), len(checks)
 
-    rng = _random.Random(seed)
-    passed = total = 0
-    for _ in range(five_qubit_samples):
-        g = random_connected_graph(5, rng)
-        for v in sorted(g.vertices):
-            for rule in ("Y", "Z"):
-                total += 1
-                passed += verify_graphical_rule(g, v, rule)
-    report["rules_random_five"] = (passed, total)
+    def rules(graphs) -> tuple[int, int]:
+        return tally(verify_graphical_rule(g, v, rule)
+                     for g in graphs for v in sorted(g.vertices) for rule in ("Y", "Z"))
 
-    passed = total = 0
-    for g, a, b, c in transfer_instances():
-        total += 1
-        labels = teleport_corrections(g, a, b, c)
-        passed += labels[0] == "I" and all(lbl is not None for lbl in labels)
-    report["teleport_projections"] = (passed, total)
-
-    passed = total = 0
-    for g, a, b, c in transfer_instances():
-        total += 1
-        passed += verify_transfer_sequence(g, a, b, c)
-    report["transfer_sequence"] = (passed, total)
-
-    report["ok"] = all(
-        p == t for key, (p, t) in report.items() if key != "ok"
-    )
+    rng = random.Random(seed)
+    report: dict = {
+        "rules_exhaustive_small": rules(
+            g for size in (1, 2, 3, 4) for g in all_connected_graphs(size)),
+        "rules_random_five": rules(
+            random_connected_graph(5, rng) for _ in range(five_qubit_samples)),
+        "teleport_projections": tally(
+            labels[0] == "I" and None not in labels
+            for labels in (teleport_corrections(*t) for t in transfer_instances())),
+        "transfer_sequence": tally(verify_transfer_sequence(*t) for t in transfer_instances()),
+    }
+    report["ok"] = all(p == t for p, t in report.values())
     return report

@@ -57,20 +57,33 @@ class ScenarioConfig(Record):
         self.output = {} if output is None else output
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
+    def from_dict(cls, data: dict, defaults: dict | None = None) -> "ScenarioConfig":
+        """The one check of a scenario document.  Its keys win over
+        ``defaults`` (the CLI's flags); the merged keys must be known, name
+        a topology, and give an ``output`` that ``emit_report`` can write."""
         if not isinstance(data, dict):
             raise ValueError("scenario file must hold a JSON object")
+        data = {**(defaults or {}), **data}
         extra = set(data) - set(cls._fields)
         if extra:
             raise ValueError(f"unknown scenario keys: {sorted(extra)}")
         if "topology" not in data:
             raise ValueError("scenario needs a 'topology' entry")
+        out = data.get("output", {})
+        if not isinstance(out, dict):
+            raise ValueError(f"scenario output must be an object, not {out!r}")
+        for key in ("path", "format"):
+            if key in out and not isinstance(out[key], str):
+                raise ValueError(f"scenario output {key} must be a string, not {out[key]!r}")
+        if out.get("format", "csv") not in REPORT_FORMATS:
+            raise ValueError(f"unknown report format {out['format']!r}")
         return cls(**data)
 
 
-def load_scenario(path: str) -> ScenarioConfig:
+def load_scenario(path: str, defaults: dict | None = None) -> ScenarioConfig:
+    """Read a scenario file and check it with ``ScenarioConfig.from_dict``."""
     with open(path) as fh:
-        return ScenarioConfig.from_dict(json.load(fh))
+        return ScenarioConfig.from_dict(json.load(fh), defaults)
 
 
 def _resolve_topology(spec, seed: int) -> NetworkTopology:
@@ -276,7 +289,13 @@ def optimize_scenario(config: ScenarioConfig) -> tuple[dict, list[dict]]:
 
 
 def emit_report(rows: list[dict], fmt: str = "csv", path: str | None = None) -> str:
-    """Serialize rows in the fixed column order; identical input, identical bytes."""
+    """Serialize rows in the fixed column order; identical input, identical bytes.
+
+    Writes them to ``path`` too when it is given.  It must be a string: an
+    integer would be opened as a file descriptor, written and closed.
+    """
+    if path is not None and not isinstance(path, str):
+        raise ValueError(f"report path must be a string, not {path!r}")
     for row in rows:
         missing = set(REPORT_COLUMNS) - set(row)
         if missing:

@@ -95,6 +95,16 @@ def test_target_and_strategy_flags_match_the_scenario_file(tmp_path, capsys):
 
 def test_missing_topology_is_config_error(capsys):
     assert main(["run", "--seed", "1"]) == EXIT_CONFIG
+    assert "scenario needs a 'topology' entry" in capsys.readouterr().err
+
+
+def test_unknown_scenario_keys_are_reported_first(tmp_path, capsys):
+    """The document is checked by ScenarioConfig.from_dict alone, unknown
+    keys before a missing topology or a malformed output."""
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"rooot": "center", "output": "x"}))
+    assert main(["run", "--scenario", str(scn)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: unknown scenario keys: ['rooot']\n"
 
 
 def test_missing_scenario_file_is_config_error(tmp_path):
@@ -125,6 +135,25 @@ def test_help_still_exits_zero(capsys):
     assert "--strategy" in capsys.readouterr().out
 
 
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process, and neither a malformed flag
+    nor --help leaves state on it that breaks the next call."""
+    parser = cli.build_parser()
+    argv = ["run", "--topology", '{"kind": "line", "n": 3}']
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(["run", "--strategy", "bogus"]) == EXIT_CONFIG
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert cli.build_parser() is parser
+
+
 def test_compare_succeeds_on_tree(capsys):
     code = main(["compare", "--topology", '{"kind": "tree", "height": 2}'])
     assert code == EXIT_OK
@@ -144,6 +173,17 @@ def test_verify_oracle_small(capsys):
     out = capsys.readouterr().out
     assert "oracle certification passed" in out
     assert "rules_exhaustive_small" in out
+
+
+def test_verify_oracle_pinned_output(capsys):
+    assert main(["verify-oracle", "--samples", "20", "--seed", "7"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "rules_exhaustive_small: 334/334 ok\n"
+        "rules_random_five: 200/200 ok\n"
+        "teleport_projections: 11/11 ok\n"
+        "transfer_sequence: 11/11 ok\n"
+        "oracle certification passed\n"
+    )
 
 
 def test_verify_oracle_negative_samples_is_config_error(capsys):

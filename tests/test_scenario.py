@@ -1,6 +1,8 @@
 """Scenario resolution, the three runners, and report emission."""
 
 import json
+import os
+import re
 
 import pytest
 
@@ -44,6 +46,37 @@ class TestConfig:
                                  "seed": 4}))
         cfg = load_scenario(str(p))
         assert cfg.seed == 4
+
+    def test_document_wins_over_defaults(self, tmp_path):
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps({"topology": {"kind": "line", "n": 3}, "seed": 4}))
+        cfg = load_scenario(str(p), {"topology": {"kind": "tree", "height": 2},
+                                     "seed": 9, "strategy": "flow"})
+        assert (cfg.topology, cfg.seed, cfg.strategy) == ({"kind": "line", "n": 3}, 4, "flow")
+        assert ScenarioConfig.from_dict({"seed": 4}, {"topology": "t.json"}).topology == "t.json"
+
+    @pytest.mark.parametrize("output, message", [
+        ("x", "scenario output must be an object, not 'x'"),
+        (None, "scenario output must be an object, not None"),
+        (["path", "rep.csv"], "scenario output must be an object"),
+        ({"path": 1}, "scenario output path must be a string, not 1"),
+        ({"path": True}, "scenario output path must be a string, not True"),
+        ({"path": None}, "scenario output path must be a string, not None"),
+        ({"format": 0}, "scenario output format must be a string, not 0"),
+        ({"format": False}, "scenario output format must be a string, not False"),
+        ({"format": ["csv"]}, "scenario output format must be a string"),
+        ({"format": "xml"}, "unknown report format 'xml'"),
+    ])
+    def test_output_is_checked_by_the_library(self, tmp_path, output, message):
+        """from_dict and load_scenario reject every output the CLI rejects,
+        with the same messages."""
+        data = {"topology": {"kind": "line", "n": 3}, "output": output}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioConfig.from_dict(data)
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_scenario(str(p))
 
 
 class TestResolve:
@@ -179,6 +212,25 @@ class TestEmit:
         out = tmp_path / "report.csv"
         text = emit_report(rows, fmt="csv", path=str(out))
         assert out.read_text() == text
+
+    @pytest.mark.parametrize("path", [1.5, b"report.csv", ["report.csv"]])
+    def test_rejects_a_path_that_is_not_a_string(self, path):
+        with pytest.raises(ValueError, match="report path must be a string"):
+            emit_report(run_scenario(tree_cfg()), path=path)
+
+    def test_never_writes_into_a_file_descriptor(self):
+        rows = run_scenario(tree_cfg())
+        r, w = os.pipe()
+        try:
+            with pytest.raises(ValueError, match=f"report path must be a string, not {w}"):
+                emit_report(rows, "csv", w)
+            os.set_blocking(r, False)
+            with pytest.raises(BlockingIOError):  # open, and nothing written
+                os.read(r, 1)
+            os.fstat(w)  # still open
+        finally:
+            os.close(r)
+            os.close(w)
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):
