@@ -37,14 +37,21 @@ def _scenario_from_args(args) -> ScenarioConfig:
     flags = {}
     if args.topology is not None:
         if args.topology.lstrip().startswith("{"):
-            flags["topology"] = json.loads(args.topology)
+            try:
+                flags["topology"] = json.loads(args.topology)
+            except ValueError as exc:
+                raise ValueError(f"argument --topology: invalid JSON: {exc}") from None
         else:
             flags["topology"] = args.topology
     if args.targets is not None:
         flags["targets"] = "all" if args.targets == "all" else args.targets.split(",")
     if args.edges is not None:
         if args.edges.startswith("gnp:"):
-            flags["target_edges"] = {"gnp": float(args.edges.split(":", 1)[1])}
+            p = args.edges.split(":", 1)[1]
+            try:
+                flags["target_edges"] = {"gnp": float(p)}
+            except ValueError:
+                raise ValueError(f"argument --edges: invalid edge probability {p!r}") from None
         else:
             flags["target_edges"] = args.edges
     if args.root is not None:

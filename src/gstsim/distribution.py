@@ -278,13 +278,13 @@ def connection_transfer(state: NetworkState, a: QubitId, b: QubitId, c: QubitId)
 def make_local_copy(state: NetworkState, target: GraphState, root: NodeId) -> dict:
     """Build the target graph state from fresh qubits at one node.
 
-    Returns the vertex -> qubit map.  Only free local operations are used.
+    Returns the vertex -> qubit map.  Only free local operations are used:
+    one CZ per target edge, written as each fresh qubit's adjacency set.
     """
-    mapping = {}
-    for v in sorted(target.vertices):
-        mapping[v] = state.new_qubit(root)
-    for u, v in sorted(target.edges):
-        state.apply_cz(mapping[u], mapping[v])
+    mapping = {v: state.new_qubit(root) for v in sorted(target.vertices)}
+    adj = state._adj
+    for v, q in mapping.items():
+        adj[q] = {mapping[w] for w in target.neighbors(v)}
     return mapping
 
 

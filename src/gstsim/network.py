@@ -6,11 +6,6 @@ shared entanglement graph over all live qubits; local gates are free, and
 the only way two qubits at different nodes ever become entangled is an EPR
 pair generated across a link.
 
-Distances are searched, never stored: one loop,
-``NetworkTopology.bfs_distances``, runs every full BFS (components,
-eccentricities, ``distribution.center_root``), and paths come from
-searches that stop at their last target.
-
 Timesteps model link contention: within one step each link may source at
 most one EPR pair; a second pair raises LocalityError (a planner bug, not a
 user error).
@@ -194,18 +189,19 @@ class NetworkState:
     The entanglement graph is a mutable adjacency map (qubit -> set of
     neighbors) edited in place (Anders-Briegel, quant-ph/0504117).  A Y
     measurement complements the measured qubit's neighborhood, which costs
-    O(deg^2) pair toggles, so ``measure_y`` defers that complement: it keeps
-    the neighborhood as the one pending set and removes the qubit.  If the
-    next Y measurement hits a member of the pending set, the two complements
-    are fused and only the pairs they do not share are toggled.  A
-    connection transfer (CZ, Y, Y) is such a pair, so a hop costs O(deg)
-    and moves the travelling qubit's neighborhood onto the receiving half.
-    Every other read of the graph (``neighbors``, ``has_edge``, ``graph``,
-    the checks of ``transfer``, ``verify_target``) and ``measure_z`` first
-    apply the pending complement, so the deferral is invisible from outside.  ``apply_cz`` needs no flush:
-    toggling one pair commutes with toggling all pairs of a set.
-    ``graph`` returns an immutable ``GraphState`` copy for callers that need
-    a value.
+    O(deg^2) pair toggles, so ``measure_y`` defers it, in O(1): the measured
+    qubit leaves ``placement`` and the counts but keeps its adjacency set,
+    its neighbors keep listing it, and it is the one pending qubit.  If the
+    next Y measurement hits a neighbor of it, both qubits go and only the
+    pairs the two complements do not share are toggled.  A connection
+    transfer (CZ, Y, Y) is such a pair, so a hop costs O(deg) and moves the
+    travelling qubit's neighborhood onto the receiving half.  Every other
+    read of the graph (``neighbors``, ``has_edge``, ``graph``, the checks
+    of ``transfer``, ``verify_target``) and ``measure_z`` first apply the
+    pending complement, so the deferral is invisible from outside.
+    ``apply_cz`` needs no flush: toggling one pair of live qubits commutes
+    with toggling all pairs of a set.  ``graph`` returns an immutable
+    ``GraphState`` copy for callers that need a value.
     """
 
     def __init__(self, topology: NetworkTopology):
@@ -216,7 +212,7 @@ class NetworkState:
         self._used: set = set()  # links used in the current timestep
         self.epr_generated = 0
         self._adj: dict[QubitId, set] = {}
-        self._pending: set | None = None  # neighborhood whose complement is due
+        self._pending: QubitId | None = None  # measured qubit whose complement is due
         self._count = dict.fromkeys(topology.nodes, 0)  # live qubits per node
         self._next_qubit: QubitId = 0
 
@@ -271,17 +267,22 @@ class NetworkState:
         Counts against the current timestep's link budget and the total EPR
         tally.
         """
-        key = link_key(u, v)
+        key = (u, v) if u <= v else (v, u)
         if key not in self._links:
             raise ValueError(f"no link between {u!r} and {v!r}")
         if key in self._used:
             raise LocalityError(f"link {key!r} already used in timestep {self._step}")
         self._used.add(key)
         self.epr_generated += 1
-        qu = self.new_qubit(u)
-        qv = self.new_qubit(v)
-        self._adj[qu].add(qv)
-        self._adj[qv].add(qu)
+        qu = self._next_qubit
+        qv = qu + 1
+        self._next_qubit = qu + 2
+        self._adj[qu] = {qv}
+        self._adj[qv] = {qu}
+        self.placement[qu] = u
+        self.placement[qv] = v
+        self._count[u] += 1
+        self._count[v] += 1
         return qu, qv
 
     def apply_cz(self, q1: QubitId, q2: QubitId) -> None:
@@ -310,42 +311,48 @@ class NetworkState:
         """Y measurement: complement the neighborhood of ``q``, then drop ``q``.
 
         The complement is left pending (see the class docstring); when ``q``
-        lies in the pending set K, the two complements are fused.
+        is a neighbor of the pending qubit p, the two complements are fused.
         """
-        if q not in self.placement:
+        node = self.placement.pop(q, None)
+        if node is None:
             self.node_of(q)  # raises
-        pending = self._pending
-        if pending is not None and q in pending:
-            # Complementing K' = K - q and then q's true neighborhood
-            # K2 = S ^ K' (S: q's stored neighbors) toggles exactly the pairs
-            # in one set but not both: within P = K' & S, within Q = S - K',
-            # and P x I, Q x I with I = K' - S.  So a member of P toggles
-            # K', a member of Q toggles K2, and a member of I toggles S.
-            # Neither K' nor K2 holds q, so each x in S drops q in the same
-            # pass, and q itself goes with its adjacency set.
+        self._count[node] -= 1
+        p = self._pending
+        adj = self._adj
+        if p is not None and q in adj[p]:
+            # Complementing K' = N(p) - q, then q's true neighborhood
+            # K2 = S ^ K' (S: q's stored neighbors but p), toggles the pairs
+            # within P = K' & S and Q = S - K', and P x I, Q x I (I = K' - S):
+            # a member of P toggles K', one of Q K2 and one of I S + p, which
+            # drops p.  Members of S drop p and q too; both go with their sets.
             self._pending = None
-            pending.discard(q)
-            adj = self._adj
             stored = adj.pop(q)
-            k2 = stored ^ pending
+            kp = adj.pop(p)
+            kp.discard(q)
+            for x in kp:
+                if x not in stored:
+                    adj[x] ^= stored
+            stored.discard(p)
+            k2 = stored ^ kp
             for x in stored:
                 adj_x = adj[x]
-                adj_x ^= pending if x in pending else k2
+                adj_x ^= kp if x in kp else k2
                 adj_x.discard(x)
                 adj_x.discard(q)
-            for x in pending - stored:
-                adj[x] ^= stored
-            self._count[self.placement.pop(q)] -= 1
+                adj_x.discard(p)
         else:
-            if pending is not None:
+            if p is not None:
                 self._flush()
-            self._pending = self._remove(q)
+            self._pending = q
 
     def measure_z(self, q: QubitId) -> None:
         """Z measurement: drop ``q`` and its edges."""
         self.node_of(q)
         self._flush()
-        self._remove(q)
+        adj = self._adj
+        for x in adj.pop(q):
+            adj[x].discard(q)
+        self._count[self.placement.pop(q)] -= 1
 
     def transfer(self, a: QubitId, b: QubitId, c: QubitId) -> QubitId:
         """Connection transfer: hand qubit a's entanglement to c through (b, c).
@@ -366,34 +373,30 @@ class NetworkState:
             )
         if self._pending is not None:
             self._flush()
-        adj_b = self._adj[b]
-        # b's one neighbour is then c, which is not a: a and b are not adjacent
+        adj = self._adj
+        adj_b = adj[b]
         if len(adj_b) != 1 or c not in adj_b:
             raise ValueError(f"qubit {b} must be entangled with {c} and nothing else")
-        self.apply_cz(a, b)
+        # b's one neighbour is c, not a: CZ(a, b) adds the edge
+        adj_b.add(a)
+        adj[a].add(b)
         self.measure_y(a)
         self.measure_y(b)
         return c
 
     def _flush(self) -> None:
-        """Apply the pending neighborhood complement, if there is one."""
-        nbrs = self._pending
-        if nbrs is None:
+        """Drop the pending qubit and apply its complement, if there is one."""
+        p = self._pending
+        if p is None:
             return
         self._pending = None
+        adj = self._adj
+        nbrs = adj.pop(p)
         for x in nbrs:
-            adj_x = self._adj[x]
+            adj_x = adj[x]
             adj_x ^= nbrs
             adj_x.discard(x)
-
-    def _remove(self, q: QubitId) -> set:
-        """Drop live qubit ``q`` and its edges; returns its adjacency set."""
-        adj = self._adj
-        stored = adj.pop(q)
-        for x in stored:
-            adj[x].discard(q)
-        self._count[self.placement.pop(q)] -= 1
-        return stored
+            adj_x.discard(p)
 
     def advance_timestep(self) -> None:
         self._step += 1

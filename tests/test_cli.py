@@ -118,7 +118,11 @@ def test_missing_scenario_file_is_config_error(tmp_path):
     (["run", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
     (["run", "--bogus"], "unrecognized arguments: --bogus"),
     ([], "the following arguments are required: verb"),
-], ids=["strategy", "format", "seed", "unknown-flag", "no-verb"])
+    (["run", "--topology", '{"kind":"line","n":3}', "--edges", "gnp:abc"],
+     "argument --edges: invalid edge probability 'abc'\n"),
+    (["run", "--topology", "{bad"],
+     "argument --topology: invalid JSON: Expecting property name enclosed in double quotes"),
+], ids=["strategy", "format", "seed", "unknown-flag", "no-verb", "gnp-edges", "topology-json"])
 def test_malformed_flag_is_config_error(capsys, argv, message):
     """A bad flag is a configuration error, as the same value in a scenario
     file is: main returns 3 with argparse's message and runs nothing."""

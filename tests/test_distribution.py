@@ -30,7 +30,7 @@ from gstsim.distribution import (
 )
 from gstsim.network import NetworkState, NetworkTopology
 from gstsim.graphstate import GraphState
-from gstsim import oracle
+from gstsim import distribution, oracle
 from gstsim.flow import minimize_completion_time
 from gstsim.network import link_key
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
@@ -148,15 +148,33 @@ class TestConnectionTransfer:
                              a, qb, qc)
 
     def test_rejects_bridge_dirtied_by_a_pending_complement(self):
-        """b's stored edges are only {c}; the complement still due adds b-spect."""
+        """b's stored edges are c and the pending q; q's complement adds b-spect."""
         st, a, spect, qb, qc = self.make_state()
         q = st.new_qubit("n00")
         st.apply_cz(q, qb)
         st.apply_cz(q, spect)
         st.measure_y(q)
-        assert st._pending == {qb, spect} and st._adj[qb] == {qc}
+        assert st._pending == q and st._adj[q] == {qb, spect}
         self.assert_rejected(st, f"qubit {qb} must be entangled with {qc} and nothing else",
                              a, qb, qc)
+
+    def test_rejects_pair_whose_far_half_is_pending(self):
+        """c's Y measurement is still pending, so b still lists c until a flush."""
+        st, a, spect, qb, qc = self.make_state()
+        st.measure_y(qc)
+        assert st._pending == qc and st._adj[qb] == {qc}
+        self.assert_rejected(st, f"qubit {qb} must be entangled with {qc} and nothing else",
+                             a, qb, qc)
+
+    def test_accepts_bridge_cleaned_by_a_pending_complement(self):
+        """b's stored edges are {c, q}; applying q's complement drops q."""
+        st, a, spect, qb, qc = self.make_state()
+        q = st.new_qubit("n00")
+        st.apply_cz(q, qb)
+        st.measure_y(q)
+        assert st._pending == q and st._adj[qb] == {qc, q}
+        assert connection_transfer(st, a, qb, qc) == qc
+        assert st.graph.neighbors(qc) == frozenset({spect})
 
 
 class TestConnectionTransferWhilePending(TestConnectionTransfer):
@@ -174,7 +192,7 @@ class TestConnectionTransferWhilePending(TestConnectionTransfer):
         st.apply_cz(q, spect)
         st.apply_cz(a, spect)
         st.measure_y(q)
-        assert st._pending == {a, spect}
+        assert st._pending == q and st._adj[q] == {a, spect}
         return st, a, spect, qb, qc
 
 
@@ -568,13 +586,17 @@ class OpLog(NetworkState):
         return q
 
     def generate_epr(self, u, v):
-        qu, qv = super().generate_epr(u, v)  # logs the two news
-        self.ops.append(("epr", qu, qv))
+        qu, qv = super().generate_epr(u, v)
+        self.ops += [("new", qu), ("new", qv), ("epr", qu, qv)]
         return qu, qv
 
     def apply_cz(self, q1, q2):
         super().apply_cz(q1, q2)
         self.ops.append(("cz", q1, q2))
+
+    def transfer(self, a, b, c):
+        self.ops.append(("cz", a, b))  # its two Y measurements log themselves
+        return super().transfer(a, b, c)
 
     def measure_y(self, q):
         super().measure_y(q)
@@ -608,6 +630,19 @@ class OpLog(NetworkState):
         return g
 
 
+def _logged_local_copy(state, target, root):
+    """``make_local_copy`` on an OpLog, logging one CZ per sorted target edge."""
+    mapping = make_local_copy(state, target, root)
+    state.ops += [("cz", mapping[u], mapping[v]) for u, v in sorted(target.edges)]
+    return mapping
+
+
+@pytest.fixture
+def log_local_copy(monkeypatch):
+    """Runs log the local copy's CZs, which it writes as adjacency sets."""
+    monkeypatch.setattr(distribution, "make_local_copy", _logged_local_copy)
+
+
 def _record_and_replay(topo, req, plan):
     """Execute while logging every physical operation, then replay the log
     on the state-vector oracle (outcome-0 branches throughout).
@@ -639,6 +674,7 @@ def _record_and_replay(topo, req, plan):
     return st, report, sv
 
 
+@pytest.mark.usefixtures("log_local_copy")
 class TestSemanticReplay:
     def test_replayed_ops_end_in_the_delivered_graph_state(self):
         topo = line(3)
@@ -789,6 +825,7 @@ def test_local_copy_consumes_nothing(caplog):
 HOP_IDENTITY_TOPOLOGIES = [tree_topology(4), gnp_topology(30, 0.1, seed=3)]
 
 
+@pytest.mark.usefixtures("log_local_copy")
 class TestHopIdentity:
     """Each hop is exactly CZ, Y, Y through NetworkState, on dense targets.
 

@@ -391,13 +391,58 @@ class TestNetworkStateErrorsWhilePending(TestNetworkStateErrors):
         self.st.apply_cz(q, self.qa2)
         self.st.apply_cz(self.qa, self.qa2)
         self.st.measure_y(q)
-        assert self.st._pending == {self.qa, self.qa2}
+        assert self.st._pending == q and self.st._adj[q] == {self.qa, self.qa2}
+
+
+def _transfer_op(st, ref, carrier, j) -> GraphState:
+    """A connection transfer of a live carrier over a fresh EPR pair, or one
+    of three rejected ones, on ``st`` and on the GraphState ``ref``.
+
+    ``j % 4`` picks the kind: a transfer (toggle_edge, measure_y, measure_y
+    on ``ref``), a dirty bridge (a CZ onto the pair's local half first), a
+    split pair (the halves swapped) or a dead carrier; ``j // 4`` picks the
+    link and the mate.  A rejected transfer
+    must raise ValueError and leave the state's snapshot as it was; the
+    snapshot reads a deep copy, so a complement still pending stays pending.
+    Returns the updated reference.
+    """
+    node = st.node_of(carrier)
+    links = sorted(link for link in st.topology.links if node in link)
+    if not links:
+        return ref
+    kind, pick = j % 4, j // 4
+    u, v = links[pick % len(links)]
+    st.advance_timestep()
+    qb, qc = st.generate_epr(node, v if u == node else u)
+    ref = ref.add_vertex(qb).add_vertex(qc).toggle_edge(qb, qc)
+    if kind == 0:
+        assert st.transfer(carrier, qb, qc) == qc
+        return ref.toggle_edge(carrier, qb).measure_y(carrier).measure_y(qb)
+    if kind == 1:
+        mates = [m for m in st.qubits_at(node) if m != qb]
+        mate = mates[pick % len(mates)]
+        st.apply_cz(mate, qb)
+        ref = ref.toggle_edge(mate, qb)
+        args = (carrier, qb, qc)
+    elif kind == 2:
+        args = (carrier, qc, qb)
+    else:
+        args = (min(ref.retired, default=st._next_qubit), qb, qc)
+
+    def snapshot():
+        return copy.deepcopy(st).graph, dict(st.placement), st.epr_generated
+
+    before = snapshot()
+    with pytest.raises(ValueError):
+        st.transfer(*args)
+    assert snapshot() == before
+    return ref
 
 
 TRIANGLE = NetworkTopology(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
 DIFF_TOPOLOGIES = (diamond(), TRIANGLE, line_topology(3), tree_topology(1))
 DIFF_OPS = hs.lists(
-    hs.tuples(hs.sampled_from(["new", "epr", "cz", "measure_y", "measure_z"]),
+    hs.tuples(hs.sampled_from(["new", "epr", "cz", "measure_y", "measure_z", "transfer"]),
               hs.integers(0, 63), hs.integers(0, 63)),
     max_size=60,
 )
@@ -436,6 +481,8 @@ def test_state_matches_graphstate_replay(topo_index, ops):
             q2 = mates[j % len(mates)]
             st.apply_cz(q1, q2)
             ref = ref.toggle_edge(q1, q2)
+        elif kind == "transfer":
+            ref = _transfer_op(st, ref, live[i % len(live)], j)
         else:
             q = live[i % len(live)]
             getattr(st, kind)(q)
@@ -456,7 +503,7 @@ def test_state_matches_graphstate_replay(topo_index, ops):
 
 FUSE_TOPOLOGIES = (NetworkTopology(["a"], []), NetworkTopology(["a", "b"], [("a", "b")]),
                    TRIANGLE)
-FUSE_KINDS = ["y_near"] * 6 + ["y", "new", "epr", "cz", "cz", "z",
+FUSE_KINDS = ["y_near"] * 6 + ["y", "new", "epr", "cz", "cz", "z", "transfer",
                                "neighbors", "has_edge", "graph", "verify"]
 FUSE_PAIRS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
 FUSE_START = hs.integers(0, 2 ** len(FUSE_PAIRS) - 1)  # one bit per starting edge
@@ -472,7 +519,9 @@ def _replay_with_pending_complements(topo, start, ops) -> int:
     Eight qubits at the first node, joined by a CZ for each set bit of
     ``start``, give a dense graph.  "y_near" Y-measures a neighbour of the
     last Y-measured qubit, so it usually lands in the complement the state
-    has pending.
+    has pending.  "transfer" runs a connection transfer or a rejected one
+    (see ``_transfer_op``) with such a neighbour as its carrier, so those
+    too meet a pending complement.
     Each read ("neighbors", "has_edge", "graph", "verify") and each other
     write runs while that complement may still be pending.  The comparison
     after each operation reads the graph of a deep copy, which leaves the
@@ -520,8 +569,14 @@ def _replay_with_pending_complements(topo, start, ops) -> int:
             near = k2
             st.measure_y(q)
             ref = ref.measure_y(q)
+        elif kind == "transfer":
+            if j % 4 < 2:   # split pairs and dead carriers fail before any flush
+                pending = frozenset()
+            pool = sorted(near & set(live)) or live
+            ref = _transfer_op(st, ref, pool[i % len(pool)], j)
         else:
-            pending = frozenset()
+            if kind != "cz":   # a CZ commutes with the complement; the rest flush
+                pending = frozenset()
             q = live[i % len(live)]
             if kind == "z":
                 st.measure_z(q)
@@ -565,6 +620,19 @@ def test_fused_y_measurements_match_graphstate_replay():
 
     sweep()
     assert sum(general) >= 20
+
+
+@pytest.mark.parametrize("start", [0, 0x5A5A5A5, 2 ** len(FUSE_PAIRS) - 1])
+def test_transfers_while_pending_match_graphstate_replay(start):
+    """Each kind of transfer right after an unfused Y measurement.
+
+    The carriers vary, so some lie in the pending complement and some do
+    not; the replay compares against GraphState after every operation.
+    """
+    ops = [(kind, 3 * k, 0) if kind.startswith("y") else (kind, 5 * k + 1, j)
+           for k in range(6) for j in range(4)
+           for kind in ("y_near" if k % 2 else "y", "transfer")]
+    _replay_with_pending_complements(TRIANGLE, start, ops)
 
 
 def test_fused_y_measurement_of_the_general_shape():
