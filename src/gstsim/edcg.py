@@ -26,13 +26,14 @@ sizes and derives the trees on first read.  The module keeps no state
 between calls.
 
 Distances: one closure-MST search, ``_closure_kruskal``, serves both the
-first MST and its repair, and keeps nothing.  Its sources grow their
-searches a hop layer at a time and stop once Kruskal has its edges: every
-terminal but the greatest for the first MST, and, when a departing terminal
-leaves more than one piece (``_SuffixChain._reconnect``), the terminals
-outside the largest piece.  A closure edge between linked nodes is that
-link, and any other's path comes from ``NetworkTopology.shortest_path``, a
-search that stops at its far end.
+first MST and its repair, and keeps nothing.  It takes the terminals
+grouped into pieces, and every piece but the last grows one search from
+all its terminals at once, a hop layer at a time, until Kruskal has joined
+the pieces.  The first MST passes each terminal as its own piece, the
+greatest last; a departing terminal that leaves more than one piece
+(``_SuffixChain._reconnect``) passes those pieces, the largest last.  A
+closure edge between linked nodes is that link, and any other's path comes
+from ``NetworkTopology.shortest_path``, a search that stops at its far end.
 """
 
 from __future__ import annotations
@@ -48,9 +49,30 @@ from .record import Record
 EDCG_MODES = ("peel", "lex", "exhaustive")  # the cascade orderings edcg_order knows
 
 
-def _kruskal(pairs, parent: dict, needed: int) -> list[tuple]:
-    """The first ``needed`` pairs that join two of ``parent``'s union-find
-    sets, taken in the order given."""
+def _closure_kruskal(topology: NetworkTopology, pieces) -> list[tuple]:
+    """Kruskal over the metric closure of the terminals, already grouped
+    into ``pieces`` (sorted lists of terminals): the closure edges (u, v),
+    u < v, that join the pieces into one, in the strict (weight, u, v) order.
+
+    Every piece but the last grows one search, a hop layer at a time, all
+    in step.  Its first layer is its sorted terminals, and a node takes the
+    label of the first node that reaches it, so every layer stays sorted by
+    label and a node's label is the least terminal of the piece at its
+    distance.  A search that reaches a terminal y of a later piece at layer w
+    with label u records (min(u, y), max(u, y)): the piece's lightest pair
+    to y.  Only the lightest pair between two pieces can join them, so
+    Kruskal over each layer's recorded pairs, sorted, takes the edges it
+    takes over all pairs.  A search ends with the layer in which it has
+    reached every later piece, or with its last layer, and all end once the
+    pieces are joined.
+    """
+    adj = topology._adj
+    index = {t: i for i, piece in enumerate(pieces) for t in piece}
+    parent = list(range(len(pieces)))  # union-find over piece indices
+    needed = len(pieces) - 1
+    # (piece index, node -> label, last layer, later pieces reached)
+    searches = [(i, {t: t for t in piece}, piece, set())
+                for i, piece in enumerate(pieces[:-1])]
 
     def find(x):
         while parent[x] != x:
@@ -58,52 +80,30 @@ def _kruskal(pairs, parent: dict, needed: int) -> list[tuple]:
             x = parent[x]
         return x
 
-    chosen = []
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append((u, v))
-            if len(chosen) == needed:
-                break
-    return chosen
-
-
-def _closure_kruskal(topology: NetworkTopology, sources, parent: dict, needed: int) -> list[tuple]:
-    """Kruskal over the metric closure of ``parent``'s keys, the terminals,
-    already grouped into union-find sets: the first ``needed`` closure edges
-    that join two sets, in the strict (weight, u, v) order.
-
-    Each source grows its own search one hop layer at a time, all in step,
-    and records a terminal it reaches when that terminal is greater or is
-    not a source, so every pair with a source in it is recorded exactly once
-    and none without one.  Layer w yields exactly the pairs at distance w,
-    so each layer's pairs, sorted, continue the (weight, u, v) order.  A
-    search ends once it has recorded every terminal it counts, and all end
-    once Kruskal has its edges.  ``sources`` must be sorted.
-    """
-    m = len(parent)
-    adj = topology._adj
-    is_source = set(sources)
-    # (source, nodes seen, last layer, terminals it records not yet reached)
-    searches = [(u, {u}, [u], m - 1 - i) for i, u in enumerate(sources)]
     chosen: list = []
     while searches and len(chosen) < needed:
         pairs, grown = [], []
-        for u, seen, layer, left in searches:
+        for i, label, layer, reached in searches:
             nxt = []
             for x in layer:
+                u = label[x]
                 for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
+                    if y not in label:
+                        label[y] = u
                         nxt.append(y)
-                        if y in parent and (y > u or y not in is_source):
+                        if y in index and index[y] > i:
                             pairs.append((u, y) if u < y else (y, u))
-                            left -= 1
-            if left:
-                grown.append((u, seen, nxt, left))
+                            reached.add(index[y])
+            if nxt and len(reached) < needed - i:
+                grown.append((i, label, nxt, reached))
         pairs.sort()
-        chosen += _kruskal(pairs, parent, needed - len(chosen))
+        for u, v in pairs:
+            ru, rv = find(index[u]), find(index[v])
+            if ru != rv:
+                parent[ru] = rv
+                chosen.append((u, v))
+                if len(chosen) == needed:
+                    break
         searches = grown
     return chosen
 
@@ -111,12 +111,11 @@ def _closure_kruskal(topology: NetworkTopology, sources, parent: dict, needed: i
 def _mst_on_terminals(topology: NetworkTopology, terminals: list) -> list[tuple]:
     """Kruskal over the metric closure; deterministic (weight, u, v) order.
 
-    Every terminal but the greatest searches, so each records the greater
-    terminals, and when every terminal has a terminal neighbour the MST
-    comes from the links alone.  ``terminals`` must be sorted.
+    Each terminal is its own piece, the greatest last, so each records the
+    greater terminals, and when every terminal has a terminal neighbour the
+    MST comes from the links alone.  ``terminals`` must be sorted.
     """
-    parent = {t: t for t in terminals}
-    return _closure_kruskal(topology, terminals[:-1], parent, len(terminals) - 1)
+    return _closure_kruskal(topology, [[t] for t in terminals])
 
 
 class _SuffixChain:
@@ -232,26 +231,22 @@ class _SuffixChain:
         lies on it iff no path of smaller edges joins its ends; dropping a
         terminal only removes paths, so every edge not at it stays.  That
         leaves one piece per former neighbour, and Kruskal reconnects the
-        pieces over the pairs that cross them.  A crossing pair has its ends
-        in two pieces, so at least one end outside the largest: only the
-        terminals of the other pieces search, and the pairs they record
-        inside one piece join nothing.
+        pieces over the pairs that cross them.  The pieces go to the search
+        by size, so the largest, which does not search, is last.
         """
         near = self.near
-        parent: dict = {}
-        groups = []
+        seen = set(heads)
+        pieces = []
         for head in heads:
-            parent[head] = head
-            group = [head]
-            for x in group:
+            piece = [head]
+            for x in piece:
                 for y in near[x]:
-                    if y not in parent:
-                        parent[y] = head
-                        group.append(y)
-            groups.append(group)
-        groups.remove(max(groups, key=len))
-        sources = sorted(x for group in groups for x in group)
-        return _closure_kruskal(self.topology, sources, parent, len(heads) - 1)
+                    if y not in seen:
+                        seen.add(y)
+                        piece.append(y)
+            pieces.append(sorted(piece))
+        pieces.sort(key=len)
+        return _closure_kruskal(self.topology, pieces)
 
     def union_is_tree(self) -> bool:
         """Is the (connected) union of the closure paths a tree?  Its leaves

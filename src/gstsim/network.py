@@ -162,12 +162,34 @@ class NetworkTopology:
         return max(self.bfs_distances(v).values())
 
 
+def check_node_ids(items, what: str) -> list:
+    """``items`` if it is a list of node ids (strings); otherwise a
+    ValueError that names ``what`` and the first entry that is not one."""
+    if not isinstance(items, list):
+        raise ValueError(f"{what} must be a list of node ids, not {items!r}")
+    for x in items:
+        if not isinstance(x, str):
+            raise ValueError(f"{what}: node id {x!r} is not a string")
+    return items
+
+
+def check_node_pairs(items, what: str) -> list[tuple]:
+    """``items``, a list of [u, v] node-id pairs, as tuples; otherwise a
+    ValueError that names ``what`` and the first entry that is not one."""
+    if not isinstance(items, list):
+        raise ValueError(f"{what} must be a list of [u, v] node-id pairs, not {items!r}")
+    for pair in items:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(x, str) for x in pair)):
+            raise ValueError(f"{what}: {pair!r} is not a pair of node-id strings")
+    return [tuple(pair) for pair in items]
+
+
 def topology_from_dict(data: dict) -> NetworkTopology:
     if not isinstance(data, dict) or "nodes" not in data or "links" not in data:
         raise ValueError("topology document needs 'nodes' and 'links' keys")
-    nodes = data["nodes"]
-    links = [tuple(pair) for pair in data["links"]]
-    return NetworkTopology(nodes, links)
+    nodes = check_node_ids(data["nodes"], "topology nodes")
+    return NetworkTopology(nodes, check_node_pairs(data["links"], "topology links"))
 
 
 def load_topology(path: str) -> NetworkTopology:

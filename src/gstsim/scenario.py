@@ -27,7 +27,14 @@ from .distribution import (
 from .edcg import EDCG_MODES, edcg_cost
 from .flow import minimize_completion_time
 from .graphstate import GraphState
-from .network import NetworkState, NetworkTopology, NodeId, load_topology
+from .network import (
+    NetworkState,
+    NetworkTopology,
+    NodeId,
+    check_node_ids,
+    check_node_pairs,
+    load_topology,
+)
 from .record import Record
 from .topogen import generate_topology
 
@@ -111,6 +118,7 @@ def _resolve_targets(spec, topology: NetworkTopology, rng: random.Random) -> lis
     if isinstance(spec, list):
         if not spec:
             raise ValueError("target list is empty: name at least one target node")
+        check_node_ids(spec, "targets")
         known = set(nodes)
         missing = [t for t in spec if t not in known]
         if missing:
@@ -142,7 +150,7 @@ def _resolve_target_graph(spec, targets: list, rng: random.Random) -> GraphState
             raise ValueError("edge probability must lie in [0, 1]")
         edges = [e for e in combinations(ts, 2) if rng.random() < p]
     elif isinstance(spec, list):
-        edges = [tuple(e) for e in spec]
+        edges = check_node_pairs(spec, "target_edges")
         known = set(ts)
         for u, v in edges:
             if u not in known or v not in known:

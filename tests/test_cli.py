@@ -381,6 +381,41 @@ def test_topology_without_nodes_is_config_error(tmp_path, capsys, verb):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"nodes": ["a", "b", "c"], "links": [["a", "b", "c"]]},
+     "topology links: ['a', 'b', 'c'] is not a pair of node-id strings"),
+    ({"nodes": ["a", ["b"]], "links": []}, "topology nodes: node id ['b'] is not a string"),
+    ({"nodes": ["a", "b"], "links": [5]}, "topology links: 5 is not a pair of node-id strings"),
+    ({"nodes": "ab", "links": [["a", "b"]]},
+     "topology nodes must be a list of node ids, not 'ab'"),
+    ({"nodes": [1, 2], "links": [[1, 2]]}, "topology nodes: node id 1 is not a string"),
+])
+def test_malformed_topology_document_is_config_error(tmp_path, capsys, doc, message):
+    """Integer node ids, which ``--root fixed:`` and ``--targets`` cannot
+    name, are rejected with the rest."""
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps(doc))
+    assert main(["run", "--topology", str(topo)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
+@pytest.mark.parametrize("key, value, message", [
+    ("targets", [["n00"]], "targets: node id ['n00'] is not a string"),
+    ("target_edges", [["n00", "n01", "n02"]],
+     "target_edges: ['n00', 'n01', 'n02'] is not a pair of node-id strings"),
+])
+def test_malformed_target_entries_are_config_errors(tmp_path, capsys, verb, key, value, message):
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": {"kind": "line", "n": 4}, key: value}))
+    assert main([verb, "--scenario", str(scn)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
 def test_empty_target_list_is_config_error(tmp_path, capsys, verb):
     """Rejected while the scenario resolves, before any leg runs."""

@@ -436,28 +436,53 @@ def test_layered_closure_mst_matches_all_pairs_kruskal():
             assert edcg._mst_on_terminals(topo, sorted(S)) == reference_closure_mst(topo, S)
 
 
-@pytest.mark.parametrize("topo", [
-    grid_topology(12, 12), tree_topology(6), gnp_topology(80, 0.05, seed=2), line_topology(60),
-], ids=["grid12x12", "tree6", "gnp80", "line60"])
-def test_repaired_closure_mst_matches_all_pairs_kruskal(topo, monkeypatch):
+@pytest.mark.parametrize("topo, sizes", [
+    pytest.param(grid_topology(12, 12), (3, 40), id="grid12x12"),
+    pytest.param(tree_topology(6), (3, 40), id="tree6"),
+    pytest.param(gnp_topology(80, 0.05, seed=2), (3, 40), id="gnp80"),
+    pytest.param(line_topology(60), (3, 40), id="line60"),
+    pytest.param(tree_topology(6), (20, 60), id="tree6-sparse"),
+    pytest.param(tree_topology(7), (20, 60), id="tree7-sparse"),
+])
+def test_repaired_closure_mst_matches_all_pairs_kruskal(topo, sizes, monkeypatch):
     """Chains walked along lex and shuffled orders of random target sets,
     which drop interior terminals and so repair: after every drop the
-    closure MST is all-pairs Kruskal's over the terminals left."""
+    closure MST is all-pairs Kruskal's over the terminals left.  Sparse
+    targets on trees leave pieces of several terminals that search."""
     rng = random.Random(len(topo.nodes))
     nodes = list(topo.nodes)
-    repairs = []
-    reconnect = edcg._SuffixChain._reconnect
-    monkeypatch.setattr(edcg._SuffixChain, "_reconnect",
-                        lambda c, heads: repairs.append(heads) or reconnect(c, heads))
+    searched = []
+    closure_kruskal = edcg._closure_kruskal
+    monkeypatch.setattr(edcg, "_closure_kruskal",
+                        lambda t, pieces: searched.append(pieces) or closure_kruskal(t, pieces))
     for _ in range(3):
-        S = sorted(rng.sample(nodes, rng.randint(3, 40)))
+        S = sorted(rng.sample(nodes, rng.randint(*sizes)))
         shuffled = rng.sample(S, len(S))
         for walk in (S, shuffled):
             chain = edcg._SuffixChain(topo, walk)
             for k, gone in enumerate(walk[:-1]):
                 chain.drop(gone)
                 assert set(chain.mst) == set(reference_closure_mst(topo, walk[k + 1:]))
-    assert repairs
+    # a piece of several terminals that searches: only a repair passes one
+    assert any(len(piece) > 1 for pieces in searched for piece in pieces[:-1])
+
+
+def test_repair_pairs_a_tied_terminal_with_the_lesser_of_its_piece():
+    """Dropping g leaves {b, c} and {y, z, z2}.  y is four hops from both b
+    and c, and (b, y) is the lightest reconnecting pair.  The piece grows
+    from c, g's closure neighbour, so its search must start from b, c in
+    order to label the nodes on the way to y with b."""
+    topo = NetworkTopology(
+        ["b", "c", "g", "g1", "g2", "m", "p1", "p2", "y", "z", "z2"],
+        [("b", "m"), ("c", "m"), ("m", "p2"), ("p2", "p1"), ("p1", "y"), ("y", "z"),
+         ("z", "z2"), ("c", "g1"), ("g1", "g"), ("g", "g2"), ("g2", "z")])
+    terminals = ["b", "c", "g", "y", "z", "z2"]
+    chain = edcg._SuffixChain(topo, terminals)
+    assert set(chain.mst) == {("b", "c"), ("c", "g"), ("g", "z"), ("y", "z"), ("z", "z2")}
+    assert chain.near["g"] == {"c", "z"}
+    chain.drop("g")
+    assert set(chain.mst) == {("b", "c"), ("b", "y"), ("y", "z"), ("z", "z2")}
+    assert set(chain.mst) == set(reference_closure_mst(topo, terminals[:2] + terminals[3:]))
 
 
 def test_theta_unions_need_the_bfs_and_deep_pruning():

@@ -272,6 +272,23 @@ class TestSerialization:
         with pytest.raises(ValueError):
             topology_from_dict({"nodes": ["a"], "links": [["a", "b"]]})
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"nodes": "ab", "links": []}, "topology nodes must be a list of node ids, not 'ab'"),
+        ({"nodes": ["a", ["b"]], "links": []}, "topology nodes: node id ['b'] is not a string"),
+        ({"nodes": [1, 2], "links": [[1, 2]]}, "topology nodes: node id 1 is not a string"),
+        ({"nodes": ["a", "b"], "links": "ab"},
+         "topology links must be a list of [u, v] node-id pairs, not 'ab'"),
+        ({"nodes": ["a", "b", "c"], "links": [["a", "b", "c"]]},
+         "topology links: ['a', 'b', 'c'] is not a pair of node-id strings"),
+        ({"nodes": ["a", "b"], "links": [5]}, "topology links: 5 is not a pair of node-id strings"),
+        ({"nodes": ["a", "b"], "links": [["a", 2]]},
+         "topology links: ['a', 2] is not a pair of node-id strings"),
+    ])
+    def test_from_dict_names_a_malformed_entry(self, doc, message):
+        with pytest.raises(ValueError) as info:
+            topology_from_dict(doc)
+        assert str(info.value) == message
+
 
 class TestNetworkState:
     def test_fresh_qubits_are_never_recycled(self):
@@ -448,20 +465,21 @@ DIFF_OPS = hs.lists(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(topo_index=hs.integers(0, len(DIFF_TOPOLOGIES) - 1), ops=DIFF_OPS)
-def test_state_matches_graphstate_replay(topo_index, ops):
-    """Random operation sequences: NetworkState against the immutable GraphState.
+def _replay_state(topo, ops) -> int:
+    """Run ``ops`` on a NetworkState and replay each on the immutable
+    GraphState; returns how many accepted transfers ran while a Y
+    measurement's complement was still pending.
 
-    Each operation is replayed on a GraphState; the state's snapshot must
-    equal the replay after every step, and no snapshot may change when the
-    state moves on.
+    The state's snapshot must equal the replay after every step, and no
+    snapshot may change when the state moves on.  Every read of the graph
+    goes to a deep copy, which leaves the original's pending complement in
+    place, so the next operation meets it.
     """
-    topo = DIFF_TOPOLOGIES[topo_index]
     nodes, links = topo.nodes, sorted(topo.links)
     st = NetworkState(topo)
     ref = GraphState()
     history = []
+    pending_transfers = 0
     for kind, i, j in ops:
         live = sorted(st.placement)
         if kind == "new":
@@ -482,23 +500,51 @@ def test_state_matches_graphstate_replay(topo_index, ops):
             st.apply_cz(q1, q2)
             ref = ref.toggle_edge(q1, q2)
         elif kind == "transfer":
+            # j % 4 == 0 is the accepted kind (see _transfer_op)
+            pending_transfers += j % 4 == 0 and st._pending is not None
             ref = _transfer_op(st, ref, live[i % len(live)], j)
         else:
             q = live[i % len(live)]
             getattr(st, kind)(q)
             ref = getattr(ref, kind)(q)
-        snapshot = st.graph
+        view = copy.deepcopy(st)
+        snapshot = view.graph
         assert snapshot == ref
         assert sorted(st.placement) == sorted(ref.vertices)
         for node in nodes:
             assert st.qubit_count(node) == len(st.qubits_at(node))
         for q in ref.vertices:
-            assert st.neighbors(q) == ref.neighbors(q)
+            assert view.neighbors(q) == ref.neighbors(q)
         history.append((snapshot, ref))
     for snapshot, ref in history:
         assert snapshot == ref
         for q in ref.vertices:
             assert snapshot.neighbors(q) == ref.neighbors(q)
+    return pending_transfers
+
+
+# Two fresh qubits, a Y measurement of the newer (no neighbours, so its
+# complement stays pending) and an accepted transfer of a live carrier.
+PENDING_TRANSFER = [("new", 0, 0), ("new", 0, 0), ("measure_y", -1, 0), ("transfer", 0, 0)]
+
+
+def test_state_matches_graphstate_replay():
+    """Random operation sequences: NetworkState against the immutable
+    GraphState (see ``_replay_state``).  Each example also runs
+    ``PENDING_TRANSFER`` at a drawn point of its random operations, so
+    every example must run an accepted transfer while a complement is
+    pending."""
+    pending_transfers = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(topo_index=hs.integers(0, len(DIFF_TOPOLOGIES) - 1), ops=DIFF_OPS,
+           at=hs.integers(0, 60))
+    def sweep(topo_index, ops, at):
+        ops = ops[:at] + PENDING_TRANSFER + ops[at:]
+        pending_transfers.append(_replay_state(DIFF_TOPOLOGIES[topo_index], ops))
+
+    sweep()
+    assert pending_transfers and min(pending_transfers) >= 1
 
 
 FUSE_TOPOLOGIES = (NetworkTopology(["a"], []), NetworkTopology(["a", "b"], [("a", "b")]),
@@ -521,7 +567,9 @@ def _replay_with_pending_complements(topo, start, ops) -> int:
     last Y-measured qubit, so it usually lands in the complement the state
     has pending.  "transfer" runs a connection transfer or a rejected one
     (see ``_transfer_op``) with such a neighbour as its carrier, so those
-    too meet a pending complement.
+    too meet a pending complement.  "general" makes five fresh qubits with
+    the edges of ``test_fused_y_measurement_of_the_general_shape`` and
+    Y-measures x, then y: a fused measurement of the general shape.
     Each read ("neighbors", "has_edge", "graph", "verify") and each other
     write runs while that complement may still be pending.  The comparison
     after each operation reads the graph of a deep copy, which leaves the
@@ -529,7 +577,9 @@ def _replay_with_pending_complements(topo, start, ops) -> int:
 
     Returns how many fused Y measurements were of the general shape:
     with K' the pending set minus the measured qubit and K2 its true
-    neighbourhood, K' - K2, K2 - K' and K' & K2 are all non-empty.
+    neighbourhood, K' - K2, K2 - K' and K' & K2 are all non-empty.  After
+    each Y measurement the state's pending qubit must be the one this model
+    expects: none after a fused measurement, the measured qubit otherwise.
     """
     nodes, links = topo.nodes, sorted(topo.links)
     st = NetworkState(topo)
@@ -543,9 +593,34 @@ def _replay_with_pending_complements(topo, start, ops) -> int:
     pending = frozenset()   # the complement this model expects the state to owe
     near = frozenset()      # neighbours of the last Y-measured qubit
     general = 0
+
+    def measure_y(q):
+        nonlocal pending, near, general, ref
+        k2 = ref.neighbors(q)
+        fused = q in pending
+        if fused:
+            rest = pending - {q}
+            general += bool(rest - k2 and k2 - rest and rest & k2)
+            pending = frozenset()
+        else:
+            pending = k2
+        near = k2
+        st.measure_y(q)
+        ref = ref.measure_y(q)
+        assert st._pending == (None if fused else q)
+
     for kind, i, j in ops:
         live = sorted(st.placement)
-        if kind == "new":
+        if kind == "general":
+            x, y, p, c, z = qubits = [st.new_qubit(nodes[0]) for _ in range(5)]
+            for q in qubits:
+                ref = ref.add_vertex(q)
+            for u, v in [(x, p), (x, c), (x, y), (y, p), (y, z)]:
+                st.apply_cz(u, v)
+                ref = ref.toggle_edge(u, v)
+            measure_y(x)
+            measure_y(y)
+        elif kind == "new":
             ref = ref.add_vertex(st.new_qubit(nodes[i % len(nodes)]))
         elif kind == "epr":
             if not links:
@@ -558,19 +633,11 @@ def _replay_with_pending_complements(topo, start, ops) -> int:
         elif kind in ("y", "y_near"):
             pool = sorted(near & set(live)) if kind == "y_near" else []
             pool = pool or live
-            q = pool[i % len(pool)]
-            k2 = ref.neighbors(q)
-            if q in pending:
-                rest = pending - {q}
-                general += bool(rest - k2 and k2 - rest and rest & k2)
-                pending = frozenset()
-            else:
-                pending = k2
-            near = k2
-            st.measure_y(q)
-            ref = ref.measure_y(q)
+            measure_y(pool[i % len(pool)])
         elif kind == "transfer":
-            if j % 4 < 2:   # split pairs and dead carriers fail before any flush
+            # split pairs and dead carriers fail before any flush; with no
+            # link there is no transfer at all
+            if j % 4 < 2 and links:
                 pending = frozenset()
             pool = sorted(near & set(live)) or live
             ref = _transfer_op(st, ref, pool[i % len(pool)], j)
@@ -606,20 +673,22 @@ def test_fused_y_measurements_match_graphstate_replay():
     """Pending and fused Y-measurement complements against GraphState.
 
     Connection transfers only ever fuse in one shape (the measured qubit's
-    stored neighbourhood is one qubit outside the pending set), so this
-    sweep also requires the general shape to come up.
+    stored neighbourhood is one qubit outside the pending set), so every
+    example also runs one "general" operation, at a drawn point of its
+    random ones, and must fuse in the general shape at least once.
     """
     general = []
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(topo_index=hs.integers(0, len(FUSE_TOPOLOGIES) - 1), start=FUSE_START,
-           ops=FUSE_OPS)
-    def sweep(topo_index, start, ops):
+           ops=FUSE_OPS, at=hs.integers(0, 60))
+    def sweep(topo_index, start, ops, at):
+        ops = ops[:at] + [("general", 0, 0)] + ops[at:]
         general.append(_replay_with_pending_complements(
             FUSE_TOPOLOGIES[topo_index], start, ops))
 
     sweep()
-    assert sum(general) >= 20
+    assert general and min(general) >= 1
 
 
 @pytest.mark.parametrize("start", [0, 0x5A5A5A5, 2 ** len(FUSE_PAIRS) - 1])

@@ -93,6 +93,27 @@ class TestResolve:
         with pytest.raises(ValueError):
             resolve(tree_cfg(targets=["n00", "zz"]))
 
+    @pytest.mark.parametrize("targets, message", [
+        ([["n00"]], "targets: node id ['n00'] is not a string"),
+        (["n00", 1], "targets: node id 1 is not a string"),
+    ])
+    def test_target_ids_must_be_strings(self, targets, message):
+        with pytest.raises(ValueError) as info:
+            resolve(tree_cfg(targets=targets))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("edges, message", [
+        ([["n00", "n01", "n02"]],
+         "target_edges: ['n00', 'n01', 'n02'] is not a pair of node-id strings"),
+        ([["n00"]], "target_edges: ['n00'] is not a pair of node-id strings"),
+        ([5], "target_edges: 5 is not a pair of node-id strings"),
+        ([["n00", 1]], "target_edges: ['n00', 1] is not a pair of node-id strings"),
+    ])
+    def test_target_edges_must_be_pairs_of_ids(self, edges, message):
+        with pytest.raises(ValueError) as info:
+            resolve(tree_cfg(targets=["n00", "n01", "n02"], target_edges=edges))
+        assert str(info.value) == message
+
     def test_topology_from_file(self, tmp_path):
         p = tmp_path / "topo.json"
         p.write_text(json.dumps({"nodes": ["a", "b"], "links": [["a", "b"]]}))
