@@ -22,11 +22,9 @@ from .distribution import (
     Schedule,
     build_resource_state,
     center_root,
-    connection_transfer,
     distribute_via_resource,
     epr_bound,
     execute,
-    make_local_copy,
     make_schedule,
     plan_shortest,
 )
@@ -74,11 +72,9 @@ __all__ = [
     "Schedule",
     "build_resource_state",
     "center_root",
-    "connection_transfer",
     "distribute_via_resource",
     "epr_bound",
     "execute",
-    "make_local_copy",
     "make_schedule",
     "plan_shortest",
     "EdcgPlan",

@@ -19,6 +19,7 @@ from .distribution import ExecutionError
 from .network import topology_to_dict
 from .scenario import (
     REPORT_FORMATS,
+    STRATEGIES,
     ScenarioConfig,
     compare_scenario,
     emit_report,
@@ -26,7 +27,7 @@ from .scenario import (
     optimize_scenario,
     run_scenario,
 )
-from .topogen import generate_topology
+from .topogen import BUILDERS, generate_topology
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -88,7 +89,7 @@ def _add_scenario_flags(sub, with_strategy: bool = True) -> None:
     sub.add_argument("--edges", help="complete|path|cycle|empty|gnp:<p>")
     sub.add_argument("--root", help="center | fixed:<id> | optimize")
     if with_strategy:
-        sub.add_argument("--strategy", choices=["shortest", "flow"])
+        sub.add_argument("--strategy", choices=STRATEGIES)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--out", help="report output path")
     sub.add_argument("--format", choices=REPORT_FORMATS)
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="verb", required=True)
 
     gen = subs.add_parser("gen-topo", help="write a generated topology as JSON")
-    gen.add_argument("--kind", required=True, choices=["line", "tree", "grid", "gnp"])
+    gen.add_argument("--kind", required=True, choices=tuple(BUILDERS))
     gen.add_argument("--n", type=int)
     gen.add_argument("--height", type=int)
     gen.add_argument("--rows", type=int)

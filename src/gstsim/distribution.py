@@ -5,8 +5,10 @@ root node (local CZs are free), then walks each vertex qubit out to its
 destination along a network path.  One hop = one EPR pair across a link plus
 a three-step rewrite (CZ onto the local pair half, Y-measure the traveling
 qubit, Y-measure the local half) that hands the traveling qubit's
-entanglement to the remote half.  ``NetworkState`` fuses the two Y
-measurements' neighborhood complements, so a hop costs time linear in the
+entanglement to the remote half.  The local copy and the transfer are
+``NetworkState`` methods (``local_copy``, ``transfer``): this module uses
+the state only through its public names.  ``NetworkState`` fuses the two
+Y measurements' neighborhood complements, so a hop costs time linear in the
 traveling qubit's degree.  Total EPR cost is the sum of path lengths.
 
 Scheduling packs hops into timesteps under the one-pair-per-link-per-step
@@ -21,7 +23,7 @@ from bisect import insort
 from functools import cached_property
 
 from .graphstate import GraphState
-from .network import NetworkState, NetworkTopology, NodeId, QubitId
+from .network import NetworkState, NetworkTopology, NodeId
 from .record import Record
 
 
@@ -263,31 +265,6 @@ def make_schedule(plan: DistributionPlan) -> Schedule:
     return Schedule(tuple(rounds))
 
 
-def connection_transfer(state: NetworkState, a: QubitId, b: QubitId, c: QubitId) -> QubitId:
-    """Hand qubit a's entanglement to qubit c through the pair (b, c).
-
-    Preconditions: a and b are co-located, b's only entanglement edge goes
-    to c, and a is adjacent to neither b nor itself equal to b/c.  The
-    rewrite is CZ(a, b), Y-measure a, Y-measure b; afterwards c's
-    neighborhood is exactly a's former one (minus c, were it present).
-    ``NetworkState.transfer`` checks and applies it in place.
-    """
-    return state.transfer(a, b, c)
-
-
-def make_local_copy(state: NetworkState, target: GraphState, root: NodeId) -> dict:
-    """Build the target graph state from fresh qubits at one node.
-
-    Returns the vertex -> qubit map.  Only free local operations are used:
-    one CZ per target edge, written as each fresh qubit's adjacency set.
-    """
-    mapping = {v: state.new_qubit(root) for v in sorted(target.vertices)}
-    adj = state._adj
-    for v, q in mapping.items():
-        adj[q] = {mapping[w] for w in target.neighbors(v)}
-    return mapping
-
-
 def _walk_rounds(state: NetworkState, plan: DistributionPlan, schedule: Schedule,
                  carrier: dict) -> RunReport:
     """Walk every scheduled hop, moving ``carrier[target]`` one link per EPR pair.
@@ -297,14 +274,20 @@ def _walk_rounds(state: NetworkState, plan: DistributionPlan, schedule: Schedule
     caller's checks of the delivered state before any report is returned.
     The walk sends the messages of ``_walk_messages(plan, schedule)``, one
     EPR pair and 2-bit report per hop and one 2-bit directive per target,
-    so ``classical_bits`` is 2·(EPR pairs + targets).  Only the root's peak
-    live qubit count is measured, on every hop, since a path may revisit
-    the root.
+    so ``classical_bits`` is 2·(EPR pairs + targets).
+
+    The root's peak live qubit count is its count before the walk, plus 1
+    if the plan has a hop.  Every carrier starts at the root, and
+    ``transfer`` needs the carrier and the new pair half at one node, so
+    a walk that succeeds starts with a hop that leaves the root while every
+    carrier is still there: the start count + 1.  Carriers are only ever
+    moved, never created, and a hop adds one qubit at its near end that
+    its transfer removes together with the carrier.  So the root never
+    holds more than the start count + 1, even when a path revisits it.
     """
     generate_epr, transfer = state.generate_epr, state.transfer
-    count = state._count  # live qubits per node
-    root = plan.root
-    peak_root = count[root]
+    epr_pairs = plan.epr_cost
+    peak_root = state.qubit_count(plan.root) + (1 if epr_pairs else 0)
     for rnum, round_entries in enumerate(schedule.rounds):
         state.advance_timestep()
         for (tnode, start, end) in round_entries:
@@ -313,17 +296,15 @@ def _walk_rounds(state: NetworkState, plan: DistributionPlan, schedule: Schedule
             for i in range(start, end):
                 try:
                     qu, qv = generate_epr(path[i], path[i + 1])
-                    if count[root] > peak_root:
-                        peak_root = count[root]
                     transfer(qubit, qu, qv)
                 except ValueError as exc:
                     raise ExecutionError(f"round {rnum}: {exc}") from exc
                 qubit = qv
             carrier[tnode] = qubit
     return RunReport(
-        epr_pairs=plan.epr_cost,
+        epr_pairs=epr_pairs,
         timesteps=schedule.timesteps,
-        classical_bits=2 * (plan.epr_cost + len(plan.paths)),
+        classical_bits=2 * (epr_pairs + len(plan.paths)),
         root_memory_qubits=peak_root,
         walk=(plan, schedule),
     )
@@ -346,7 +327,7 @@ def execute(state: NetworkState, request: DistributionRequest, plan: Distributio
     validate_plan(state.topology, plan, request.target_nodes)
     if schedule is None:
         schedule = make_schedule(plan)
-    copy_map = make_local_copy(state, request.target, plan.root)
+    copy_map = state.local_copy(request.target, plan.root)
     carrier = {node: copy_map[v] for v, node in request.assignment.items()}
     report = _walk_rounds(state, plan, schedule, carrier)
     if not verify_target(state, request.target, request.assignment):
@@ -404,7 +385,7 @@ def distribute_via_resource(state: NetworkState, request: DistributionRequest,
     # looked up at call time, so bench/spans.py can time network.verify_target
     from .network import verify_target
 
-    copy_map = make_local_copy(state, request.target, root)
+    copy_map = state.local_copy(request.target, root)
     peak_root = state.qubit_count(root)
     vertices = sorted(request.target.vertices)
     node_of = request.assignment
@@ -418,7 +399,7 @@ def distribute_via_resource(state: NetworkState, request: DistributionRequest,
             raise ExecutionError(f"no resource pair reaches node {node!r}")
         anchor, qubit = pairs[node]
         try:
-            connection_transfer(state, copy_map[v], anchor, qubit)
+            state.transfer(copy_map[v], anchor, qubit)
         except ValueError as exc:
             raise ExecutionError(f"resource transfer to {node!r}: {exc}") from exc
         trace.append(TraceEvent("measure_report", (node, 0), bits=2))

@@ -122,9 +122,10 @@ class _SuffixChain:
     """The Steiner trees of one terminal set as terminals leave it.
 
     Holds the closure MST of the current terminals as an adjacency map
-    (``near``), each closure edge's expanded shortest path (as links; a
-    closure edge between linked nodes is the link) and the union of those
-    paths, with a count per link and an adjacency map.  Beside the union it
+    (``near``, whose keys are the terminals), each closure edge's expanded
+    shortest path (as links; a closure edge between linked nodes is the
+    link) and the union of those paths, with a count per link and an
+    adjacency map.  Beside the union it
     keeps the terminals of union degree at most one, sorted (``leaves``):
     while the union is a tree, those are its leaves.  ``drop`` touches only
     the departing terminal's closure edges and the paths of the edges that
@@ -140,7 +141,6 @@ class _SuffixChain:
             if t not in topology._adj:
                 raise ValueError(f"terminal {t!r} is not a topology node")
         self.topology = topology
-        self.terminals = set(terminals)
         self.near: dict = {t: set() for t in terminals}  # terminal -> closure-MST neighbours
         self.paths: dict = {}  # closure edge (u, v), u < v -> its path's links
         self.count: dict = {}  # link -> closure paths using it
@@ -180,7 +180,7 @@ class _SuffixChain:
             self.adj[x] = {y}
         else:
             nbrs.add(y)
-            if len(nbrs) == 2 and x in self.terminals:
+            if len(nbrs) == 2 and x in self.near:
                 self._unleaf(x)
 
     def _remove(self, edge) -> None:
@@ -198,7 +198,7 @@ class _SuffixChain:
         nbrs = self.adj[x]
         nbrs.discard(y)
         if len(nbrs) == 1:
-            if x in self.terminals:
+            if x in self.near:
                 insort(self.leaves, x)
         elif not nbrs:
             del self.adj[x]
@@ -206,7 +206,6 @@ class _SuffixChain:
     def drop(self, gone) -> None:
         """Remove terminal ``gone`` (add the new closure paths first, so a
         link they share with a departing one never reaches count zero)."""
-        self.terminals.remove(gone)
         self._unleaf(gone)
         heads = self.near.pop(gone)
         for t in heads:
@@ -256,11 +255,11 @@ class _SuffixChain:
 
     def tree(self) -> set:
         """Edge set of the current terminals' Steiner tree (see steiner_tree)."""
-        if len(self.terminals) < 2:
+        if len(self.near) < 2:
             return set()
         if self.union_is_tree():
             return set(self.count)
-        root = min(self.terminals)
+        root = min(self.near)
         parent = {root: None}
         queue = deque([root])
         while queue:
@@ -277,7 +276,7 @@ class _SuffixChain:
                 adj[p].add(v)
                 edges.add(link_key(v, p))
         # prune non-terminal leaves: the fixpoint is unique, so one queue will do
-        degree = {v: len(adj[v]) for v in adj.keys() - self.terminals}
+        degree = {v: len(adj[v]) for v in adj.keys() - self.near.keys()}
         leaves = [v for v, d in degree.items() if d == 1]
         pruned = set()
         while leaves:
@@ -330,7 +329,7 @@ def _cascade(topology: NetworkTopology, targets, order=None) -> tuple[list, list
     """
     chain = _SuffixChain(topology, targets)
     picks, sizes = [] if order is None else list(order), []
-    while len(chain.terminals) > 1:
+    while len(chain.near) > 1:
         bare = chain.union_is_tree()
         edges = chain.count if bare else chain.tree()  # keyed by the tree's links
         sizes.append(len(edges))
@@ -338,10 +337,10 @@ def _cascade(topology: NetworkTopology, targets, order=None) -> tuple[list, list
             picks.append(chain.leaves[0])
         elif order is None:
             degree = Counter(x for link in edges for x in link)
-            picks.append(min(t for t in chain.terminals if degree[t] <= 1))
+            picks.append(min(t for t in chain.near if degree[t] <= 1))
         chain.drop(picks[len(sizes) - 1])
     if order is None:
-        picks += chain.terminals
+        picks += chain.near
     return picks, sizes
 
 

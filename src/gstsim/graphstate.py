@@ -50,12 +50,7 @@ class GraphState:
 
     __slots__ = ("_adj", "_retired")
 
-    def __init__(
-        self,
-        vertices: Iterable[VertexId] = (),
-        edges: Iterable[tuple] = (),
-        _retired: frozenset = frozenset(),
-    ):
+    def __init__(self, vertices: Iterable[VertexId] = (), edges: Iterable[tuple] = ()):
         adj: dict = {v: set() for v in vertices}
         for u, v in edges:
             if u == v:
@@ -64,11 +59,8 @@ class GraphState:
                 raise ValueError(f"edge ({u!r}, {v!r}) references unknown vertex")
             adj[u].add(v)
             adj[v].add(u)
-        bad = _retired.intersection(adj)
-        if bad:
-            raise ValueError(f"vertices {sorted(bad)!r} are retired")
         self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
-        self._retired = _retired
+        self._retired = frozenset()
 
     # -- construction helpers ------------------------------------------------
 

@@ -4,7 +4,11 @@ A topology is a connected, undirected graph of nodes joined by quantum
 links.  The network state tracks every live qubit's location plus the one
 shared entanglement graph over all live qubits; local gates are free, and
 the only way two qubits at different nodes ever become entangled is an EPR
-pair generated across a link.
+pair generated across a link.  This module is the only one that knows how
+the state stores them: ``placement`` is the one record of where the live
+qubits are, and the operations that write the entanglement graph, the
+connection transfer and the root's local copy among them, are
+``NetworkState`` methods.
 
 Timesteps model link contention: within one step each link may source at
 most one EPR pair; a second pair raises LocalityError (a planner bug, not a
@@ -212,7 +216,7 @@ class NetworkState:
     neighbors) edited in place (Anders-Briegel, quant-ph/0504117).  A Y
     measurement complements the measured qubit's neighborhood, which costs
     O(deg^2) pair toggles, so ``measure_y`` defers it, in O(1): the measured
-    qubit leaves ``placement`` and the counts but keeps its adjacency set,
+    qubit leaves ``placement`` but keeps its adjacency set,
     its neighbors keep listing it, and it is the one pending qubit.  If the
     next Y measurement hits a neighbor of it, both qubits go and only the
     pairs the two complements do not share are toggled.  A connection
@@ -235,21 +239,31 @@ class NetworkState:
         self.epr_generated = 0
         self._adj: dict[QubitId, set] = {}
         self._pending: QubitId | None = None  # measured qubit whose complement is due
-        self._count = dict.fromkeys(topology.nodes, 0)  # live qubits per node
         self._next_qubit: QubitId = 0
 
     # -- qubit management ----------------------------------------------------
 
     def new_qubit(self, node: NodeId) -> QubitId:
         """Mint a fresh |+> qubit at ``node``.  Ids are never recycled."""
-        if node not in self._count:
-            raise ValueError(f"unknown node {node!r}")
+        self.topology.neighbors(node)  # raises for an unknown node
         q = self._next_qubit
         self._next_qubit += 1
         self._adj[q] = set()
         self.placement[q] = node
-        self._count[node] += 1
         return q
+
+    def local_copy(self, target: GraphState, node: NodeId) -> dict:
+        """Build the target graph state from fresh qubits at one node.
+
+        Returns the vertex -> qubit map, the qubits minted in sorted vertex
+        order.  Only free local operations are used: one CZ per target edge,
+        written as each fresh qubit's adjacency set.
+        """
+        mapping = {v: self.new_qubit(node) for v in sorted(target.vertices)}
+        adj = self._adj
+        for v, q in mapping.items():
+            adj[q] = {mapping[w] for w in target.neighbors(v)}
+        return mapping
 
     def node_of(self, q: QubitId) -> NodeId:
         if q not in self.placement:
@@ -260,8 +274,9 @@ class NetworkState:
         return sorted(q for q, nd in self.placement.items() if nd == node)
 
     def qubit_count(self, node: NodeId) -> int:
-        """Number of live qubits at ``node``, without scanning."""
-        return self._count.get(node, 0)
+        """Number of live qubits at ``node``: a count over ``placement``,
+        O(live qubits)."""
+        return list(self.placement.values()).count(node)
 
     # -- entanglement queries --------------------------------------------------
 
@@ -303,8 +318,6 @@ class NetworkState:
         self._adj[qv] = {qu}
         self.placement[qu] = u
         self.placement[qv] = v
-        self._count[u] += 1
-        self._count[v] += 1
         return qu, qv
 
     def apply_cz(self, q1: QubitId, q2: QubitId) -> None:
@@ -335,10 +348,8 @@ class NetworkState:
         The complement is left pending (see the class docstring); when ``q``
         is a neighbor of the pending qubit p, the two complements are fused.
         """
-        node = self.placement.pop(q, None)
-        if node is None:
+        if self.placement.pop(q, None) is None:
             self.node_of(q)  # raises
-        self._count[node] -= 1
         p = self._pending
         adj = self._adj
         if p is not None and q in adj[p]:
@@ -374,12 +385,16 @@ class NetworkState:
         adj = self._adj
         for x in adj.pop(q):
             adj[x].discard(q)
-        self._count[self.placement.pop(q)] -= 1
+        del self.placement[q]
 
     def transfer(self, a: QubitId, b: QubitId, c: QubitId) -> QubitId:
-        """Connection transfer: hand qubit a's entanglement to c through (b, c).
+        """Connection transfer: hand qubit a's entanglement to qubit c
+        through the pair (b, c); returns c.
 
-        The body of ``gstsim.distribution.connection_transfer``; see there.
+        Preconditions: a and b are co-located, b's only entanglement edge
+        goes to c, and a is adjacent to neither b nor itself equal to b/c.
+        The rewrite is CZ(a, b), Y-measure a, Y-measure b; afterwards c's
+        neighborhood is exactly a's former one (minus c, were it present).
         Every check runs before the first operation, so a rejected transfer
         leaves the state as it was.
         """

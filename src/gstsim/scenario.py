@@ -39,6 +39,8 @@ from .record import Record
 from .topogen import generate_topology
 
 REPORT_FORMATS = ("csv", "json")  # what emit_report writes
+OUTPUT_KEYS = ("path", "format")  # of a scenario's output entry
+STRATEGIES = ("shortest", "flow")  # how a GST leg routes (`_gst_leg`)
 REPORT_COLUMNS = (
     "algorithm", "n", "targets", "epr_pairs", "epr_bound", "timesteps",
     "classical_bits", "resource_qubits", "root", "strategy", "seed",
@@ -79,7 +81,10 @@ class ScenarioConfig(Record):
         out = data.get("output", {})
         if not isinstance(out, dict):
             raise ValueError(f"scenario output must be an object, not {out!r}")
-        for key in ("path", "format"):
+        extra = set(out) - set(OUTPUT_KEYS)
+        if extra:
+            raise ValueError(f"unknown scenario output keys: {sorted(extra)}")
+        for key in OUTPUT_KEYS:
             if key in out and not isinstance(out[key], str):
                 raise ValueError(f"scenario output {key} must be a string, not {out[key]!r}")
         if out.get("format", "csv") not in REPORT_FORMATS:
@@ -184,7 +189,7 @@ def resolve(config: ScenarioConfig) -> ResolvedScenario:
     graph = _resolve_target_graph(config.target_edges, targets, rng)
     if config.edcg_mode not in EDCG_MODES:
         raise ValueError(f"unknown ordering mode {config.edcg_mode!r}")
-    if config.strategy not in ("shortest", "flow"):
+    if config.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {config.strategy!r}")
     policy = config.root
     if isinstance(policy, str) and policy.startswith("fixed:"):

@@ -90,17 +90,20 @@ def gnp_topology(n: int, p: float, seed: int) -> NetworkTopology:
     )
 
 
+# kind -> (generator, its parameters); `gen-topo --kind` offers these kinds
+BUILDERS = {
+    "line": (line_topology, ("n",)),
+    "tree": (tree_topology, ("height",)),
+    "grid": (grid_topology, ("rows", "cols")),
+    "gnp": (gnp_topology, ("n", "p", "seed")),
+}
+
+
 def generate_topology(kind: str, **params) -> NetworkTopology:
     """Dispatch on kind: line(n) | tree(height) | grid(rows, cols) | gnp(n, p, seed)."""
-    builders = {
-        "line": (line_topology, ("n",)),
-        "tree": (tree_topology, ("height",)),
-        "grid": (grid_topology, ("rows", "cols")),
-        "gnp": (gnp_topology, ("n", "p", "seed")),
-    }
-    if kind not in builders:
+    if kind not in BUILDERS:
         raise ValueError(f"unknown topology kind {kind!r}")
-    fn, keys = builders[kind]
+    fn, keys = BUILDERS[kind]
     missing = [k for k in keys if k not in params]
     extra = [k for k in params if k not in keys]
     if missing or extra:

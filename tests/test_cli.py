@@ -294,6 +294,19 @@ def test_unknown_report_format_is_rejected_before_running(tmp_path, capsys, monk
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
+def test_unknown_output_key_is_config_error(tmp_path, capsys, verb):
+    """A misspelt output key exits 3 before anything runs, where it used
+    to be ignored and the report went to stdout as CSV."""
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": {"kind": "line", "n": 3},
+                               "output": {"fromat": "json"}}))
+    assert main([verb, "--scenario", str(scn)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "unknown scenario output keys: ['fromat']" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("edges", ["gnp:1.5", "gnp:-1", "gnp:nan", "gnp:inf"])
 def test_gnp_target_probability_out_of_range_is_config_error(capsys, edges):
     code = main(["run", "--topology", '{"kind": "line", "n": 4}', "--edges", edges])

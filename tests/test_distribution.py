@@ -18,11 +18,9 @@ from gstsim.distribution import (
     TraceEvent,
     build_resource_state,
     center_root,
-    connection_transfer,
     distribute_via_resource,
     epr_bound,
     execute,
-    make_local_copy,
     make_schedule,
     plan_shortest,
     validate_plan,
@@ -30,7 +28,7 @@ from gstsim.distribution import (
 )
 from gstsim.network import NetworkState, NetworkTopology
 from gstsim.graphstate import GraphState
-from gstsim import distribution, oracle
+from gstsim import oracle
 from gstsim.flow import minimize_completion_time
 from gstsim.network import link_key
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
@@ -73,13 +71,13 @@ class TestConnectionTransfer:
     def assert_rejected(self, st, message, a, b, c):
         before = self.snapshot(st)
         with pytest.raises(ValueError) as info:
-            connection_transfer(st, a, b, c)
+            st.transfer(a, b, c)
         assert str(info.value) == message
         assert self.snapshot(st) == before
 
     def test_moves_edges_to_remote_half(self):
         st, a, spect, qb, qc = self.make_state()
-        out = connection_transfer(st, a, qb, qc)
+        out = st.transfer(a, qb, qc)
         assert out == qc
         assert st.graph.neighbors(qc) == frozenset({spect})
         assert st.node_of(qc) == "n01"
@@ -125,7 +123,7 @@ class TestConnectionTransfer:
 
     def test_rejects_carrier_no_longer_live(self):
         st, a, spect, qb, qc = self.make_state()
-        connection_transfer(st, a, qb, qc)  # a is measured away
+        st.transfer(a, qb, qc)  # a is measured away
         st.advance_timestep()
         qb2, qc2 = st.generate_epr("n00", "n01")
         self.assert_rejected(st, f"qubit {a!r} is not live", a, qb2, qc2)
@@ -173,7 +171,7 @@ class TestConnectionTransfer:
         st.apply_cz(q, qb)
         st.measure_y(q)
         assert st._pending == q and st._adj[qb] == {qc, q}
-        assert connection_transfer(st, a, qb, qc) == qc
+        assert st.transfer(a, qb, qc) == qc
         assert st.graph.neighbors(qc) == frozenset({spect})
 
 
@@ -594,6 +592,13 @@ class OpLog(NetworkState):
         super().apply_cz(q1, q2)
         self.ops.append(("cz", q1, q2))
 
+    def local_copy(self, target, node):
+        """Logs one CZ per sorted target edge: the copy writes them as
+        adjacency sets."""
+        mapping = super().local_copy(target, node)
+        self.ops += [("cz", mapping[u], mapping[v]) for u, v in sorted(target.edges)]
+        return mapping
+
     def transfer(self, a, b, c):
         self.ops.append(("cz", a, b))  # its two Y measurements log themselves
         return super().transfer(a, b, c)
@@ -630,19 +635,6 @@ class OpLog(NetworkState):
         return g
 
 
-def _logged_local_copy(state, target, root):
-    """``make_local_copy`` on an OpLog, logging one CZ per sorted target edge."""
-    mapping = make_local_copy(state, target, root)
-    state.ops += [("cz", mapping[u], mapping[v]) for u, v in sorted(target.edges)]
-    return mapping
-
-
-@pytest.fixture
-def log_local_copy(monkeypatch):
-    """Runs log the local copy's CZs, which it writes as adjacency sets."""
-    monkeypatch.setattr(distribution, "make_local_copy", _logged_local_copy)
-
-
 def _record_and_replay(topo, req, plan):
     """Execute while logging every physical operation, then replay the log
     on the state-vector oracle (outcome-0 branches throughout).
@@ -674,7 +666,6 @@ def _record_and_replay(topo, req, plan):
     return st, report, sv
 
 
-@pytest.mark.usefixtures("log_local_copy")
 class TestSemanticReplay:
     def test_replayed_ops_end_in_the_delivered_graph_state(self):
         topo = line(3)
@@ -743,11 +734,57 @@ class TestRootMemory:
             assert rep.root_memory_qubits == st.peak > len(nodes)
 
     @pytest.mark.parametrize("topo", ROOT_MEMORY_TOPOLOGIES)
+    def test_flow_plan_peak_matches_brute_force(self, topo):
+        nodes = list(topo.nodes)
+        req = identity_request(nodes, list(zip(nodes, nodes[1:])))
+        for roots in (None, [nodes[-1]]):
+            root, _, plan = minimize_completion_time(topo, nodes, roots)
+            st = RootCounter(topo, root)
+            rep = execute(st, req, plan)
+            assert rep.root_memory_qubits == st.peak == len(nodes) + 1
+
+    @pytest.mark.parametrize("paths", [
+        {"n00": ["n01", "n02", "n01", "n00"], "n01": ["n01"], "n02": ["n01", "n02"]},
+        {"n00": ["n01", "n00", "n01", "n00"], "n01": ["n01"],
+         "n02": ["n01", "n02", "n01", "n02"]},
+    ], ids=["one-revisit", "every-path-revisits"])
+    def test_paths_that_revisit_the_root(self, paths):
+        """A carrier that passes back through the root brings one qubit
+        there, but only after leaving: the peak stays the start count + 1."""
+        nodes = ["n00", "n01", "n02"]
+        req = identity_request(nodes, [("n00", "n01"), ("n01", "n02"), ("n00", "n02")])
+        st = RootCounter(line(3), "n01")
+        rep = execute(st, req, DistributionPlan("n01", paths))
+        assert rep.root_memory_qubits == st.peak == len(nodes) + 1
+
+    def test_plan_without_hops(self):
+        st = RootCounter(line(3), "n01")
+        rep = execute(st, identity_request(["n01"], []), plan_shortest(line(3), ["n01"], "n01"))
+        assert rep.epr_pairs == 0
+        assert rep.root_memory_qubits == st.peak == 1
+        st = RootCounter(line(3), "n01")
+        _, rep = build_resource_state(st, ["n01"], "n01")
+        assert rep.root_memory_qubits == st.peak == 0
+
+    @pytest.mark.parametrize("topo", ROOT_MEMORY_TOPOLOGIES)
     def test_resource_build_peak_matches_brute_force(self, topo):
         root = center_root(topo)
         st = RootCounter(topo, root)
         _, rep = build_resource_state(st, topo.nodes, root)
         assert rep.root_memory_qubits == st.peak > 2 * (len(topo.nodes) - 1)
+
+    @pytest.mark.parametrize("topo", ROOT_MEMORY_TOPOLOGIES)
+    def test_resource_distribution_peak_matches_brute_force(self, topo):
+        """The anchors and the local copy, all at the root before any
+        transfer: the count after the copy is the peak."""
+        nodes = list(topo.nodes)
+        root = center_root(topo)
+        st = RootCounter(topo, root)
+        pairs, _ = build_resource_state(st, nodes, root)
+        st.peak = 0  # from here on, the distribution alone
+        req = identity_request(nodes, list(zip(nodes, nodes[1:])))
+        rep = distribute_via_resource(st, req, root, pairs)
+        assert rep.root_memory_qubits == st.peak == len(pairs) + len(nodes)
 
 
 class TestResourceMode:
@@ -815,7 +852,7 @@ def test_local_copy_consumes_nothing(caplog):
     topo = line(2)
     st = NetworkState(topo)
     g = GraphState(["u", "v", "w"], [("u", "v"), ("v", "w")])
-    mapping = make_local_copy(st, g, "n00")
+    mapping = st.local_copy(g, "n00")
     assert st.epr_generated == 0
     assert sorted(mapping) == ["u", "v", "w"]
     assert st.graph.has_edge(mapping["u"], mapping["v"])
@@ -825,7 +862,6 @@ def test_local_copy_consumes_nothing(caplog):
 HOP_IDENTITY_TOPOLOGIES = [tree_topology(4), gnp_topology(30, 0.1, seed=3)]
 
 
-@pytest.mark.usefixtures("log_local_copy")
 class TestHopIdentity:
     """Each hop is exactly CZ, Y, Y through NetworkState, on dense targets.
 

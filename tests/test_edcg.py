@@ -316,7 +316,6 @@ class TestCost:
             assert chain.near[hub] == set(heads)
             for t in chain.near.pop(hub):
                 chain.near[t].discard(hub)
-            chain.terminals.remove(hub)
             assert chain._reconnect(heads) == expected
         chain = edcg._SuffixChain(topo, S)
         chain.drop(hub)

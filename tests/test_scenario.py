@@ -66,6 +66,8 @@ class TestConfig:
         ({"format": False}, "scenario output format must be a string, not False"),
         ({"format": ["csv"]}, "scenario output format must be a string"),
         ({"format": "xml"}, "unknown report format 'xml'"),
+        ({"fromat": "json"}, "unknown scenario output keys: ['fromat']"),
+        ({"path": "r.csv", "mode": "a", "fmt": 1}, "unknown scenario output keys: ['fmt', 'mode']"),
     ])
     def test_output_is_checked_by_the_library(self, tmp_path, output, message):
         """from_dict and load_scenario reject every output the CLI rejects,
