@@ -8,7 +8,8 @@ qubit, Y-measure the local half) that hands the traveling qubit's
 entanglement to the remote half.  The local copy and the transfer are
 ``NetworkState`` methods (``local_copy``, ``transfer``): this module uses
 the state only through its public names.  ``NetworkState`` fuses the two
-Y measurements' neighborhood complements, so a hop costs time linear in the
+Y measurements' neighborhood complements into one hand-over of the
+traveling qubit's adjacency slot, so a hop costs constant time whatever the
 traveling qubit's degree.  Total EPR cost is the sum of path lengths.
 
 Scheduling packs hops into timesteps under the one-pair-per-link-per-step

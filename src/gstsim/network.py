@@ -8,7 +8,9 @@ pair generated across a link.  This module is the only one that knows how
 the state stores them: ``placement`` is the one record of where the live
 qubits are, and the operations that write the entanglement graph, the
 connection transfer and the root's local copy among them, are
-``NetworkState`` methods.
+``NetworkState`` methods.  The graph is kept over adjacency slots, so a
+connection transfer hands the travelling qubit's slot to the receiving
+half in O(1) instead of rewriting every neighbor's set.
 
 Timesteps model link contention: within one step each link may source at
 most one EPR pair; a second pair raises LocalityError (a planner bug, not a
@@ -212,22 +214,27 @@ def topology_to_dict(topo: NetworkTopology) -> dict:
 class NetworkState:
     """Single-writer mutable state: placement map + shared entanglement graph.
 
-    The entanglement graph is a mutable adjacency map (qubit -> set of
-    neighbors) edited in place (Anders-Briegel, quant-ph/0504117).  A Y
-    measurement complements the measured qubit's neighborhood, which costs
-    O(deg^2) pair toggles, so ``measure_y`` defers it, in O(1): the measured
-    qubit leaves ``placement`` but keeps its adjacency set,
-    its neighbors keep listing it, and it is the one pending qubit.  If the
-    next Y measurement hits a neighbor of it, both qubits go and only the
-    pairs the two complements do not share are toggled.  A connection
-    transfer (CZ, Y, Y) is such a pair, so a hop costs O(deg) and moves the
-    travelling qubit's neighborhood onto the receiving half.  Every other
-    read of the graph (``neighbors``, ``has_edge``, ``graph``, the checks
-    of ``transfer``, ``verify_target``) and ``measure_z`` first apply the
-    pending complement, so the deferral is invisible from outside.
-    ``apply_cz`` needs no flush: toggling one pair of live qubits commutes
-    with toggling all pairs of a set.  ``graph`` returns an immutable
-    ``GraphState`` copy for callers that need a value.
+    The entanglement graph is a mutable adjacency map edited in place
+    (Anders-Briegel, quant-ph/0504117) over *slots*: a qubit is minted in
+    the slot of its own id, and ``_slot`` (qubit -> slot) and ``_owner``
+    (slot -> qubit) hold only the qubits that have since taken over another
+    slot.  Every entry point checks ``placement`` before it maps an id to a
+    slot, because a dead qubit's id may name a live slot.  A Y measurement
+    complements the measured qubit's neighborhood, which costs O(deg^2)
+    pair toggles, so ``measure_y`` defers it, in O(1): the measured qubit
+    leaves ``placement`` but keeps its slot and adjacency set, its neighbors
+    keep listing it, and it is the one pending qubit.  If the next Y
+    measurement hits a neighbor of it, both qubits go and only the pairs the
+    two complements do not share are toggled.  A connection transfer (CZ,
+    Y, Y) is such a pair, always of the one shape in which the far pair
+    half takes over the travelling qubit's slot, so a hop costs O(1)
+    whatever the degree.  Every other read of the graph (``neighbors``,
+    ``has_edge``, ``graph``, the checks of ``transfer``, ``verify_target``)
+    and ``measure_z`` first apply the pending complement, so the deferral
+    is invisible from outside.  ``apply_cz`` needs no flush: toggling one
+    pair of live qubits commutes with toggling all pairs of a set.
+    ``graph`` returns an immutable ``GraphState`` copy for callers that
+    need a value.
     """
 
     def __init__(self, topology: NetworkTopology):
@@ -237,7 +244,9 @@ class NetworkState:
         self._step = 0
         self._used: set = set()  # links used in the current timestep
         self.epr_generated = 0
-        self._adj: dict[QubitId, set] = {}
+        self._adj: dict[int, set] = {}  # slot -> slots of its neighbors
+        self._slot: dict[QubitId, int] = {}  # qubits not in their own slot
+        self._owner: dict[int, QubitId] = {}  # the inverse of _slot
         self._pending: QubitId | None = None  # measured qubit whose complement is due
         self._next_qubit: QubitId = 0
 
@@ -283,18 +292,23 @@ class NetworkState:
     def neighbors(self, q: QubitId) -> frozenset:
         self.node_of(q)
         self._flush()
-        return frozenset(self._adj[q])
+        owner = self._owner
+        return frozenset(owner.get(s, s) for s in self._adj[self._slot.get(q, q)])
 
     def has_edge(self, u: QubitId, v: QubitId) -> bool:
         self._flush()
-        return u != v and v in self._adj.get(u, ())
+        placement, slot = self.placement, self._slot
+        return (u != v and u in placement and v in placement
+                and slot.get(v, v) in self._adj[slot.get(u, u)])
 
     @property
     def graph(self) -> GraphState:
         """Immutable snapshot of the entanglement graph; O(V + E) per call."""
         self._flush()
-        edges = [(u, v) for u, ns in self._adj.items() for v in ns if u < v]
-        return GraphState(self._adj, edges)
+        owner = self._owner
+        edges = [(owner.get(s, s), owner.get(t, t))
+                 for s, ns in self._adj.items() for t in ns if s < t]
+        return GraphState(self.placement, edges)
 
     # -- operations ----------------------------------------------------------
 
@@ -334,57 +348,84 @@ class NetworkState:
             )
         if q1 == q2:
             raise ValueError(f"cannot toggle a self-loop on {q1!r}")
-        adj1, adj2 = self._adj[q1], self._adj[q2]
-        if q2 in adj1:
-            adj1.remove(q2)
-            adj2.remove(q1)
+        s1, s2 = self._slot.get(q1, q1), self._slot.get(q2, q2)
+        adj1, adj2 = self._adj[s1], self._adj[s2]
+        if s2 in adj1:
+            adj1.remove(s2)
+            adj2.remove(s1)
         else:
-            adj1.add(q2)
-            adj2.add(q1)
+            adj1.add(s2)
+            adj2.add(s1)
 
     def measure_y(self, q: QubitId) -> None:
         """Y measurement: complement the neighborhood of ``q``, then drop ``q``.
 
         The complement is left pending (see the class docstring); when ``q``
         is a neighbor of the pending qubit p, the two complements are fused.
+        A transfer's second measurement always has one shape: q's stored
+        neighbors are p and one c whose only neighbor is q.  Then c takes
+        N(p) - q, which is p's set once q leaves it, so c takes p's slot in
+        O(1).  Any other fused shape toggles pairs, in O(deg).
         """
         if self.placement.pop(q, None) is None:
             self.node_of(q)  # raises
         p = self._pending
-        adj = self._adj
-        if p is not None and q in adj[p]:
-            # Complementing K' = N(p) - q, then q's true neighborhood
-            # K2 = S ^ K' (S: q's stored neighbors but p), toggles the pairs
-            # within P = K' & S and Q = S - K', and P x I, Q x I (I = K' - S):
-            # a member of P toggles K', one of Q K2 and one of I S + p, which
-            # drops p.  Members of S drop p and q too; both go with their sets.
-            self._pending = None
-            stored = adj.pop(q)
-            kp = adj.pop(p)
-            kp.discard(q)
-            for x in kp:
-                if x not in stored:
-                    adj[x] ^= stored
-            stored.discard(p)
-            k2 = stored ^ kp
-            for x in stored:
-                adj_x = adj[x]
-                adj_x ^= kp if x in kp else k2
-                adj_x.discard(x)
-                adj_x.discard(q)
-                adj_x.discard(p)
-        else:
-            if p is not None:
-                self._flush()
+        if p is None:
             self._pending = q
+            return
+        adj, slot, owner = self._adj, self._slot, self._owner
+        sq, sp = slot.get(q, q), slot.get(p, p)
+        stored = adj[sq]
+        if sp not in stored:
+            self._flush()
+            self._pending = q
+            return
+        self._pending = None
+        del adj[sq]
+        if sq != q:
+            del slot[q], owner[sq]
+        if sp != p:
+            del slot[p], owner[sp]
+        if len(stored) == 2:
+            s1, s2 = stored
+            sc = s2 if s1 == sp else s1
+            if len(adj[sc]) == 1:
+                # the hand-over: c's only neighbor is q, so c takes p's slot
+                del adj[sc]
+                adj[sp].remove(sq)
+                c = owner.pop(sc, sc)
+                slot[c] = sp
+                owner[sp] = c
+                return
+        # Complementing K' = N(p) - q, then q's true neighborhood
+        # K2 = S ^ K' (S: q's stored neighbors but p), toggles the pairs
+        # within P = K' & S and Q = S - K', and P x I, Q x I (I = K' - S):
+        # a member of P toggles K', one of Q K2 and one of I S + p, which
+        # drops p.  Members of S drop p and q too; both go with their sets.
+        kp = adj.pop(sp)
+        kp.discard(sq)
+        for x in kp:
+            if x not in stored:
+                adj[x] ^= stored
+        stored.discard(sp)
+        k2 = stored ^ kp
+        for x in stored:
+            adj_x = adj[x]
+            adj_x ^= kp if x in kp else k2
+            adj_x.discard(x)
+            adj_x.discard(sq)
+            adj_x.discard(sp)
 
     def measure_z(self, q: QubitId) -> None:
         """Z measurement: drop ``q`` and its edges."""
         self.node_of(q)
         self._flush()
         adj = self._adj
-        for x in adj.pop(q):
-            adj[x].discard(q)
+        sq = self._slot.pop(q, q)
+        if sq != q:
+            del self._owner[sq]
+        for x in adj.pop(sq):
+            adj[x].discard(sq)
         del self.placement[q]
 
     def transfer(self, a: QubitId, b: QubitId, c: QubitId) -> QubitId:
@@ -395,6 +436,8 @@ class NetworkState:
         goes to c, and a is adjacent to neither b nor itself equal to b/c.
         The rewrite is CZ(a, b), Y-measure a, Y-measure b; afterwards c's
         neighborhood is exactly a's former one (minus c, were it present).
+        The second Y measurement hands a's slot to c (see ``measure_y``),
+        so a transfer costs O(1) whatever a's degree.
         Every check runs before the first operation, so a rejected transfer
         leaves the state as it was.
         """
@@ -410,13 +453,15 @@ class NetworkState:
             )
         if self._pending is not None:
             self._flush()
-        adj = self._adj
-        adj_b = adj[b]
-        if len(adj_b) != 1 or c not in adj_b:
+        adj, slot = self._adj, self._slot
+        sb = slot.get(b, b)
+        adj_b = adj[sb]
+        if len(adj_b) != 1 or c not in placement or slot.get(c, c) not in adj_b:
             raise ValueError(f"qubit {b} must be entangled with {c} and nothing else")
         # b's one neighbour is c, not a: CZ(a, b) adds the edge
-        adj_b.add(a)
-        adj[a].add(b)
+        sa = slot.get(a, a)
+        adj_b.add(sa)
+        adj[sa].add(sb)
         self.measure_y(a)
         self.measure_y(b)
         return c
@@ -428,12 +473,15 @@ class NetworkState:
             return
         self._pending = None
         adj = self._adj
-        nbrs = adj.pop(p)
+        sp = self._slot.pop(p, p)
+        if sp != p:
+            del self._owner[sp]
+        nbrs = adj.pop(sp)
         for x in nbrs:
             adj_x = adj[x]
             adj_x ^= nbrs
             adj_x.discard(x)
-            adj_x.discard(p)
+            adj_x.discard(sp)
 
     def advance_timestep(self) -> None:
         self._step += 1
@@ -456,10 +504,11 @@ def verify_target(state: NetworkState, target: GraphState, assignment: dict) -> 
     if set(assignment) != set(vertices):
         raise ValueError("assignment must cover exactly the target vertices")
     state._flush()
-    adj = state._adj
-    pool: dict = {}  # (node, degree) -> live qubits there, ascending
+    adj, slot = state._adj, state._slot
+    pool: dict = {}  # (node, degree) -> slots of the live qubits there, by qubit id
     for q in sorted(state.placement):
-        pool.setdefault((state.placement[q], len(adj[q])), []).append(q)
+        s = slot.get(q, q)
+        pool.setdefault((state.placement[q], len(adj[s])), []).append(s)
     keys = [(assignment[v], target.degree(v)) for v in vertices]
     if Counter(keys) != Counter({key: len(qs) for key, qs in pool.items()}):
         return False

@@ -45,6 +45,12 @@ def ring(n):
     return NetworkTopology(nodes, list(zip(nodes, nodes[1:] + nodes[:1])))
 
 
+def stored(st, q) -> set:
+    """The qubits ``st`` lists as q's neighbours in its adjacency slots, a
+    pending complement not applied."""
+    return {st._owner.get(x, x) for x in st._adj[st._slot.get(q, q)]}
+
+
 def identity_request(nodes, edges):
     g = GraphState(nodes, edges)
     return DistributionRequest(g, {x: x for x in nodes})
@@ -152,7 +158,7 @@ class TestConnectionTransfer:
         st.apply_cz(q, qb)
         st.apply_cz(q, spect)
         st.measure_y(q)
-        assert st._pending == q and st._adj[q] == {qb, spect}
+        assert st._pending == q and stored(st, q) == {qb, spect}
         self.assert_rejected(st, f"qubit {qb} must be entangled with {qc} and nothing else",
                              a, qb, qc)
 
@@ -160,7 +166,7 @@ class TestConnectionTransfer:
         """c's Y measurement is still pending, so b still lists c until a flush."""
         st, a, spect, qb, qc = self.make_state()
         st.measure_y(qc)
-        assert st._pending == qc and st._adj[qb] == {qc}
+        assert st._pending == qc and stored(st, qb) == {qc}
         self.assert_rejected(st, f"qubit {qb} must be entangled with {qc} and nothing else",
                              a, qb, qc)
 
@@ -170,7 +176,7 @@ class TestConnectionTransfer:
         q = st.new_qubit("n00")
         st.apply_cz(q, qb)
         st.measure_y(q)
-        assert st._pending == q and st._adj[qb] == {qc, q}
+        assert st._pending == q and stored(st, qb) == {qc, q}
         assert st.transfer(a, qb, qc) == qc
         assert st.graph.neighbors(qc) == frozenset({spect})
 
@@ -190,7 +196,27 @@ class TestConnectionTransferWhilePending(TestConnectionTransfer):
         st.apply_cz(q, spect)
         st.apply_cz(a, spect)
         st.measure_y(q)
-        assert st._pending == q and st._adj[q] == {a, spect}
+        assert st._pending == q and stored(st, q) == {a, spect}
+        return st, a, spect, qb, qc
+
+
+class TestConnectionTransferAfterHandOvers(TestConnectionTransfer):
+    """The same transfers once a and spect have arrived by earlier
+    transfers, so both sit in the adjacency slots of dead qubits: a walks
+    n00 -> n01 -> n00, spect n00 -> n01 -> n00, and a fresh pair follows."""
+
+    def make_state(self):
+        st = NetworkState(line(2))
+        a, spect = st.new_qubit("n00"), st.new_qubit("n00")
+        st.apply_cz(a, spect)
+        for hop in [("n00", "n01"), ("n01", "n00")]:
+            st.advance_timestep()
+            a = st.transfer(a, *st.generate_epr(*hop))
+            st.advance_timestep()
+            spect = st.transfer(spect, *st.generate_epr(*hop))
+        assert st._slot == {a: 0, spect: 1} and st.neighbors(a) == {spect}
+        st.advance_timestep()
+        qb, qc = st.generate_epr("n00", "n01")
         return st, a, spect, qb, qc
 
 

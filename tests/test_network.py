@@ -339,6 +339,12 @@ class TestNetworkState:
             st.node_of(qa)
 
 
+def hop(st, q, u, v):
+    """Move qubit ``q`` from node u to v over a fresh EPR pair; returns its new qubit."""
+    st.advance_timestep()
+    return st.transfer(q, *st.generate_epr(u, v))
+
+
 class TestNetworkStateErrors:
     """Every rejected operation raises ValueError and leaves the state as it was."""
 
@@ -355,10 +361,15 @@ class TestNetworkStateErrors:
         return copy.deepcopy(self.st).graph, dict(self.st.placement), counts
 
     def assert_rejected(self, op, *args):
+        self.rejection(op, *args)
+
+    def rejection(self, op, *args) -> str:
+        """The message of a rejected operation, which must leave the state as it was."""
         before = self.snapshot()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             getattr(self.st, op)(*args)
         assert self.snapshot() == before
+        return str(info.value)
 
     def test_cz_of_a_qubit_with_itself(self):
         self.assert_rejected("apply_cz", self.qa, self.qa)
@@ -392,6 +403,30 @@ class TestNetworkStateErrors:
         assert not self.st.has_edge(self.qb, self.qa2)
         assert not self.st.has_edge(self.qa, self.qa)
 
+    def test_carrier_after_a_hop(self):
+        """The carrier is dead once it has hopped, although its slot lives
+        on in the far pair half c: every operation on it is rejected as on
+        any dead qubit, it has no edge, and no transfer takes it."""
+        st, qa = self.st, self.qa
+        c = hop(st, qa, "a", "c")
+        assert st.neighbors(c) == frozenset({self.qb, self.qa2})
+        message = f"qubit {qa!r} is not live"
+        for op, args in [("node_of", (qa,)), ("neighbors", (qa,)), ("measure_y", (qa,)),
+                         ("measure_z", (qa,)), ("apply_cz", (qa, self.qa2)),
+                         ("apply_cz", (self.qa2, qa))]:
+            assert self.rejection(op, *args) == message
+        for x in sorted(st.placement):
+            assert not st.has_edge(qa, x) and not st.has_edge(x, qa)
+        # qa as the carrier ...
+        st.advance_timestep()
+        qb, qc = st.generate_epr("c", "d")
+        assert self.rejection("transfer", qa, qb, qc) == message
+        # ... and as c, behind a bridge whose one neighbour holds qa's old slot
+        carrier, bridge = st.new_qubit("c"), st.new_qubit("c")
+        st.apply_cz(bridge, c)
+        assert (self.rejection("transfer", carrier, bridge, qa)
+                == f"qubit {bridge} must be entangled with {qa} and nothing else")
+
 
 class TestNetworkStateErrorsWhilePending(TestNetworkStateErrors):
     """The same rejections while a Y measurement's complement is still pending.
@@ -411,6 +446,37 @@ class TestNetworkStateErrorsWhilePending(TestNetworkStateErrors):
         assert self.st._pending == q and self.st._adj[q] == {self.qa, self.qa2}
 
 
+class TestNetworkStateErrorsAfterHandOver(TestNetworkStateErrors):
+    """The same rejections once every qubit in use has arrived by hops.
+
+    Each of qa, qa2 and qb then sits in the adjacency slot of a dead qubit,
+    so the dead ids 0, 1 and 2 name live slots.  The setup builds
+    the base class's graph at node a and walks the qubits through b and c.
+    """
+
+    def setup_method(self):
+        self.st = st = NetworkState(diamond())
+        qa, qa2, qb = (st.new_qubit("a") for _ in range(3))
+        st.apply_cz(qa, qa2)
+        st.apply_cz(qa, qb)
+        self.qa = hop(st, hop(st, qa, "a", "c"), "c", "a")
+        self.qa2 = hop(st, hop(st, qa2, "a", "b"), "b", "a")
+        self.qb = hop(st, qb, "a", "b")
+        assert st.graph == GraphState([self.qa, self.qa2, self.qb],
+                                      [(self.qa, self.qa2), (self.qa, self.qb)])
+        assert st._slot == {self.qa: qa, self.qa2: qa2, self.qb: qb}
+        assert not {qa, qa2, qb} & set(st.placement)
+
+
+def check_slots(st):
+    """The two alias maps are each other's inverse and hold only live or
+    pending qubits, each in a slot of the adjacency map other than its id."""
+    assert st._owner == {s: q for q, s in st._slot.items()}
+    assert all(q != s for q, s in st._slot.items())
+    assert set(st._slot) <= set(st.placement) | {st._pending}
+    assert set(st._owner) <= set(st._adj)
+
+
 def _transfer_op(st, ref, carrier, j) -> GraphState:
     """A connection transfer of a live carrier over a fresh EPR pair, or one
     of three rejected ones, on ``st`` and on the GraphState ``ref``.
@@ -418,7 +484,8 @@ def _transfer_op(st, ref, carrier, j) -> GraphState:
     ``j % 4`` picks the kind: a transfer (toggle_edge, measure_y, measure_y
     on ``ref``), a dirty bridge (a CZ onto the pair's local half first), a
     split pair (the halves swapped) or a dead carrier; ``j // 4`` picks the
-    link and the mate.  A rejected transfer
+    link and the mate.  An accepted transfer must hand the carrier's
+    adjacency slot to the far half.  A rejected transfer
     must raise ValueError and leave the state's snapshot as it was; the
     snapshot reads a deep copy, so a complement still pending stays pending.
     Returns the updated reference.
@@ -433,7 +500,9 @@ def _transfer_op(st, ref, carrier, j) -> GraphState:
     qb, qc = st.generate_epr(node, v if u == node else u)
     ref = ref.add_vertex(qb).add_vertex(qc).toggle_edge(qb, qc)
     if kind == 0:
+        slot = st._slot.get(carrier, carrier)
         assert st.transfer(carrier, qb, qc) == qc
+        assert st._slot.get(qc) == slot  # qc took the carrier's slot
         return ref.toggle_edge(carrier, qb).measure_y(carrier).measure_y(qb)
     if kind == 1:
         mates = [m for m in st.qubits_at(node) if m != qb]
@@ -470,8 +539,9 @@ def _replay_state(topo, ops) -> int:
     GraphState; returns how many accepted transfers ran while a Y
     measurement's complement was still pending.
 
-    The state's snapshot must equal the replay after every step, and no
-    snapshot may change when the state moves on.  Every read of the graph
+    The state's snapshot must equal the replay after every step, its alias
+    maps must pass ``check_slots``, and no snapshot may change when the
+    state moves on.  Every read of the graph
     goes to a deep copy, which leaves the original's pending complement in
     place, so the next operation meets it.
     """
@@ -507,6 +577,7 @@ def _replay_state(topo, ops) -> int:
             q = live[i % len(live)]
             getattr(st, kind)(q)
             ref = getattr(ref, kind)(q)
+        check_slots(st)
         view = copy.deepcopy(st)
         snapshot = view.graph
         assert snapshot == ref
@@ -559,7 +630,7 @@ FUSE_OPS = hs.lists(
 )
 
 
-def _replay_with_pending_complements(topo, start, ops) -> int:
+def _replay_with_pending_complements(topo, start, ops) -> tuple[int, int]:
     """Run ``ops`` on a NetworkState and on GraphState, comparing after each.
 
     Eight qubits at the first node, joined by a CZ for each set bit of
@@ -570,16 +641,22 @@ def _replay_with_pending_complements(topo, start, ops) -> int:
     too meet a pending complement.  "general" makes five fresh qubits with
     the edges of ``test_fused_y_measurement_of_the_general_shape`` and
     Y-measures x, then y: a fused measurement of the general shape.
+    "handover" makes fresh qubits p - q - c, joins p to up to three qubits
+    at the first node and Y-measures p, then q: a hand-over without a pair.
     Each read ("neighbors", "has_edge", "graph", "verify") and each other
-    write runs while that complement may still be pending.  The comparison
-    after each operation reads the graph of a deep copy, which leaves the
-    original's pending complement in place.
+    write runs while that complement may still be pending.  After each
+    operation the alias maps must pass ``check_slots``, and the comparison
+    reads the graph of a deep copy, which leaves the original's pending
+    complement in place.
 
-    Returns how many fused Y measurements were of the general shape:
-    with K' the pending set minus the measured qubit and K2 its true
-    neighbourhood, K' - K2, K2 - K' and K' & K2 are all non-empty.  After
-    each Y measurement the state's pending qubit must be the one this model
-    expects: none after a fused measurement, the measured qubit otherwise.
+    Returns how many fused Y measurements were of the general shape and
+    how many were hand-overs.  With K' the pending set minus the measured
+    qubit q and K2 q's true neighbourhood, q's stored neighbours but the
+    pending p are S = K' ^ K2.  The general shape has K' - K2, K2 - K' and
+    K' & K2 all non-empty; a hand-over has S = {c} and c's only neighbour
+    q, and c must then hold p's adjacency slot.  After each Y measurement
+    the state's pending qubit must be the one this model expects: none
+    after a fused measurement, the measured qubit otherwise.
     """
     nodes, links = topo.nodes, sorted(topo.links)
     st = NetworkState(topo)
@@ -592,22 +669,33 @@ def _replay_with_pending_complements(topo, start, ops) -> int:
             ref = ref.toggle_edge(i, j)
     pending = frozenset()   # the complement this model expects the state to owe
     near = frozenset()      # neighbours of the last Y-measured qubit
-    general = 0
+    general = handovers = 0
 
     def measure_y(q):
-        nonlocal pending, near, general, ref
+        nonlocal pending, near, general, handovers, ref
         k2 = ref.neighbors(q)
         fused = q in pending
+        c = None
         if fused:
             rest = pending - {q}
             general += bool(rest - k2 and k2 - rest and rest & k2)
             pending = frozenset()
+            if len(rest ^ k2) == 1:
+                (c,) = rest ^ k2
+                c = c if ref.neighbors(c) == {q} else None
+                handovers += c is not None
+            p = st._pending
+            slot_p = st._slot.get(p, p)
         else:
             pending = k2
         near = k2
         st.measure_y(q)
         ref = ref.measure_y(q)
         assert st._pending == (None if fused else q)
+        if c is not None:
+            assert st._slot.get(c, c) == slot_p
+        elif fused:
+            assert slot_p not in st._adj
 
     for kind, i, j in ops:
         live = sorted(st.placement)
@@ -620,6 +708,16 @@ def _replay_with_pending_complements(topo, start, ops) -> int:
                 ref = ref.toggle_edge(u, v)
             measure_y(x)
             measure_y(y)
+        elif kind == "handover":
+            mates = st.qubits_at(nodes[0])[:3]
+            p, q, c = qubits = [st.new_qubit(nodes[0]) for _ in range(3)]
+            for x in qubits:
+                ref = ref.add_vertex(x)
+            for u, v in [(p, q), (q, c)] + [(p, m) for m in mates]:
+                st.apply_cz(u, v)
+                ref = ref.toggle_edge(u, v)
+            measure_y(p)
+            measure_y(q)
         elif kind == "new":
             ref = ref.add_vertex(st.new_qubit(nodes[i % len(nodes)]))
         elif kind == "epr":
@@ -663,32 +761,38 @@ def _replay_with_pending_complements(topo, start, ops) -> int:
                 assert st.graph == ref
             else:
                 assert verify_target(st, ref, dict(st.placement))
+        check_slots(st)
         assert copy.deepcopy(st).graph == ref
         assert sorted(st.placement) == sorted(ref.vertices)
     assert st.graph == ref
-    return general
+    return general, handovers
 
 
 def test_fused_y_measurements_match_graphstate_replay():
     """Pending and fused Y-measurement complements against GraphState.
 
-    Connection transfers only ever fuse in one shape (the measured qubit's
-    stored neighbourhood is one qubit outside the pending set), so every
-    example also runs one "general" operation, at a drawn point of its
-    random ones, and must fuse in the general shape at least once.
+    A connection transfer always fuses as a hand-over: the measured bridge
+    b's stored neighbours are the pending carrier and the far half c, whose
+    only neighbour is b.  Random Y measurements rarely fuse in either that
+    shape or the general one, so every example also runs one "general" and
+    one "handover" operation, each at a drawn point of its random ones, and
+    must fuse in both shapes at least once.
     """
-    general = []
+    counts = []
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(topo_index=hs.integers(0, len(FUSE_TOPOLOGIES) - 1), start=FUSE_START,
-           ops=FUSE_OPS, at=hs.integers(0, 60))
-    def sweep(topo_index, start, ops, at):
+           ops=FUSE_OPS, at=hs.integers(0, 60), at2=hs.integers(0, 61))
+    def sweep(topo_index, start, ops, at, at2):
         ops = ops[:at] + [("general", 0, 0)] + ops[at:]
-        general.append(_replay_with_pending_complements(
+        ops = ops[:at2] + [("handover", 0, 0)] + ops[at2:]
+        counts.append(_replay_with_pending_complements(
             FUSE_TOPOLOGIES[topo_index], start, ops))
 
     sweep()
-    assert general and min(general) >= 1
+    assert counts
+    assert min(general for general, _ in counts) >= 1
+    assert min(handovers for _, handovers in counts) >= 1
 
 
 @pytest.mark.parametrize("start", [0, 0x5A5A5A5, 2 ** len(FUSE_PAIRS) - 1])
@@ -702,6 +806,46 @@ def test_transfers_while_pending_match_graphstate_replay(start):
            for k in range(6) for j in range(4)
            for kind in ("y_near" if k % 2 else "y", "transfer")]
     _replay_with_pending_complements(TRIANGLE, start, ops)
+
+
+def test_a_transfer_costs_the_same_for_any_carrier_degree():
+    """A transfer hands the carrier's adjacency slot to the far pair half:
+    it reads and writes the adjacency map as often for a carrier of degree
+    1 as for one of degree 200, here a carrier that already sits in the
+    slot of a dead qubit."""
+
+    class CountingAdjacency(dict):
+        accesses = 0
+
+    def counted(name):
+        method = getattr(dict, name)
+
+        def counting(self, *args):
+            CountingAdjacency.accesses += 1
+            return method(self, *args)
+        return counting
+
+    for name in ["__getitem__", "__setitem__", "__delitem__", "__contains__",
+                 "get", "pop", "setdefault"]:
+        setattr(CountingAdjacency, name, counted(name))
+
+    def accesses(degree):
+        st = NetworkState(NetworkTopology(["a", "b"], [("a", "b")]))
+        a = st.new_qubit("a")
+        spectators = [st.new_qubit("a") for _ in range(degree)]
+        for x in spectators:
+            st.apply_cz(a, x)
+        a = hop(st, hop(st, a, "a", "b"), "b", "a")
+        st.advance_timestep()
+        qb, qc = st.generate_epr("a", "b")
+        st._adj = CountingAdjacency(st._adj)
+        CountingAdjacency.accesses = 0
+        assert st.transfer(a, qb, qc) == qc
+        count = CountingAdjacency.accesses
+        assert st.neighbors(qc) == frozenset(spectators)
+        return count
+
+    assert 0 < accesses(1) == accesses(200)
 
 
 def test_fused_y_measurement_of_the_general_shape():
