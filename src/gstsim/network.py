@@ -20,7 +20,7 @@ user error).
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import deque
 
 from .graphstate import GraphState, edge_key as link_key
 
@@ -223,12 +223,11 @@ class NetworkState:
     complements the measured qubit's neighborhood, which costs O(deg^2)
     pair toggles, so ``measure_y`` defers it, in O(1): the measured qubit
     leaves ``placement`` but keeps its slot and adjacency set, its neighbors
-    keep listing it, and it is the one pending qubit.  If the next Y
-    measurement hits a neighbor of it, both qubits go and only the pairs the
-    two complements do not share are toggled.  A connection transfer (CZ,
-    Y, Y) is such a pair, always of the one shape in which the far pair
-    half takes over the travelling qubit's slot, so a hop costs O(1)
-    whatever the degree.  Every other read of the graph (``neighbors``,
+    keep listing it, and it is the one pending qubit.  The next Y
+    measurement of a connection transfer (CZ, Y, Y) is fused with it: the
+    far pair half takes over the travelling qubit's slot, so a hop costs
+    O(1) whatever the degree.  Any other Y measurement applies the pending
+    complement first.  Every other read of the graph (``neighbors``,
     ``has_edge``, ``graph``, the checks of ``transfer``, ``verify_target``)
     and ``measure_z`` first apply the pending complement, so the deferral
     is invisible from outside.  ``apply_cz`` needs no flush: toggling one
@@ -360,61 +359,38 @@ class NetworkState:
     def measure_y(self, q: QubitId) -> None:
         """Y measurement: complement the neighborhood of ``q``, then drop ``q``.
 
-        The complement is left pending (see the class docstring); when ``q``
-        is a neighbor of the pending qubit p, the two complements are fused.
-        A transfer's second measurement always has one shape: q's stored
-        neighbors are p and one c whose only neighbor is q.  Then c takes
-        N(p) - q, which is p's set once q leaves it, so c takes p's slot in
-        O(1).  Any other fused shape toggles pairs, in O(deg).
+        The complement is left pending (see the class docstring).  Only a
+        transfer's second measurement is fused with the pending qubit p's:
+        q's stored neighbors are p and one c whose only neighbor is q.  Then
+        c takes N(p) - q, which is p's set once q leaves it, so c takes p's
+        slot in O(1) and nothing is left pending.  Any other measurement
+        first applies p's complement, then leaves q pending.
         """
         if self.placement.pop(q, None) is None:
             self.node_of(q)  # raises
         p = self._pending
-        if p is None:
-            self._pending = q
-            return
-        adj, slot, owner = self._adj, self._slot, self._owner
-        sq, sp = slot.get(q, q), slot.get(p, p)
-        stored = adj[sq]
-        if sp not in stored:
+        if p is not None:
+            adj, slot, owner = self._adj, self._slot, self._owner
+            sq, sp = slot.get(q, q), slot.get(p, p)
+            stored = adj[sq]
+            if len(stored) == 2 and sp in stored:
+                s1, s2 = stored
+                sc = s2 if s1 == sp else s1
+                if len(adj[sc]) == 1:
+                    # the hand-over: c's only neighbor is q, so c takes p's slot
+                    self._pending = None
+                    del adj[sq], adj[sc]
+                    if sq != q:
+                        del slot[q], owner[sq]
+                    if sp != p:
+                        del slot[p], owner[sp]
+                    adj[sp].remove(sq)
+                    c = owner.pop(sc, sc)
+                    slot[c] = sp
+                    owner[sp] = c
+                    return
             self._flush()
-            self._pending = q
-            return
-        self._pending = None
-        del adj[sq]
-        if sq != q:
-            del slot[q], owner[sq]
-        if sp != p:
-            del slot[p], owner[sp]
-        if len(stored) == 2:
-            s1, s2 = stored
-            sc = s2 if s1 == sp else s1
-            if len(adj[sc]) == 1:
-                # the hand-over: c's only neighbor is q, so c takes p's slot
-                del adj[sc]
-                adj[sp].remove(sq)
-                c = owner.pop(sc, sc)
-                slot[c] = sp
-                owner[sp] = c
-                return
-        # Complementing K' = N(p) - q, then q's true neighborhood
-        # K2 = S ^ K' (S: q's stored neighbors but p), toggles the pairs
-        # within P = K' & S and Q = S - K', and P x I, Q x I (I = K' - S):
-        # a member of P toggles K', one of Q K2 and one of I S + p, which
-        # drops p.  Members of S drop p and q too; both go with their sets.
-        kp = adj.pop(sp)
-        kp.discard(sq)
-        for x in kp:
-            if x not in stored:
-                adj[x] ^= stored
-        stored.discard(sp)
-        k2 = stored ^ kp
-        for x in stored:
-            adj_x = adj[x]
-            adj_x ^= kp if x in kp else k2
-            adj_x.discard(x)
-            adj_x.discard(sq)
-            adj_x.discard(sp)
+        self._pending = q
 
     def measure_z(self, q: QubitId) -> None:
         """Z measurement: drop ``q`` and its edges."""
@@ -491,66 +467,21 @@ class NetworkState:
 def verify_target(state: NetworkState, target: GraphState, assignment: dict) -> bool:
     """Does the live entanglement graph realize the target at its destinations?
 
-    ``assignment`` maps each target vertex to the node that must hold it.
-    True iff some bijection from target vertices onto the live qubits is both
-    placement-respecting and edge-preserving (exactly — no extra or missing
-    entanglement, no extra live qubits).
-
-    Such a bijection is an isomorphism, so a vertex may only map to a qubit
-    of its own degree at its node.  The backtracking search keeps its own
-    stack, so its depth is not bounded by Python's recursion limit.
+    ``assignment`` maps each target vertex to the node that must hold it, a
+    distinct node per vertex.  True iff the live qubits are exactly one per
+    assigned node and the map from each vertex to the qubit at its node
+    preserves edges exactly: no extra or missing entanglement, no extra
+    live qubits.  With an injective assignment that map is the only
+    placement-respecting bijection, so there is nothing to search.
     """
-    vertices = sorted(target.vertices)
-    if set(assignment) != set(vertices):
+    if set(assignment) != set(target.vertices):
         raise ValueError("assignment must cover exactly the target vertices")
+    if len(set(assignment.values())) != len(assignment):
+        raise ValueError("assignment must send each vertex to a distinct node")
     state._flush()
     adj, slot = state._adj, state._slot
-    pool: dict = {}  # (node, degree) -> slots of the live qubits there, by qubit id
-    for q in sorted(state.placement):
-        s = slot.get(q, q)
-        pool.setdefault((state.placement[q], len(adj[s])), []).append(s)
-    keys = [(assignment[v], target.degree(v)) for v in vertices]
-    if Counter(keys) != Counter({key: len(qs) for key, qs in pool.items()}):
+    at = {node: slot.get(q, q) for q, node in state.placement.items()}  # node -> slot
+    if len(at) != len(state.placement) or at.keys() != set(assignment.values()):
         return False
-    candidates = [pool[key] for key in keys]
-    index = {v: i for i, v in enumerate(vertices)}
-    # target neighbours of each vertex that the search maps before it
-    earlier = [[index[w] for w in target.neighbors(v) if index[w] < i]
-               for i, v in enumerate(vertices)]
-
-    n = len(vertices)
-    mapped: list = [None] * n   # qubit of vertices[i] while it is mapped
-    tried = [0] * n             # candidates of vertices[i] tried so far
-    used: set = set()
-
-    def fits(i: int, q: QubitId) -> bool:
-        # The mapping is injective, so the mapped neighbours of vertices[i]
-        # land on distinct qubits: they are exactly q's mapped neighbours
-        # iff each is a neighbour of q and q has no other mapped neighbour.
-        # (With degrees matched, the first test alone makes a complete
-        # mapping an isomorphism; the second cuts dead branches early.)
-        adj_q = adj[q]
-        return (q not in used
-                and all(mapped[j] in adj_q for j in earlier[i])
-                and len(adj_q & used) == len(earlier[i]))
-
-    i = 0
-    while i < n:
-        if mapped[i] is not None:   # back from a dead end further down
-            used.remove(mapped[i])
-            mapped[i] = None
-        cands = candidates[i]
-        k = tried[i]
-        while k < len(cands) and not fits(i, cands[k]):
-            k += 1
-        if k == len(cands):
-            tried[i] = 0
-            if i == 0:
-                return False
-            i -= 1
-            continue
-        tried[i] = k + 1
-        mapped[i] = cands[k]
-        used.add(cands[k])
-        i += 1
-    return True
+    image = {v: at[node] for v, node in assignment.items()}
+    return all(adj[image[v]] == {image[w] for w in target.neighbors(v)} for v in image)

@@ -26,7 +26,7 @@ from .distribution import (
 )
 from .edcg import EDCG_MODES, edcg_cost
 from .flow import minimize_completion_time
-from .graphstate import GraphState
+from .graphstate import GraphState, edge_key
 from .network import (
     NetworkState,
     NetworkTopology,
@@ -157,9 +157,14 @@ def _resolve_target_graph(spec, targets: list, rng: random.Random) -> GraphState
     elif isinstance(spec, list):
         edges = check_node_pairs(spec, "target_edges")
         known = set(ts)
+        seen = set()
         for u, v in edges:
             if u not in known or v not in known:
                 raise ValueError(f"target edge ({u!r}, {v!r}) leaves the target set")
+            key = edge_key(u, v)
+            if key in seen:  # two CZs on one pair cancel: which graph is meant?
+                raise ValueError(f"repeated target edge ({u!r}, {v!r})")
+            seen.add(key)
     else:
         raise ValueError(f"bad target_edges spec: {spec!r}")
     return GraphState(ts, edges)

@@ -430,6 +430,19 @@ def test_malformed_target_entries_are_config_errors(tmp_path, capsys, verb, key,
 
 
 @pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
+def test_repeated_target_edge_is_config_error(tmp_path, capsys, verb):
+    """Like duplicate targets and links: rejected, not silently deduped."""
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"topology": {"kind": "line", "n": 4},
+                               "targets": ["n00", "n01"],
+                               "target_edges": [["n00", "n01"], ["n01", "n00"]]}))
+    assert main([verb, "--scenario", str(scn)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: repeated target edge ('n01', 'n00')\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
 def test_empty_target_list_is_config_error(tmp_path, capsys, verb):
     """Rejected while the scenario resolves, before any leg runs."""
     scn = tmp_path / "scn.json"

@@ -926,3 +926,59 @@ class TestHopIdentity:
         # one CZ per anchor pair and per target edge, plus one per hop
         assert st.count("cz") == len(pairs) + len(req.target.edges) + hops
         assert st.graph == st.replay()
+
+
+@pytest.fixture
+def pending_flushes(monkeypatch):
+    """One entry per call of ``NetworkState._flush``: True where the call
+    found a pending complement to apply."""
+    calls = []
+    flush = NetworkState._flush
+
+    def counting(self):
+        calls.append(self._pending is not None)
+        flush(self)
+    monkeypatch.setattr(NetworkState, "_flush", counting)
+    return calls
+
+
+def _edges_request(nodes, shape):
+    """Complete target edges, or G(n, 0.3) ones from a fixed seed."""
+    rng = random.Random(7)
+    pairs = list(combinations(sorted(nodes), 2))
+    if shape == "gnp":
+        pairs = [e for e in pairs if rng.random() < 0.3]
+    return identity_request(sorted(nodes), pairs)
+
+
+NO_FLUSH_TOPOLOGIES = [tree_topology(3), grid_topology(3, 4), GNP14]
+NO_FLUSH_IDS = ["tree3", "grid3x4", "gnp14"]
+
+
+class TestNoPendingComplementInAWalk:
+    """Every Y measurement of a walk or a resource run is a transfer's, and
+    a transfer's second one hands the carrier's slot over, so no complement
+    is ever left for a flush to apply: each hop stays O(1) in the carrier's
+    degree.  Every run flushes at least once, in ``verify_target``."""
+
+    @pytest.mark.parametrize("topo", NO_FLUSH_TOPOLOGIES, ids=NO_FLUSH_IDS)
+    @pytest.mark.parametrize("shape", ["complete", "gnp"])
+    @pytest.mark.parametrize("planner", ["shortest", "flow"])
+    def test_execute(self, pending_flushes, topo, shape, planner):
+        req = _edges_request(topo.nodes, shape)
+        if planner == "shortest":
+            plan = plan_shortest(topo, req.target_nodes, center_root(topo))
+        else:
+            plan = minimize_completion_time(topo, req.target_nodes)[2]
+        assert execute(NetworkState(topo), req, plan).epr_pairs > 0
+        assert pending_flushes and not any(pending_flushes)
+
+    @pytest.mark.parametrize("topo", NO_FLUSH_TOPOLOGIES, ids=NO_FLUSH_IDS)
+    @pytest.mark.parametrize("shape", ["complete", "gnp"])
+    def test_resource_path(self, pending_flushes, topo, shape):
+        st = NetworkState(topo)
+        root = center_root(topo)
+        pairs, _ = build_resource_state(st, topo.nodes, root)
+        req = _edges_request(topo.nodes, shape)
+        assert distribute_via_resource(st, req, root, pairs).epr_pairs > 0
+        assert pending_flushes and not any(pending_flushes)

@@ -20,7 +20,7 @@ from gstsim.network import (
     verify_target,
 )
 from gstsim.graphstate import GraphState, edge_key
-from gstsim.distribution import center_root, plan_shortest
+from gstsim.distribution import DistributionRequest, center_root, execute, plan_shortest
 from gstsim import edcg
 from gstsim.edcg import edcg_cost
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
@@ -640,7 +640,8 @@ def _replay_with_pending_complements(topo, start, ops) -> tuple[int, int]:
     (see ``_transfer_op``) with such a neighbour as its carrier, so those
     too meet a pending complement.  "general" makes five fresh qubits with
     the edges of ``test_fused_y_measurement_of_the_general_shape`` and
-    Y-measures x, then y: a fused measurement of the general shape.
+    Y-measures x, then y: a measurement of the general shape, which the
+    state does not fuse.
     "handover" makes fresh qubits p - q - c, joins p to up to three qubits
     at the first node and Y-measures p, then q: a hand-over without a pair.
     Each read ("neighbors", "has_edge", "graph", "verify") and each other
@@ -649,14 +650,15 @@ def _replay_with_pending_complements(topo, start, ops) -> tuple[int, int]:
     reads the graph of a deep copy, which leaves the original's pending
     complement in place.
 
-    Returns how many fused Y measurements were of the general shape and
-    how many were hand-overs.  With K' the pending set minus the measured
-    qubit q and K2 q's true neighbourhood, q's stored neighbours but the
-    pending p are S = K' ^ K2.  The general shape has K' - K2, K2 - K' and
-    K' & K2 all non-empty; a hand-over has S = {c} and c's only neighbour
-    q, and c must then hold p's adjacency slot.  After each Y measurement
-    the state's pending qubit must be the one this model expects: none
-    after a fused measurement, the measured qubit otherwise.
+    Returns how many Y measurements of a neighbour of the pending qubit
+    were of the general shape and how many were hand-overs.  With K' the
+    pending set minus the measured qubit q and K2 q's true neighbourhood,
+    q's stored neighbours but the pending p are S = K' ^ K2.  The general
+    shape has K' - K2, K2 - K' and K' & K2 all non-empty; a hand-over has
+    S = {c} and c's only neighbour q, and c must then hold p's adjacency
+    slot.  After each Y measurement the state's pending qubit must be the
+    one this model expects: none after a hand-over, the measured qubit
+    otherwise, with p's complement applied and its slot gone.
     """
     nodes, links = topo.nodes, sorted(topo.links)
     st = NetworkState(topo)
@@ -674,28 +676,49 @@ def _replay_with_pending_complements(topo, start, ops) -> tuple[int, int]:
     def measure_y(q):
         nonlocal pending, near, general, handovers, ref
         k2 = ref.neighbors(q)
-        fused = q in pending
         c = None
-        if fused:
+        if q in pending:
             rest = pending - {q}
             general += bool(rest - k2 and k2 - rest and rest & k2)
-            pending = frozenset()
             if len(rest ^ k2) == 1:
                 (c,) = rest ^ k2
                 c = c if ref.neighbors(c) == {q} else None
                 handovers += c is not None
-            p = st._pending
-            slot_p = st._slot.get(p, p)
-        else:
-            pending = k2
+        p = st._pending
+        slot_p = st._slot.get(p, p)
+        pending = frozenset() if c is not None else k2
         near = k2
         st.measure_y(q)
         ref = ref.measure_y(q)
-        assert st._pending == (None if fused else q)
+        assert st._pending == (None if c is not None else q)
         if c is not None:
             assert st._slot.get(c, c) == slot_p
-        elif fused:
+        elif p is not None:
             assert slot_p not in st._adj
+
+    def verify_read(live):
+        # An assignment sends each vertex to its own node, so the least live
+        # qubit at each node keeps its node and the others go to nodes that
+        # hold nothing: the state, its pending complement applied, realizes
+        # the replay iff no node holds two qubits.  A deep copy with those
+        # others Z-measured must realize the replay's rest, and not that rest
+        # with one pair toggled.
+        first = {}
+        for q in live:
+            first.setdefault(st.node_of(q), q)
+        assignment = {q: st.node_of(q) if first[st.node_of(q)] == q else f"elsewhere-{q}"
+                      for q in live}
+        assert verify_target(st, ref, assignment) == (len(first) == len(live))
+        view, rest = copy.deepcopy(st), ref
+        for q in live:
+            if first[st.node_of(q)] != q:
+                view.measure_z(q)
+                rest = rest.measure_z(q)
+        kept = {q: view.node_of(q) for q in first.values()}
+        assert verify_target(view, rest, kept)
+        if len(kept) >= 2:
+            u, v = sorted(kept)[:2]
+            assert not verify_target(view, rest.toggle_edge(u, v), kept)
 
     for kind, i, j in ops:
         live = sorted(st.placement)
@@ -760,7 +783,7 @@ def _replay_with_pending_complements(topo, start, ops) -> tuple[int, int]:
             elif kind == "graph":
                 assert st.graph == ref
             else:
-                assert verify_target(st, ref, dict(st.placement))
+                verify_read(live)
         check_slots(st)
         assert copy.deepcopy(st).graph == ref
         assert sorted(st.placement) == sorted(ref.vertices)
@@ -773,10 +796,11 @@ def test_fused_y_measurements_match_graphstate_replay():
 
     A connection transfer always fuses as a hand-over: the measured bridge
     b's stored neighbours are the pending carrier and the far half c, whose
-    only neighbour is b.  Random Y measurements rarely fuse in either that
-    shape or the general one, so every example also runs one "general" and
-    one "handover" operation, each at a drawn point of its random ones, and
-    must fuse in both shapes at least once.
+    only neighbour is b.  Every other Y measurement applies the pending
+    complement first.  Random Y measurements rarely hit a neighbour of the
+    pending qubit in either that shape or the general one, so every example
+    also runs one "general" and one "handover" operation, each at a drawn
+    point of its random ones, and must meet both shapes at least once.
     """
     counts = []
 
@@ -849,10 +873,12 @@ def test_a_transfer_costs_the_same_for_any_carrier_degree():
 
 
 def test_fused_y_measurement_of_the_general_shape():
-    """One fused measurement where P, Q and I are all non-empty, by hand.
+    """A Y measurement of a neighbour of the pending qubit that is not a
+    hand-over, by hand: it applies the pending complement and stays pending.
 
     Y-measuring x complements {p, i, y}; Y-measuring y then has stored
-    neighbours {p, z}, so K' = {p, i}, K2 = {i, z}, P = {p}, Q = {z}, I = {i}.
+    neighbours {p, z}, so K' = {p, i} and K2 = {i, z} share i and each has a
+    member the other lacks.
     """
     st = NetworkState(NetworkTopology(["a"], []))
     x, y, p, i, z = (st.new_qubit("a") for _ in range(5))
@@ -861,6 +887,8 @@ def test_fused_y_measurement_of_the_general_shape():
     ref = st.graph.measure_y(x).measure_y(y)
     st.measure_y(x)
     st.measure_y(y)
+    assert st._pending == y and x not in st._adj
+    assert st._adj[y] == {i, z}
     assert st.graph == ref
     assert ref.edges == {(p, i), (i, z)}
 
@@ -888,56 +916,88 @@ class TestVerifyTarget:
         self.st.new_qubit("c")  # stray qubit must fail verification
         assert not verify_target(self.st, self.target, {"u": "a", "v": "b"})
 
-    def test_accepts_among_several_candidates(self):
-        """Two qubits at one node: the verifier must find the right pairing."""
-        qa1, qb = self.st.generate_epr("a", "b")
-        qa2 = self.st.new_qubit("a")
+    def test_rejects_a_second_qubit_at_an_assigned_node(self):
+        """A stray qubit at a, minted before the pair half that realizes u."""
+        self.st.new_qubit("a")
+        self.st.generate_epr("a", "b")
+        assert not verify_target(self.st, self.target, {"u": "a", "v": "b"})
+
+    @pytest.mark.parametrize("assignment", [
+        {"u": "a", "v": "b", "w": "a"},   # two vertices at a
+        {"u": "c", "v": "c", "w": "c"},   # every vertex at one node
+    ])
+    def test_assignment_must_be_injective(self, assignment):
+        """Several vertices at one node are refused before any graph is read,
+        whether or not some bijection would realize them."""
+        self.st.generate_epr("a", "b")
+        self.st.new_qubit("a")
         target = GraphState(["u", "v", "w"], [("u", "v")])
-        assert verify_target(self.st, target, {"u": "a", "v": "b", "w": "a"})
+        with pytest.raises(ValueError) as info:
+            verify_target(self.st, target, assignment)
+        assert str(info.value) == "assignment must send each vertex to a distinct node"
 
     def test_assignment_must_cover_the_target(self):
         self.st.generate_epr("a", "b")
         with pytest.raises(ValueError):
             verify_target(self.st, self.target, {"u": "a"})
 
-    def test_long_path_at_one_node_does_not_recurse(self):
-        """1,200 target vertices: deeper than Python's recursion limit."""
-        n = 1200
-        st = NetworkState(NetworkTopology(["solo"], []))
-        qs = [st.new_qubit("solo") for _ in range(n)]
-        for a, b in zip(qs, qs[1:]):
-            st.apply_cz(a, b)
-        target = GraphState(range(n), [(i, i + 1) for i in range(n - 1)])
-        assignment = dict.fromkeys(range(n), "solo")
+    def test_a_thousand_targets_delivered_by_execute(self):
+        """A grid of 1,000 nodes with path targets, walked from its center:
+        the delivered state realizes the request and no request that moves
+        a pair of vertices or one edge."""
+        topo = grid_topology(25, 40)
+        nodes = sorted(topo.nodes)
+        target = GraphState(nodes, list(zip(nodes, nodes[1:])))
+        assignment = {v: v for v in nodes}
+        st = NetworkState(topo)
+        plan = plan_shortest(topo, nodes, center_root(topo))
+        assert execute(st, DistributionRequest(target, assignment), plan).epr_pairs > 1000
         assert verify_target(st, target, assignment)
-        st.apply_cz(qs[600], qs[601])  # cut the chain in two
-        assert not verify_target(st, target, assignment)
+        assert not verify_target(st, target.toggle_edge(nodes[0], nodes[-1]), assignment)
+        swapped = {**assignment, nodes[0]: nodes[500], nodes[500]: nodes[0]}
+        assert not verify_target(st, target, swapped)
 
-    def test_same_degrees_but_not_isomorphic(self):
-        """Every qubit has the degree of some target vertex, yet no bijection
-        preserves the edges."""
-        st = NetworkState(NetworkTopology(["solo"], []))
-        qs = [st.new_qubit("solo") for _ in range(5)]
-        for a, b in [(0, 2), (0, 3), (1, 2), (2, 4), (3, 4)]:
-            st.apply_cz(qs[a], qs[b])
-        target = GraphState(range(5), [(0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
-        assert not verify_target(st, target, dict.fromkeys(range(5), "solo"))
+    def test_same_degrees_but_not_the_target(self):
+        """Every qubit has its vertex's degree, yet the edges differ."""
+        nodes = ["a", "b", "c", "d", "e"]
+        st = NetworkState(NetworkTopology(nodes, list(zip(nodes, nodes[1:]))))
+        qs = [st.new_qubit(node) for node in nodes]
+        # a path 0 - 1 - 2 - 3 - 4 of hops, not of local CZs
+        for u, v in [(0, 1), (1, 2), (2, 3), (3, 4)]:
+            st.advance_timestep()
+            qb, qc = st.generate_epr(nodes[u], nodes[v])
+            st.apply_cz(qs[u], qb)
+            st.measure_y(qb)
+            st.apply_cz(qc, qs[v])
+            st.measure_y(qc)
+        assert st.graph == GraphState(qs, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        path = GraphState(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assignment = dict(zip(range(5), nodes))
+        assert verify_target(st, path, assignment)
+        # same degree sequence, but 0 - 2 - 1 - 3 - 4
+        assert not verify_target(st, GraphState(range(5), [(0, 2), (1, 2), (1, 3), (3, 4)]),
+                                 assignment)
 
     def test_agrees_with_brute_force_bijections(self):
         """Random small states against every placement-respecting bijection,
-        with targets equal to the state up to relabelling or off by one edge,
-        one vertex or one assigned node."""
+        with targets equal to the state up to relabelling or off by one edge
+        or one vertex, and injective assignments: each vertex at its qubit's
+        node, or at the least free node when an earlier vertex has that one,
+        then at times two vertices' nodes swapped.  Both verdicts must occur
+        often, True on targets with edges too."""
         rng = random.Random(89)
-        nodes = ["a", "b", "c"]
-        for _ in range(200):
-            st = NetworkState(NetworkTopology(nodes, [("a", "b"), ("b", "c")]))
-            for _ in range(rng.randint(0, 8)):
+        nodes = ["a", "b", "c", "d", "e", "f"]
+        links = list(zip(nodes, nodes[1:]))
+        outcomes = Counter()  # (verdict, target has an edge)
+        for _ in range(300):
+            st = NetworkState(NetworkTopology(nodes, links))
+            for _ in range(rng.randint(0, 10)):
                 live = sorted(st.placement)
                 op = rng.choice(["new", "epr", "cz", "measure_y"])
                 if op == "new" or (op != "epr" and len(live) < 2):
                     st.new_qubit(rng.choice(nodes))
                 elif op == "epr":
-                    st.generate_epr(*rng.choice([("a", "b"), ("b", "c")]))
+                    st.generate_epr(*rng.choice(links))
                     st.advance_timestep()
                 elif op == "cz":
                     a, b = rng.sample(live, 2)
@@ -945,8 +1005,12 @@ class TestVerifyTarget:
                         st.apply_cz(a, b)
                 else:
                     st.measure_y(rng.choice(live))
-                if len(st.placement) > 6:
+                while len(st.placement) > len(nodes):
                     st.measure_z(min(st.placement))
+            if rng.random() < 0.6:   # usually one qubit per node
+                for node in nodes:
+                    for q in st.qubits_at(node)[1:]:
+                        st.measure_z(q)
             qs = sorted(st.placement)
             labels = rng.sample(range(20), len(qs))
             relabel = dict(zip(qs, labels))
@@ -958,9 +1022,16 @@ class TestVerifyTarget:
                 gone = labels.pop()
                 edges = {e for e in edges if gone not in e}
             target = GraphState(labels, edges)
-            assignment = {relabel[q]: st.node_of(q) for q in qs if relabel[q] in labels}
-            if labels and rng.random() < 0.2:
-                assignment[rng.choice(labels)] = rng.choice(nodes)
+            assignment = {}
+            for q in qs:
+                if relabel[q] in labels:
+                    node = st.node_of(q)
+                    if node in assignment.values():
+                        node = min(set(nodes) - set(assignment.values()))
+                    assignment[relabel[q]] = node
+            if len(labels) >= 2 and rng.random() < 0.2:
+                v, w = rng.sample(labels, 2)
+                assignment[v], assignment[w] = assignment[w], assignment[v]
             brute = len(labels) == len(qs) and any(
                 all(assignment[v] == st.node_of(q) for v, q in zip(labels, image))
                 and all(target.has_edge(v, w) == st.has_edge(image[i], image[j])
@@ -968,3 +1039,6 @@ class TestVerifyTarget:
                 for image in permutations(qs)
             )
             assert verify_target(st, target, assignment) == brute
+            outcomes[brute, bool(edges)] += 1
+        assert outcomes[True, True] >= 40
+        assert outcomes[False, True] + outcomes[False, False] >= 100

@@ -135,6 +135,18 @@ class TestResolve:
                                target_edges=[["n00", "n02"]]))
         assert scn.target_graph.edges == frozenset({("n00", "n02")})
 
+    @pytest.mark.parametrize("edges, message", [
+        ([["n00", "n01"], ["n01", "n00"]], "repeated target edge ('n01', 'n00')"),
+        ([["n00", "n02"], ["n01", "n02"], ["n00", "n02"]],
+         "repeated target edge ('n00', 'n02')"),
+    ])
+    def test_repeated_target_edge_rejected(self, edges, message):
+        """Two CZs on one pair cancel, so a repeated pair, in either
+        orientation, leaves the intended graph unclear."""
+        with pytest.raises(ValueError) as info:
+            resolve(tree_cfg(targets=["n00", "n01", "n02"], target_edges=edges))
+        assert str(info.value) == message
+
     def test_gnp_edges_seeded(self):
         a = resolve(tree_cfg(target_edges={"gnp": 0.5}, seed=3))
         b = resolve(tree_cfg(target_edges={"gnp": 0.5}, seed=3))
