@@ -7,10 +7,11 @@ a three-step rewrite (CZ onto the local pair half, Y-measure the traveling
 qubit, Y-measure the local half) that hands the traveling qubit's
 entanglement to the remote half.  The local copy and the transfer are
 ``NetworkState`` methods (``local_copy``, ``transfer``): this module uses
-the state only through its public names.  ``NetworkState`` fuses the two
-Y measurements' neighborhood complements into one hand-over of the
-traveling qubit's adjacency slot, so a hop costs constant time whatever the
-traveling qubit's degree.  Total EPR cost is the sum of path lengths.
+the state only through its public names.  ``NetworkState.transfer``
+teleports before it measures: the remote half takes over the traveling
+qubit's adjacency slot, so each Y measurement then sees at most one
+neighbor and a hop costs constant time whatever the traveling qubit's
+degree.  Total EPR cost is the sum of path lengths.
 
 Scheduling packs hops into timesteps under the one-pair-per-link-per-step
 rule: a set of hops that touches no link twice can run in a single step, so

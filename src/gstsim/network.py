@@ -219,21 +219,14 @@ class NetworkState:
     the slot of its own id, and ``_slot`` (qubit -> slot) and ``_owner``
     (slot -> qubit) hold only the qubits that have since taken over another
     slot.  Every entry point checks ``placement`` before it maps an id to a
-    slot, because a dead qubit's id may name a live slot.  A Y measurement
-    complements the measured qubit's neighborhood, which costs O(deg^2)
-    pair toggles, so ``measure_y`` defers it, in O(1): the measured qubit
-    leaves ``placement`` but keeps its slot and adjacency set, its neighbors
-    keep listing it, and it is the one pending qubit.  The next Y
-    measurement of a connection transfer (CZ, Y, Y) is fused with it: the
-    far pair half takes over the travelling qubit's slot, so a hop costs
-    O(1) whatever the degree.  Any other Y measurement applies the pending
-    complement first.  Every other read of the graph (``neighbors``,
-    ``has_edge``, ``graph``, the checks of ``transfer``, ``verify_target``)
-    and ``measure_z`` first apply the pending complement, so the deferral
-    is invisible from outside.  ``apply_cz`` needs no flush: toggling one
-    pair of live qubits commutes with toggling all pairs of a set.
-    ``graph`` returns an immutable ``GraphState`` copy for callers that
-    need a value.
+    slot, because a dead qubit's id may name a live slot.  Every operation
+    leaves the graph exact, so reads need no preparation.  A Y measurement
+    complements the measured qubit's neighborhood at once, which costs
+    O(deg^2) pair toggles; a connection transfer first teleports, handing
+    the travelling qubit's slot to the far pair half, so its two Y
+    measurements see at most one neighbor each and a hop costs O(1)
+    whatever the degree.  ``graph`` returns an immutable ``GraphState``
+    copy for callers that need a value.
     """
 
     def __init__(self, topology: NetworkTopology):
@@ -246,7 +239,6 @@ class NetworkState:
         self._adj: dict[int, set] = {}  # slot -> slots of its neighbors
         self._slot: dict[QubitId, int] = {}  # qubits not in their own slot
         self._owner: dict[int, QubitId] = {}  # the inverse of _slot
-        self._pending: QubitId | None = None  # measured qubit whose complement is due
         self._next_qubit: QubitId = 0
 
     # -- qubit management ----------------------------------------------------
@@ -290,12 +282,10 @@ class NetworkState:
 
     def neighbors(self, q: QubitId) -> frozenset:
         self.node_of(q)
-        self._flush()
         owner = self._owner
         return frozenset(owner.get(s, s) for s in self._adj[self._slot.get(q, q)])
 
     def has_edge(self, u: QubitId, v: QubitId) -> bool:
-        self._flush()
         placement, slot = self.placement, self._slot
         return (u != v and u in placement and v in placement
                 and slot.get(v, v) in self._adj[slot.get(u, u)])
@@ -303,7 +293,6 @@ class NetworkState:
     @property
     def graph(self) -> GraphState:
         """Immutable snapshot of the entanglement graph; O(V + E) per call."""
-        self._flush()
         owner = self._owner
         edges = [(owner.get(s, s), owner.get(t, t))
                  for s, ns in self._adj.items() for t in ns if s < t]
@@ -359,62 +348,50 @@ class NetworkState:
     def measure_y(self, q: QubitId) -> None:
         """Y measurement: complement the neighborhood of ``q``, then drop ``q``.
 
-        The complement is left pending (see the class docstring).  Only a
-        transfer's second measurement is fused with the pending qubit p's:
-        q's stored neighbors are p and one c whose only neighbor is q.  Then
-        c takes N(p) - q, which is p's set once q leaves it, so c takes p's
-        slot in O(1) and nothing is left pending.  Any other measurement
-        first applies p's complement, then leaves q pending.
+        The graph rule of Anders and Briegel (quant-ph/0504117), applied at
+        once: O(deg(q)^2) pair toggles.  A transfer's two Y measurements each
+        see at most one neighbor, so they cost O(1) (see ``transfer``).
         """
-        if self.placement.pop(q, None) is None:
-            self.node_of(q)  # raises
-        p = self._pending
-        if p is not None:
-            adj, slot, owner = self._adj, self._slot, self._owner
-            sq, sp = slot.get(q, q), slot.get(p, p)
-            stored = adj[sq]
-            if len(stored) == 2 and sp in stored:
-                s1, s2 = stored
-                sc = s2 if s1 == sp else s1
-                if len(adj[sc]) == 1:
-                    # the hand-over: c's only neighbor is q, so c takes p's slot
-                    self._pending = None
-                    del adj[sq], adj[sc]
-                    if sq != q:
-                        del slot[q], owner[sq]
-                    if sp != p:
-                        del slot[p], owner[sp]
-                    adj[sp].remove(sq)
-                    c = owner.pop(sc, sc)
-                    slot[c] = sp
-                    owner[sp] = c
-                    return
-            self._flush()
-        self._pending = q
+        nbrs = self._remove(q)
+        if len(nbrs) > 1:  # fewer than two neighbors make no pair to toggle
+            adj = self._adj
+            for x in nbrs:
+                adj_x = adj[x]
+                adj_x ^= nbrs
+                adj_x.discard(x)
 
     def measure_z(self, q: QubitId) -> None:
         """Z measurement: drop ``q`` and its edges."""
-        self.node_of(q)
-        self._flush()
+        self._remove(q)
+
+    def _remove(self, q: QubitId) -> set:
+        """Drop live qubit ``q``, its slot and its edges; returns the slots
+        of its former neighbors."""
+        if self.placement.pop(q, None) is None:
+            self.node_of(q)  # raises
         adj = self._adj
         sq = self._slot.pop(q, q)
         if sq != q:
             del self._owner[sq]
-        for x in adj.pop(sq):
+        nbrs = adj.pop(sq)
+        for x in nbrs:
             adj[x].discard(sq)
-        del self.placement[q]
+        return nbrs
 
     def transfer(self, a: QubitId, b: QubitId, c: QubitId) -> QubitId:
         """Connection transfer: hand qubit a's entanglement to qubit c
         through the pair (b, c); returns c.
 
-        Preconditions: a and b are co-located, b's only entanglement edge
-        goes to c, and a is adjacent to neither b nor itself equal to b/c.
-        The rewrite is CZ(a, b), Y-measure a, Y-measure b; afterwards c's
-        neighborhood is exactly a's former one (minus c, were it present).
-        The second Y measurement hands a's slot to c (see ``measure_y``),
-        so a transfer costs O(1) whatever a's degree.
-        Every check runs before the first operation, so a rejected transfer
+        Preconditions: a and b are co-located, b and c are a bare pair (each
+        is the other's only neighbor), and a is neither b nor c.  The
+        physical rewrite is CZ(a, b), Y-measure a, Y-measure b, after which
+        c's neighborhood is exactly a's former one (the closed form that
+        ``oracle._transfer_end_graph`` certifies).  That is the teleport:
+        c takes a's adjacency slot and a takes c's, two entries in the alias
+        maps, which leaves a and b a bare pair at the near node.  The two Y
+        measurements then remove it, each seeing at most one neighbor, so a
+        transfer costs O(1) whatever a's degree.
+        Every check runs before the first write, so a rejected transfer
         leaves the state as it was.
         """
         if a == b or a == c:
@@ -427,37 +404,19 @@ class NetworkState:
             raise ValueError(
                 f"qubits {a} and {b} are at different nodes; transfer must start locally"
             )
-        if self._pending is not None:
-            self._flush()
-        adj, slot = self._adj, self._slot
-        sb = slot.get(b, b)
-        adj_b = adj[sb]
-        if len(adj_b) != 1 or c not in placement or slot.get(c, c) not in adj_b:
+        adj, slot, owner = self._adj, self._slot, self._owner
+        adj_b = adj[slot.get(b, b)]
+        sc = slot.get(c, c)
+        if len(adj_b) != 1 or c not in placement or sc not in adj_b:
             raise ValueError(f"qubit {b} must be entangled with {c} and nothing else")
-        # b's one neighbour is c, not a: CZ(a, b) adds the edge
+        if len(adj[sc]) != 1:
+            raise ValueError(f"qubit {c} must be entangled with {b} and nothing else")
         sa = slot.get(a, a)
-        adj_b.add(sa)
-        adj[sa].add(sb)
+        # the teleport: c takes a's slot and a takes c's
+        slot[c], owner[sa], slot[a], owner[sc] = sa, c, sc, a
         self.measure_y(a)
         self.measure_y(b)
         return c
-
-    def _flush(self) -> None:
-        """Drop the pending qubit and apply its complement, if there is one."""
-        p = self._pending
-        if p is None:
-            return
-        self._pending = None
-        adj = self._adj
-        sp = self._slot.pop(p, p)
-        if sp != p:
-            del self._owner[sp]
-        nbrs = adj.pop(sp)
-        for x in nbrs:
-            adj_x = adj[x]
-            adj_x ^= nbrs
-            adj_x.discard(x)
-            adj_x.discard(sp)
 
     def advance_timestep(self) -> None:
         self._step += 1
@@ -478,7 +437,6 @@ def verify_target(state: NetworkState, target: GraphState, assignment: dict) -> 
         raise ValueError("assignment must cover exactly the target vertices")
     if len(set(assignment.values())) != len(assignment):
         raise ValueError("assignment must send each vertex to a distinct node")
-    state._flush()
     adj, slot = state._adj, state._slot
     at = {node: slot.get(q, q) for q, node in state.placement.items()}  # node -> slot
     if len(at) != len(state.placement) or at.keys() != set(assignment.values()):

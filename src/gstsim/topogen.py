@@ -101,7 +101,7 @@ BUILDERS = {
 
 def generate_topology(kind: str, **params) -> NetworkTopology:
     """Dispatch on kind: line(n) | tree(height) | grid(rows, cols) | gnp(n, p, seed)."""
-    if kind not in BUILDERS:
+    if not isinstance(kind, str) or kind not in BUILDERS:
         raise ValueError(f"unknown topology kind {kind!r}")
     fn, keys = BUILDERS[kind]
     missing = [k for k in keys if k not in params]

@@ -375,6 +375,15 @@ def test_topology_sizes_must_be_integers(capsys, spec):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("kind", [["line"], {"kind": "line"}, 7])
+def test_topology_kind_that_is_not_a_string_is_config_error(capsys, kind):
+    spec = {"kind": kind, "n": 3}
+    assert main(["run", "--topology", json.dumps(spec)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: unknown topology kind {kind!r}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("seed", [True, "x", 2.5])
 def test_gnp_topology_seed_must_be_an_integer(capsys, seed):
     spec = {"kind": "gnp", "n": 6, "p": 0.5, "seed": seed}

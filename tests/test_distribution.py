@@ -45,12 +45,6 @@ def ring(n):
     return NetworkTopology(nodes, list(zip(nodes, nodes[1:] + nodes[:1])))
 
 
-def stored(st, q) -> set:
-    """The qubits ``st`` lists as q's neighbours in its adjacency slots, a
-    pending complement not applied."""
-    return {st._owner.get(x, x) for x in st._adj[st._slot.get(q, q)]}
-
-
 def identity_request(nodes, edges):
     g = GraphState(nodes, edges)
     return DistributionRequest(g, {x: x for x in nodes})
@@ -70,9 +64,8 @@ class TestConnectionTransfer:
 
     @staticmethod
     def snapshot(st):
-        # Read the graph from a copy, so a pending complement stays pending.
         counts = [st.qubit_count(node) for node in st.topology.nodes]
-        return copy.deepcopy(st).graph, dict(st.placement), counts, st.epr_generated
+        return st.graph, dict(st.placement), counts, st.epr_generated
 
     def assert_rejected(self, st, message, a, b, c):
         before = self.snapshot(st)
@@ -151,43 +144,51 @@ class TestConnectionTransfer:
         self.assert_rejected(st, f"qubit {qb} must be entangled with {qc} and nothing else",
                              a, qb, qc)
 
-    def test_rejects_bridge_dirtied_by_a_pending_complement(self):
-        """b's stored edges are c and the pending q; q's complement adds b-spect."""
+    def test_rejects_far_half_with_another_neighbour(self):
+        """c must be a bare pair half: an edge from c to x at the far node
+        is refused, though b's only neighbour is c."""
+        st, a, spect, qb, qc = self.make_state()
+        x = st.new_qubit("n01")
+        st.apply_cz(qc, x)
+        self.assert_rejected(st, f"qubit {qc} must be entangled with {qb} and nothing else",
+                             a, qb, qc)
+
+    def test_rejects_bridge_dirtied_by_a_y_measurement(self):
+        """Y-measuring q, joined to b and spect, complements {b, spect}:
+        it adds b-spect."""
         st, a, spect, qb, qc = self.make_state()
         q = st.new_qubit("n00")
         st.apply_cz(q, qb)
         st.apply_cz(q, spect)
         st.measure_y(q)
-        assert st._pending == q and stored(st, q) == {qb, spect}
+        assert st.neighbors(qb) == {qc, spect}
         self.assert_rejected(st, f"qubit {qb} must be entangled with {qc} and nothing else",
                              a, qb, qc)
 
-    def test_rejects_pair_whose_far_half_is_pending(self):
-        """c's Y measurement is still pending, so b still lists c until a flush."""
+    def test_rejects_pair_whose_far_half_is_y_measured(self):
+        """c is gone, so b has no neighbour left."""
         st, a, spect, qb, qc = self.make_state()
         st.measure_y(qc)
-        assert st._pending == qc and stored(st, qb) == {qc}
+        assert st.neighbors(qb) == frozenset()
         self.assert_rejected(st, f"qubit {qb} must be entangled with {qc} and nothing else",
                              a, qb, qc)
 
-    def test_accepts_bridge_cleaned_by_a_pending_complement(self):
-        """b's stored edges are {c, q}; applying q's complement drops q."""
+    def test_accepts_bridge_after_a_y_measurement_of_its_neighbour(self):
+        """Y-measuring q, joined to b alone, complements {b}: no pair, so b
+        is left with c."""
         st, a, spect, qb, qc = self.make_state()
         q = st.new_qubit("n00")
         st.apply_cz(q, qb)
         st.measure_y(q)
-        assert st._pending == q and stored(st, qb) == {qc, q}
+        assert st.neighbors(qb) == {qc}
         assert st.transfer(a, qb, qc) == qc
         assert st.graph.neighbors(qc) == frozenset({spect})
 
 
-class TestConnectionTransferWhilePending(TestConnectionTransfer):
-    """The same transfers while a Y measurement's complement is still pending.
-
-    As in the network state's error tests: q is joined to a and spect, the
-    edge a-spect is cut, and measuring q complements {a, spect}, which
-    restores it.
-    """
+class TestConnectionTransferAfterAYComplement(TestConnectionTransfer):
+    """The same transfers once a Y measurement's complement has rewritten
+    the carrier's adjacency: q is joined to a and spect, the edge a-spect
+    is cut, and measuring q complements {a, spect}, which restores it."""
 
     def make_state(self):
         st, a, spect, qb, qc = super().make_state()
@@ -195,8 +196,9 @@ class TestConnectionTransferWhilePending(TestConnectionTransfer):
         st.apply_cz(q, a)
         st.apply_cz(q, spect)
         st.apply_cz(a, spect)
+        assert st.neighbors(a) == {q}
         st.measure_y(q)
-        assert st._pending == q and stored(st, q) == {a, spect}
+        assert q not in st.placement and st.neighbors(a) == {spect}
         return st, a, spect, qb, qc
 
 
@@ -929,17 +931,17 @@ class TestHopIdentity:
 
 
 @pytest.fixture
-def pending_flushes(monkeypatch):
-    """One entry per call of ``NetworkState._flush``: True where the call
-    found a pending complement to apply."""
-    calls = []
-    flush = NetworkState._flush
+def y_degrees(monkeypatch):
+    """One entry per call of ``NetworkState.measure_y``: how many neighbours
+    the measured qubit had."""
+    degrees = []
+    measure_y = NetworkState.measure_y
 
-    def counting(self):
-        calls.append(self._pending is not None)
-        flush(self)
-    monkeypatch.setattr(NetworkState, "_flush", counting)
-    return calls
+    def counting(self, q):
+        degrees.append(len(self.neighbors(q)))
+        measure_y(self, q)
+    monkeypatch.setattr(NetworkState, "measure_y", counting)
+    return degrees
 
 
 def _edges_request(nodes, shape):
@@ -951,34 +953,39 @@ def _edges_request(nodes, shape):
     return identity_request(sorted(nodes), pairs)
 
 
-NO_FLUSH_TOPOLOGIES = [tree_topology(3), grid_topology(3, 4), GNP14]
-NO_FLUSH_IDS = ["tree3", "grid3x4", "gnp14"]
+WALK_TOPOLOGIES = [tree_topology(3), grid_topology(3, 4), GNP14]
+WALK_IDS = ["tree3", "grid3x4", "gnp14"]
 
 
-class TestNoPendingComplementInAWalk:
-    """Every Y measurement of a walk or a resource run is a transfer's, and
-    a transfer's second one hands the carrier's slot over, so no complement
-    is ever left for a flush to apply: each hop stays O(1) in the carrier's
-    degree.  Every run flushes at least once, in ``verify_target``."""
+class TestEveryYMeasurementInAWalkIsCheap:
+    """Every Y measurement of a walk or a resource run is one of a
+    transfer's two, and the transfer hands the carrier's slot over first,
+    so the measured qubit has at most one neighbour: no complement loop
+    runs, and each hop stays O(1) in the carrier's degree."""
 
-    @pytest.mark.parametrize("topo", NO_FLUSH_TOPOLOGIES, ids=NO_FLUSH_IDS)
+    @pytest.mark.parametrize("topo", WALK_TOPOLOGIES, ids=WALK_IDS)
     @pytest.mark.parametrize("shape", ["complete", "gnp"])
     @pytest.mark.parametrize("planner", ["shortest", "flow"])
-    def test_execute(self, pending_flushes, topo, shape, planner):
+    def test_execute(self, y_degrees, topo, shape, planner):
         req = _edges_request(topo.nodes, shape)
         if planner == "shortest":
             plan = plan_shortest(topo, req.target_nodes, center_root(topo))
         else:
             plan = minimize_completion_time(topo, req.target_nodes)[2]
-        assert execute(NetworkState(topo), req, plan).epr_pairs > 0
-        assert pending_flushes and not any(pending_flushes)
+        report = execute(NetworkState(topo), req, plan)
+        assert report.epr_pairs > 0
+        assert len(y_degrees) == 2 * report.epr_pairs
+        assert max(y_degrees) <= 1
 
-    @pytest.mark.parametrize("topo", NO_FLUSH_TOPOLOGIES, ids=NO_FLUSH_IDS)
+    @pytest.mark.parametrize("topo", WALK_TOPOLOGIES, ids=WALK_IDS)
     @pytest.mark.parametrize("shape", ["complete", "gnp"])
-    def test_resource_path(self, pending_flushes, topo, shape):
+    def test_resource_path(self, y_degrees, topo, shape):
         st = NetworkState(topo)
         root = center_root(topo)
         pairs, _ = build_resource_state(st, topo.nodes, root)
         req = _edges_request(topo.nodes, shape)
-        assert distribute_via_resource(st, req, root, pairs).epr_pairs > 0
-        assert pending_flushes and not any(pending_flushes)
+        report = distribute_via_resource(st, req, root, pairs)
+        assert report.epr_pairs > 0
+        # two per transfer: one per link hop, one per pre-shared pair used
+        assert len(y_degrees) == 2 * (st.epr_generated + len(pairs))
+        assert max(y_degrees) <= 1

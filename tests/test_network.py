@@ -21,7 +21,7 @@ from gstsim.network import (
 )
 from gstsim.graphstate import GraphState, edge_key
 from gstsim.distribution import DistributionRequest, center_root, execute, plan_shortest
-from gstsim import edcg
+from gstsim import edcg, oracle
 from gstsim.edcg import edcg_cost
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
@@ -355,10 +355,8 @@ class TestNetworkStateErrors:
         self.st.apply_cz(self.qa, self.qa2)
 
     def snapshot(self):
-        # The graph is read from a copy, so taking the snapshot does not
-        # apply a complement the state still has pending.
         counts = [self.st.qubit_count(node) for node in self.st.topology.nodes]
-        return copy.deepcopy(self.st).graph, dict(self.st.placement), counts
+        return self.st.graph, dict(self.st.placement), counts
 
     def assert_rejected(self, op, *args):
         self.rejection(op, *args)
@@ -428,8 +426,9 @@ class TestNetworkStateErrors:
                 == f"qubit {bridge} must be entangled with {qa} and nothing else")
 
 
-class TestNetworkStateErrorsWhilePending(TestNetworkStateErrors):
-    """The same rejections while a Y measurement's complement is still pending.
+class TestNetworkStateErrorsAfterAYComplement(TestNetworkStateErrors):
+    """The same rejections once a Y measurement's complement has rewritten
+    the adjacency in use.
 
     The setup reaches the base class's graph through one more Y measurement:
     q is joined to qa and qa2, the edge qa-qa2 is cut, and measuring q
@@ -442,8 +441,9 @@ class TestNetworkStateErrorsWhilePending(TestNetworkStateErrors):
         self.st.apply_cz(q, self.qa)
         self.st.apply_cz(q, self.qa2)
         self.st.apply_cz(self.qa, self.qa2)
+        assert self.st.neighbors(self.qa) == {self.qb, q}
         self.st.measure_y(q)
-        assert self.st._pending == q and self.st._adj[q] == {self.qa, self.qa2}
+        assert q not in self.st._adj and self.st._adj[self.qa] == {self.qb, self.qa2}
 
 
 class TestNetworkStateErrorsAfterHandOver(TestNetworkStateErrors):
@@ -469,11 +469,11 @@ class TestNetworkStateErrorsAfterHandOver(TestNetworkStateErrors):
 
 
 def check_slots(st):
-    """The two alias maps are each other's inverse and hold only live or
-    pending qubits, each in a slot of the adjacency map other than its id."""
+    """The two alias maps are each other's inverse and hold only live
+    qubits, each in a slot of the adjacency map other than its id."""
     assert st._owner == {s: q for q, s in st._slot.items()}
     assert all(q != s for q, s in st._slot.items())
-    assert set(st._slot) <= set(st.placement) | {st._pending}
+    assert set(st._slot) <= set(st.placement)
     assert set(st._owner) <= set(st._adj)
 
 
@@ -485,10 +485,9 @@ def _transfer_op(st, ref, carrier, j) -> GraphState:
     on ``ref``), a dirty bridge (a CZ onto the pair's local half first), a
     split pair (the halves swapped) or a dead carrier; ``j // 4`` picks the
     link and the mate.  An accepted transfer must hand the carrier's
-    adjacency slot to the far half.  A rejected transfer
-    must raise ValueError and leave the state's snapshot as it was; the
-    snapshot reads a deep copy, so a complement still pending stays pending.
-    Returns the updated reference.
+    adjacency slot to the far half.  A rejected transfer must raise
+    ValueError and leave the state's snapshot as it was.  Returns the
+    updated reference.
     """
     node = st.node_of(carrier)
     links = sorted(link for link in st.topology.links if node in link)
@@ -516,7 +515,7 @@ def _transfer_op(st, ref, carrier, j) -> GraphState:
         args = (min(ref.retired, default=st._next_qubit), qb, qc)
 
     def snapshot():
-        return copy.deepcopy(st).graph, dict(st.placement), st.epr_generated
+        return st.graph, dict(st.placement), st.epr_generated
 
     before = snapshot()
     with pytest.raises(ValueError):
@@ -536,20 +535,19 @@ DIFF_OPS = hs.lists(
 
 def _replay_state(topo, ops) -> int:
     """Run ``ops`` on a NetworkState and replay each on the immutable
-    GraphState; returns how many accepted transfers ran while a Y
-    measurement's complement was still pending.
+    GraphState; returns how many accepted transfers ran right after a Y
+    measurement.
 
     The state's snapshot must equal the replay after every step, its alias
     maps must pass ``check_slots``, and no snapshot may change when the
-    state moves on.  Every read of the graph
-    goes to a deep copy, which leaves the original's pending complement in
-    place, so the next operation meets it.
+    state moves on.
     """
     nodes, links = topo.nodes, sorted(topo.links)
     st = NetworkState(topo)
     ref = GraphState()
     history = []
-    pending_transfers = 0
+    transfers_after_y = 0
+    last = None
     for kind, i, j in ops:
         live = sorted(st.placement)
         if kind == "new":
@@ -571,138 +569,93 @@ def _replay_state(topo, ops) -> int:
             ref = ref.toggle_edge(q1, q2)
         elif kind == "transfer":
             # j % 4 == 0 is the accepted kind (see _transfer_op)
-            pending_transfers += j % 4 == 0 and st._pending is not None
+            transfers_after_y += j % 4 == 0 and last == "measure_y"
             ref = _transfer_op(st, ref, live[i % len(live)], j)
         else:
             q = live[i % len(live)]
             getattr(st, kind)(q)
             ref = getattr(ref, kind)(q)
+        last = kind
         check_slots(st)
-        view = copy.deepcopy(st)
-        snapshot = view.graph
+        snapshot = st.graph
         assert snapshot == ref
         assert sorted(st.placement) == sorted(ref.vertices)
         for node in nodes:
             assert st.qubit_count(node) == len(st.qubits_at(node))
         for q in ref.vertices:
-            assert view.neighbors(q) == ref.neighbors(q)
+            assert st.neighbors(q) == ref.neighbors(q)
         history.append((snapshot, ref))
     for snapshot, ref in history:
         assert snapshot == ref
         for q in ref.vertices:
             assert snapshot.neighbors(q) == ref.neighbors(q)
-    return pending_transfers
+    return transfers_after_y
 
 
-# Two fresh qubits, a Y measurement of the newer (no neighbours, so its
-# complement stays pending) and an accepted transfer of a live carrier.
-PENDING_TRANSFER = [("new", 0, 0), ("new", 0, 0), ("measure_y", -1, 0), ("transfer", 0, 0)]
+# Two fresh qubits, a Y measurement of the newer and an accepted transfer of
+# a live carrier.
+TRANSFER_AFTER_Y = [("new", 0, 0), ("new", 0, 0), ("measure_y", -1, 0), ("transfer", 0, 0)]
 
 
 def test_state_matches_graphstate_replay():
     """Random operation sequences: NetworkState against the immutable
     GraphState (see ``_replay_state``).  Each example also runs
-    ``PENDING_TRANSFER`` at a drawn point of its random operations, so
-    every example must run an accepted transfer while a complement is
-    pending."""
-    pending_transfers = []
+    ``TRANSFER_AFTER_Y`` at a drawn point of its random operations, so
+    every example must run an accepted transfer right after a Y
+    measurement."""
+    transfers_after_y = []
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(topo_index=hs.integers(0, len(DIFF_TOPOLOGIES) - 1), ops=DIFF_OPS,
            at=hs.integers(0, 60))
     def sweep(topo_index, ops, at):
-        ops = ops[:at] + PENDING_TRANSFER + ops[at:]
-        pending_transfers.append(_replay_state(DIFF_TOPOLOGIES[topo_index], ops))
+        ops = ops[:at] + TRANSFER_AFTER_Y + ops[at:]
+        transfers_after_y.append(_replay_state(DIFF_TOPOLOGIES[topo_index], ops))
 
     sweep()
-    assert pending_transfers and min(pending_transfers) >= 1
+    assert transfers_after_y and min(transfers_after_y) >= 1
 
 
-FUSE_TOPOLOGIES = (NetworkTopology(["a"], []), NetworkTopology(["a", "b"], [("a", "b")]),
-                   TRIANGLE)
-FUSE_KINDS = ["y_near"] * 6 + ["y", "new", "epr", "cz", "cz", "z", "transfer",
-                               "neighbors", "has_edge", "graph", "verify"]
-FUSE_PAIRS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
-FUSE_START = hs.integers(0, 2 ** len(FUSE_PAIRS) - 1)  # one bit per starting edge
-FUSE_OPS = hs.lists(
-    hs.tuples(hs.sampled_from(FUSE_KINDS), hs.integers(0, 63), hs.integers(0, 63)),
+DENSE_TOPOLOGIES = (NetworkTopology(["a"], []), NetworkTopology(["a", "b"], [("a", "b")]),
+                    TRIANGLE)
+DENSE_KINDS = ["y_near"] * 6 + ["y", "new", "epr", "cz", "cz", "z", "transfer",
+                                "neighbors", "has_edge", "graph", "verify"]
+DENSE_PAIRS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+DENSE_START = hs.integers(0, 2 ** len(DENSE_PAIRS) - 1)  # one bit per starting edge
+DENSE_OPS = hs.lists(
+    hs.tuples(hs.sampled_from(DENSE_KINDS), hs.integers(0, 63), hs.integers(0, 63)),
     max_size=60,
 )
 
 
-def _replay_with_pending_complements(topo, start, ops) -> tuple[int, int]:
+def _replay_from_a_dense_start(topo, start, ops) -> None:
     """Run ``ops`` on a NetworkState and on GraphState, comparing after each.
 
     Eight qubits at the first node, joined by a CZ for each set bit of
-    ``start``, give a dense graph.  "y_near" Y-measures a neighbour of the
-    last Y-measured qubit, so it usually lands in the complement the state
-    has pending.  "transfer" runs a connection transfer or a rejected one
-    (see ``_transfer_op``) with such a neighbour as its carrier, so those
-    too meet a pending complement.  "general" makes five fresh qubits with
-    the edges of ``test_fused_y_measurement_of_the_general_shape`` and
-    Y-measures x, then y: a measurement of the general shape, which the
-    state does not fuse.
-    "handover" makes fresh qubits p - q - c, joins p to up to three qubits
-    at the first node and Y-measures p, then q: a hand-over without a pair.
-    Each read ("neighbors", "has_edge", "graph", "verify") and each other
-    write runs while that complement may still be pending.  After each
-    operation the alias maps must pass ``check_slots``, and the comparison
-    reads the graph of a deep copy, which leaves the original's pending
-    complement in place.
-
-    Returns how many Y measurements of a neighbour of the pending qubit
-    were of the general shape and how many were hand-overs.  With K' the
-    pending set minus the measured qubit q and K2 q's true neighbourhood,
-    q's stored neighbours but the pending p are S = K' ^ K2.  The general
-    shape has K' - K2, K2 - K' and K' & K2 all non-empty; a hand-over has
-    S = {c} and c's only neighbour q, and c must then hold p's adjacency
-    slot.  After each Y measurement the state's pending qubit must be the
-    one this model expects: none after a hand-over, the measured qubit
-    otherwise, with p's complement applied and its slot gone.
+    ``start``, give a dense graph, so each Y measurement complements a large
+    neighbourhood.  "y_near" Y-measures a neighbour of the last Y-measured
+    qubit, whose edges that complement has just rewritten; "transfer" runs
+    a connection transfer or a rejected one (see ``_transfer_op``) with
+    such a neighbour as its carrier.  After each operation the alias maps
+    must pass ``check_slots`` and the graph must equal the replay.
     """
     nodes, links = topo.nodes, sorted(topo.links)
     st = NetworkState(topo)
     ref = GraphState()
     for _ in range(8):
         ref = ref.add_vertex(st.new_qubit(nodes[0]))
-    for bit, (i, j) in enumerate(FUSE_PAIRS):
+    for bit, (i, j) in enumerate(DENSE_PAIRS):
         if start >> bit & 1:
             st.apply_cz(i, j)
             ref = ref.toggle_edge(i, j)
-    pending = frozenset()   # the complement this model expects the state to owe
     near = frozenset()      # neighbours of the last Y-measured qubit
-    general = handovers = 0
-
-    def measure_y(q):
-        nonlocal pending, near, general, handovers, ref
-        k2 = ref.neighbors(q)
-        c = None
-        if q in pending:
-            rest = pending - {q}
-            general += bool(rest - k2 and k2 - rest and rest & k2)
-            if len(rest ^ k2) == 1:
-                (c,) = rest ^ k2
-                c = c if ref.neighbors(c) == {q} else None
-                handovers += c is not None
-        p = st._pending
-        slot_p = st._slot.get(p, p)
-        pending = frozenset() if c is not None else k2
-        near = k2
-        st.measure_y(q)
-        ref = ref.measure_y(q)
-        assert st._pending == (None if c is not None else q)
-        if c is not None:
-            assert st._slot.get(c, c) == slot_p
-        elif p is not None:
-            assert slot_p not in st._adj
 
     def verify_read(live):
         # An assignment sends each vertex to its own node, so the least live
         # qubit at each node keeps its node and the others go to nodes that
-        # hold nothing: the state, its pending complement applied, realizes
-        # the replay iff no node holds two qubits.  A deep copy with those
-        # others Z-measured must realize the replay's rest, and not that rest
-        # with one pair toggled.
+        # hold nothing: the state realizes the replay iff no node holds two
+        # qubits.  A deep copy with those others Z-measured must realize the
+        # replay's rest, and not that rest with one pair toggled.
         first = {}
         for q in live:
             first.setdefault(st.node_of(q), q)
@@ -722,26 +675,7 @@ def _replay_with_pending_complements(topo, start, ops) -> tuple[int, int]:
 
     for kind, i, j in ops:
         live = sorted(st.placement)
-        if kind == "general":
-            x, y, p, c, z = qubits = [st.new_qubit(nodes[0]) for _ in range(5)]
-            for q in qubits:
-                ref = ref.add_vertex(q)
-            for u, v in [(x, p), (x, c), (x, y), (y, p), (y, z)]:
-                st.apply_cz(u, v)
-                ref = ref.toggle_edge(u, v)
-            measure_y(x)
-            measure_y(y)
-        elif kind == "handover":
-            mates = st.qubits_at(nodes[0])[:3]
-            p, q, c = qubits = [st.new_qubit(nodes[0]) for _ in range(3)]
-            for x in qubits:
-                ref = ref.add_vertex(x)
-            for u, v in [(p, q), (q, c)] + [(p, m) for m in mates]:
-                st.apply_cz(u, v)
-                ref = ref.toggle_edge(u, v)
-            measure_y(p)
-            measure_y(q)
-        elif kind == "new":
+        if kind == "new":
             ref = ref.add_vertex(st.new_qubit(nodes[i % len(nodes)]))
         elif kind == "epr":
             if not links:
@@ -754,17 +688,14 @@ def _replay_with_pending_complements(topo, start, ops) -> tuple[int, int]:
         elif kind in ("y", "y_near"):
             pool = sorted(near & set(live)) if kind == "y_near" else []
             pool = pool or live
-            measure_y(pool[i % len(pool)])
+            q = pool[i % len(pool)]
+            near = ref.neighbors(q)
+            st.measure_y(q)
+            ref = ref.measure_y(q)
         elif kind == "transfer":
-            # split pairs and dead carriers fail before any flush; with no
-            # link there is no transfer at all
-            if j % 4 < 2 and links:
-                pending = frozenset()
             pool = sorted(near & set(live)) or live
             ref = _transfer_op(st, ref, pool[i % len(pool)], j)
         else:
-            if kind != "cz":   # a CZ commutes with the complement; the rest flush
-                pending = frozenset()
             q = live[i % len(live)]
             if kind == "z":
                 st.measure_z(q)
@@ -785,51 +716,54 @@ def _replay_with_pending_complements(topo, start, ops) -> tuple[int, int]:
             else:
                 verify_read(live)
         check_slots(st)
-        assert copy.deepcopy(st).graph == ref
+        assert st.graph == ref
         assert sorted(st.placement) == sorted(ref.vertices)
     assert st.graph == ref
-    return general, handovers
 
 
-def test_fused_y_measurements_match_graphstate_replay():
-    """Pending and fused Y-measurement complements against GraphState.
-
-    A connection transfer always fuses as a hand-over: the measured bridge
-    b's stored neighbours are the pending carrier and the far half c, whose
-    only neighbour is b.  Every other Y measurement applies the pending
-    complement first.  Random Y measurements rarely hit a neighbour of the
-    pending qubit in either that shape or the general one, so every example
-    also runs one "general" and one "handover" operation, each at a drawn
-    point of its random ones, and must meet both shapes at least once.
-    """
-    counts = []
+def test_dense_y_measurements_match_graphstate_replay():
+    """Y measurements of dense neighbourhoods, and the reads and writes
+    after them, against GraphState (see ``_replay_from_a_dense_start``)."""
 
     @settings(max_examples=500, deadline=None, derandomize=True)
-    @given(topo_index=hs.integers(0, len(FUSE_TOPOLOGIES) - 1), start=FUSE_START,
-           ops=FUSE_OPS, at=hs.integers(0, 60), at2=hs.integers(0, 61))
-    def sweep(topo_index, start, ops, at, at2):
-        ops = ops[:at] + [("general", 0, 0)] + ops[at:]
-        ops = ops[:at2] + [("handover", 0, 0)] + ops[at2:]
-        counts.append(_replay_with_pending_complements(
-            FUSE_TOPOLOGIES[topo_index], start, ops))
+    @given(topo_index=hs.integers(0, len(DENSE_TOPOLOGIES) - 1), start=DENSE_START,
+           ops=DENSE_OPS)
+    def sweep(topo_index, start, ops):
+        _replay_from_a_dense_start(DENSE_TOPOLOGIES[topo_index], start, ops)
 
     sweep()
-    assert counts
-    assert min(general for general, _ in counts) >= 1
-    assert min(handovers for _, handovers in counts) >= 1
 
 
-@pytest.mark.parametrize("start", [0, 0x5A5A5A5, 2 ** len(FUSE_PAIRS) - 1])
-def test_transfers_while_pending_match_graphstate_replay(start):
-    """Each kind of transfer right after an unfused Y measurement.
+@pytest.mark.parametrize("start", [0, 0x5A5A5A5, 2 ** len(DENSE_PAIRS) - 1])
+def test_transfers_after_y_measurements_match_graphstate_replay(start):
+    """Each kind of transfer right after a Y measurement.
 
-    The carriers vary, so some lie in the pending complement and some do
-    not; the replay compares against GraphState after every operation.
+    The carriers vary, so some were neighbours of the measured qubit and
+    some were not; the replay compares against GraphState after every
+    operation.
     """
     ops = [(kind, 3 * k, 0) if kind.startswith("y") else (kind, 5 * k + 1, j)
            for k in range(6) for j in range(4)
            for kind in ("y_near" if k % 2 else "y", "transfer")]
-    _replay_with_pending_complements(TRIANGLE, start, ops)
+    _replay_from_a_dense_start(TRIANGLE, start, ops)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_small_graph_measures_as_graphstate(n):
+    """Every connected graph on at most 5 vertices, built at one node with
+    ``local_copy``: Y- or Z-measuring any one vertex leaves the graph that
+    ``GraphState.measure_y`` or ``measure_z`` gives."""
+    graphs = list(oracle.all_connected_graphs(n))
+    assert len(graphs) == [1, 1, 4, 38, 728][n - 1]
+    for g in graphs:
+        for v in sorted(g.vertices):
+            for kind in ("measure_y", "measure_z"):
+                st = NetworkState(NetworkTopology(["a"], []))
+                mapping = st.local_copy(g, "a")
+                assert mapping == {x: x for x in g.vertices}
+                getattr(st, kind)(mapping[v])
+                check_slots(st)
+                assert st.graph == getattr(g, kind)(v)
 
 
 def test_a_transfer_costs_the_same_for_any_carrier_degree():
@@ -872,13 +806,13 @@ def test_a_transfer_costs_the_same_for_any_carrier_degree():
     assert 0 < accesses(1) == accesses(200)
 
 
-def test_fused_y_measurement_of_the_general_shape():
-    """A Y measurement of a neighbour of the pending qubit that is not a
-    hand-over, by hand: it applies the pending complement and stays pending.
+def test_y_measurement_of_a_neighbour_of_the_last_y_measured_qubit():
+    """Two Y measurements in a row, by hand: the second measures a qubit
+    whose edges the first one's complement has just rewritten.
 
-    Y-measuring x complements {p, i, y}; Y-measuring y then has stored
-    neighbours {p, z}, so K' = {p, i} and K2 = {i, z} share i and each has a
-    member the other lacks.
+    Y-measuring x complements {p, i, y}, which gives y the neighbours
+    {p, i, z} minus its old edge to p: {i, z}.  Y-measuring y then
+    complements {i, z}.
     """
     st = NetworkState(NetworkTopology(["a"], []))
     x, y, p, i, z = (st.new_qubit("a") for _ in range(5))
@@ -886,9 +820,9 @@ def test_fused_y_measurement_of_the_general_shape():
         st.apply_cz(u, v)
     ref = st.graph.measure_y(x).measure_y(y)
     st.measure_y(x)
+    assert x not in st._adj and st._adj[y] == {i, z}
     st.measure_y(y)
-    assert st._pending == y and x not in st._adj
-    assert st._adj[y] == {i, z}
+    assert y not in st._adj
     assert st.graph == ref
     assert ref.edges == {(p, i), (i, z)}
 

@@ -72,6 +72,13 @@ def test_generate_rejects_unknown_kind():
         generate_topology("torus", n=4)
 
 
+@pytest.mark.parametrize("kind", [["line"], {"line": 1}, 3, None])
+def test_generate_names_a_kind_that_is_not_a_string(kind):
+    with pytest.raises(ValueError) as info:
+        generate_topology(kind, n=4)
+    assert str(info.value) == f"unknown topology kind {kind!r}"
+
+
 def test_generate_rejects_extra_params():
     with pytest.raises(ValueError):
         generate_topology("line", n=4, p=0.5)
