@@ -5,13 +5,14 @@ root node (local CZs are free), then walks each vertex qubit out to its
 destination along a network path.  One hop = one EPR pair across a link plus
 a three-step rewrite (CZ onto the local pair half, Y-measure the traveling
 qubit, Y-measure the local half) that hands the traveling qubit's
-entanglement to the remote half.  The local copy and the transfer are
-``NetworkState`` methods (``local_copy``, ``transfer``): this module uses
-the state only through its public names.  ``NetworkState.transfer``
-teleports before it measures: the remote half takes over the traveling
-qubit's adjacency slot, so each Y measurement then sees at most one
-neighbor and a hop costs constant time whatever the traveling qubit's
-degree.  Total EPR cost is the sum of path lengths.
+entanglement to the remote half.  The local copy and the hops are
+``NetworkState`` methods (``local_copy``, ``advance`` for the hops of one
+schedule entry, ``transfer`` for one hop over a given pair): this module
+uses the state only through its public names.  A hop teleports before it
+measures: the remote half takes over the traveling qubit's adjacency slot,
+so each Y measurement then sees at most one neighbor and a hop costs
+constant time whatever the traveling qubit's degree.  Total EPR cost is
+the sum of path lengths.
 
 Scheduling packs hops into timesteps under the one-pair-per-link-per-step
 rule: a set of hops that touches no link twice can run in a single step, so
@@ -271,38 +272,34 @@ def _walk_rounds(state: NetworkState, plan: DistributionPlan, schedule: Schedule
                  carrier: dict) -> RunReport:
     """Walk every scheduled hop, moving ``carrier[target]`` one link per EPR pair.
 
-    Returns the run's report.  Its counts are read off the plan: a walk
-    that skipped or repeated a hop would fail in ``transfer`` or in the
-    caller's checks of the delivered state before any report is returned.
+    Each schedule entry is one ``NetworkState.advance`` call.  Returns the
+    run's report.  Its counts are read off the plan: a walk that skipped or
+    repeated a hop would fail in ``advance``, whose first hop checks that
+    the carrier is at the near node, or in the caller's checks of the
+    delivered state before any report is returned.
     The walk sends the messages of ``_walk_messages(plan, schedule)``, one
     EPR pair and 2-bit report per hop and one 2-bit directive per target,
     so ``classical_bits`` is 2·(EPR pairs + targets).
 
     The root's peak live qubit count is its count before the walk, plus 1
-    if the plan has a hop.  Every carrier starts at the root, and
-    ``transfer`` needs the carrier and the new pair half at one node, so
-    a walk that succeeds starts with a hop that leaves the root while every
-    carrier is still there: the start count + 1.  Carriers are only ever
-    moved, never created, and a hop adds one qubit at its near end that
-    its transfer removes together with the carrier.  So the root never
+    if the plan has a hop.  Every carrier starts at the root, and a hop
+    needs the carrier and the new pair half at one node, so a walk that
+    succeeds starts with a hop that leaves the root while every carrier is
+    still there: the start count + 1.  Carriers are only ever moved, never
+    created, and a hop adds one qubit at its near end that its Y
+    measurements remove together with the carrier.  So the root never
     holds more than the start count + 1, even when a path revisits it.
     """
-    generate_epr, transfer = state.generate_epr, state.transfer
+    advance, paths = state.advance, plan.paths
     epr_pairs = plan.epr_cost
     peak_root = state.qubit_count(plan.root) + (1 if epr_pairs else 0)
     for rnum, round_entries in enumerate(schedule.rounds):
         state.advance_timestep()
         for (tnode, start, end) in round_entries:
-            path = plan.paths[tnode]
-            qubit = carrier[tnode]
-            for i in range(start, end):
-                try:
-                    qu, qv = generate_epr(path[i], path[i + 1])
-                    transfer(qubit, qu, qv)
-                except ValueError as exc:
-                    raise ExecutionError(f"round {rnum}: {exc}") from exc
-                qubit = qv
-            carrier[tnode] = qubit
+            try:
+                carrier[tnode] = advance(carrier[tnode], paths[tnode], start, end)
+            except ValueError as exc:
+                raise ExecutionError(f"round {rnum}: {exc}") from exc
     return RunReport(
         epr_pairs=epr_pairs,
         timesteps=schedule.timesteps,

@@ -7,10 +7,11 @@ the only way two qubits at different nodes ever become entangled is an EPR
 pair generated across a link.  This module is the only one that knows how
 the state stores them: ``placement`` is the one record of where the live
 qubits are, and the operations that write the entanglement graph, the
-connection transfer and the root's local copy among them, are
-``NetworkState`` methods.  The graph is kept over adjacency slots, so a
-connection transfer hands the travelling qubit's slot to the receiving
-half in O(1) instead of rewriting every neighbor's set.
+connection transfer, the walk of a schedule entry and the root's local
+copy among them, are ``NetworkState`` methods.  The graph is kept over
+adjacency slots, so a connection transfer hands the travelling qubit's
+slot to the receiving half in O(1) instead of rewriting every neighbor's
+set.
 
 Timesteps model link contention: within one step each link may source at
 most one EPR pair; a second pair raises LocalityError (a planner bug, not a
@@ -225,7 +226,8 @@ class NetworkState:
     O(deg^2) pair toggles; a connection transfer first teleports, handing
     the travelling qubit's slot to the far pair half, so its two Y
     measurements see at most one neighbor each and a hop costs O(1)
-    whatever the degree.  ``graph`` returns an immutable ``GraphState``
+    whatever the degree.  ``advance`` walks a run of such hops, each over
+    a pair it generates.  ``graph`` returns an immutable ``GraphState``
     copy for callers that need a value.
     """
 
@@ -417,6 +419,39 @@ class NetworkState:
         self.measure_y(a)
         self.measure_y(b)
         return c
+
+    def advance(self, q: QubitId, path, start: int, end: int) -> QubitId:
+        """Move carrier ``q`` from ``path[start]`` to ``path[end]``, one
+        connection transfer per link; returns the qubit that carries it there.
+
+        Each hop generates a pair (b, c) across its link and then does what
+        ``transfer(q, b, c)`` does: c takes q's slot and q takes c's, and q
+        and b are Y-measured.  The slot is handed on unchanged at every hop,
+        so it is read once.  The first hop checks what ``transfer`` checks,
+        with its messages, once its pair exists: q is live and at the near
+        node.  Every later carrier is there by construction, and a fresh
+        pair is a bare pair of distinct qubits.
+        """
+        generate_epr, measure_y = self.generate_epr, self.measure_y
+        placement, slot, owner = self.placement, self._slot, self._owner
+        sq = None
+        for u, v in zip(path[start:end], path[start + 1:end + 1]):
+            b, c = generate_epr(u, v)
+            if sq is None:
+                if q == b or q == c:
+                    raise ValueError("transfer needs distinct qubits a, b, c")
+                if placement.get(q) != u:
+                    self.node_of(q)  # raises if q is not live
+                    raise ValueError(
+                        f"qubits {q} and {b} are at different nodes; transfer must start locally"
+                    )
+                sq = slot.get(q, q)
+            # the teleport: c takes q's slot and q takes c's
+            slot[c], owner[sq], slot[q], owner[c] = sq, c, c, q
+            measure_y(q)
+            measure_y(b)
+            q = c
+        return q
 
     def advance_timestep(self) -> None:
         self._step += 1

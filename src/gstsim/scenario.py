@@ -36,7 +36,7 @@ from .network import (
     load_topology,
 )
 from .record import Record
-from .topogen import generate_topology
+from .topogen import BUILDERS, generate_topology
 
 REPORT_FORMATS = ("csv", "json")  # what emit_report writes
 OUTPUT_KEYS = ("path", "format")  # of a scenario's output entry
@@ -102,10 +102,12 @@ def _resolve_topology(spec, seed: int) -> NetworkTopology:
     if isinstance(spec, str):
         return load_topology(spec)
     if isinstance(spec, dict):
+        if "kind" not in spec:
+            raise ValueError(f"topology spec needs a 'kind' entry, one of {list(BUILDERS)}")
         params = {k: v for k, v in spec.items() if k != "kind"}
-        if spec.get("kind") == "gnp":
+        if spec["kind"] == "gnp":
             params.setdefault("seed", seed)
-        return generate_topology(spec.get("kind", ""), **params)
+        return generate_topology(spec["kind"], **params)
     raise ValueError("topology must be a file path or a generator spec")
 
 

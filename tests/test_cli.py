@@ -384,6 +384,15 @@ def test_topology_kind_that_is_not_a_string_is_config_error(capsys, kind):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("verb", ["run", "compare", "optimize"])
+def test_topology_spec_without_a_kind_is_config_error(capsys, verb):
+    assert main([verb, "--topology", json.dumps({"n": 3})]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ("configuration error: topology spec needs a 'kind' entry, "
+                            "one of ['line', 'tree', 'grid', 'gnp']\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("seed", [True, "x", 2.5])
 def test_gnp_topology_seed_must_be_an_integer(capsys, seed):
     spec = {"kind": "gnp", "n": 6, "p": 0.5, "seed": seed}

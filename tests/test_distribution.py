@@ -8,6 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from gstsim.distribution import (
     DistributionPlan,
@@ -16,6 +17,7 @@ from gstsim.distribution import (
     RunReport,
     Schedule,
     TraceEvent,
+    _walk_rounds,
     build_resource_state,
     center_root,
     distribute_via_resource,
@@ -26,7 +28,7 @@ from gstsim.distribution import (
     validate_plan,
     warn_if_rounds_exceed,
 )
-from gstsim.network import NetworkState, NetworkTopology
+from gstsim.network import NetworkState, NetworkTopology, verify_target
 from gstsim.graphstate import GraphState
 from gstsim import oracle
 from gstsim.flow import minimize_completion_time
@@ -631,6 +633,20 @@ class OpLog(NetworkState):
         self.ops.append(("cz", a, b))  # its two Y measurements log themselves
         return super().transfer(a, b, c)
 
+    def advance(self, q, path, start, end):
+        """Logs each hop's CZ(carrier, near half) before the carrier's Y
+        measurement: the ops after an "epr" (b, c) are Y(carrier), Y(b)."""
+        first = len(self.ops)
+        try:
+            return super().advance(q, path, start, end)
+        finally:
+            walked = self.ops[first:]
+            del self.ops[first:]
+            for i, op in enumerate(walked):
+                if op[0] == "my" and i and walked[i - 1][0] == "epr":
+                    self.ops.append(("cz", op[1], walked[i - 1][1]))
+                self.ops.append(op)
+
     def measure_y(self, q):
         super().measure_y(q)
         self.ops.append(("my", q))
@@ -989,3 +1005,113 @@ class TestEveryYMeasurementInAWalkIsCheap:
         # two per transfer: one per link hop, one per pre-shared pair used
         assert len(y_degrees) == 2 * (st.epr_generated + len(pairs))
         assert max(y_degrees) <= 1
+
+
+def _transfer_walk(state, plan, schedule, carrier):
+    """The walk as one ``generate_epr`` and one ``transfer`` per hop, with
+    ``_walk_rounds``'s errors: the reference for ``NetworkState.advance``."""
+    for rnum, round_entries in enumerate(schedule.rounds):
+        state.advance_timestep()
+        for (tnode, start, end) in round_entries:
+            path = plan.paths[tnode]
+            qubit = carrier[tnode]
+            for i in range(start, end):
+                try:
+                    qu, qv = state.generate_epr(path[i], path[i + 1])
+                    qubit = state.transfer(qubit, qu, qv)
+                except ValueError as exc:
+                    raise ExecutionError(f"round {rnum}: {exc}") from exc
+            carrier[tnode] = qubit
+
+
+def _walk_both(topo, plan, schedule, make_carriers):
+    """Walks (plan, schedule) with ``_walk_rounds`` and with ``_transfer_walk``,
+    each on a fresh state whose carriers ``make_carriers(state)`` makes.
+    Returns, per walk, the state, its stored fields and carriers, and the
+    error message."""
+    walks = []
+    for walk in (_walk_rounds, _transfer_walk):
+        st = NetworkState(topo)
+        carrier = make_carriers(st)
+        try:
+            walk(st, plan, schedule, carrier)
+            error = None
+        except ExecutionError as exc:
+            error = str(exc)
+        fields = (st.placement, st.graph, st._adj, st._slot, st._owner,
+                  st.epr_generated, st._next_qubit, carrier)
+        walks.append((st, fields, error))
+    return walks
+
+
+def _local_copy_carriers(req, root):
+    def make(st):
+        copy_map = st.local_copy(req.target, root)
+        return {node: copy_map[v] for v, node in req.assignment.items()}
+    return make
+
+
+ADVANCE_TOPOLOGIES = [line(7), ring(6), tree_topology(3), grid_topology(3, 4), GNP14]
+
+
+class TestAdvance:
+    """``NetworkState.advance`` walks a schedule entry as a run of
+    ``generate_epr`` and ``transfer`` calls would, state and errors alike."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=hs.data(), topo_index=hs.integers(0, len(ADVANCE_TOPOLOGIES) - 1),
+           shape=hs.sampled_from(["path", "complete"]),
+           planner=hs.sampled_from(["shortest", "flow"]))
+    def test_matches_a_walk_of_transfers(self, data, topo_index, shape, planner):
+        topo = ADVANCE_TOPOLOGIES[topo_index]
+        nodes = list(topo.nodes)
+        targets = data.draw(hs.lists(hs.sampled_from(nodes), min_size=1, unique=True))
+        root = data.draw(hs.sampled_from(nodes))
+        req = _shaped_request(targets, shape)
+        if planner == "shortest":
+            plan = plan_shortest(topo, req.target_nodes, root)
+        else:
+            plan = minimize_completion_time(topo, req.target_nodes, [root])[2]
+        (st, got, error), (_, want, _) = _walk_both(
+            topo, plan, make_schedule(plan), _local_copy_carriers(req, plan.root))
+        assert error is None
+        assert got == want
+        assert verify_target(st, req.target, req.assignment)
+
+    @pytest.mark.parametrize("n, targets, rounds, message", [
+        (3, ["n00", "n02"], ((("n02", 1, 2),),),
+         "round 0: qubits 1 and 2 are at different nodes; transfer must start locally"),
+        (4, ["n00", "n01", "n02", "n03"], ((("n03", 0, 1),), (("n03", 1, 2), ("n02", 0, 2))),
+         "round 1: link ('n01', 'n02') already used in timestep 2"),
+    ], ids=["carrier-at-the-wrong-node", "link-used-twice-mid-entry"])
+    def test_rejects_a_bad_schedule_as_a_walk_of_transfers(self, n, targets, rounds, message):
+        """The second case fails at the second hop of n02's entry, after
+        its first hop has run."""
+        topo = line(n)
+        req = _shaped_request(targets, "path")
+        plan = plan_shortest(topo, targets, "n00")
+        (_, got, error), (_, want, want_error) = _walk_both(
+            topo, plan, Schedule(rounds), _local_copy_carriers(req, "n00"))
+        assert error == want_error == message
+        assert got == want
+
+    @pytest.mark.parametrize("carrier, message", [
+        ("dead", "round 0: qubit 0 is not live"),
+        ("near-half", "round 0: transfer needs distinct qubits a, b, c"),
+        ("far-half", "round 0: transfer needs distinct qubits a, b, c"),
+    ])
+    def test_rejects_a_carrier_that_is_not_live_as_transfer_does(self, carrier, message):
+        """A dead qubit, or the id its first pair's near or far half is about
+        to be minted with."""
+        topo = line(3)
+        plan = plan_shortest(topo, ["n02"], "n00")
+
+        def make_carriers(st):
+            q = st.new_qubit("n00")
+            st.measure_z(q)
+            return {"n02": {"dead": q, "near-half": q + 1, "far-half": q + 2}[carrier]}
+
+        (_, got, error), (_, want, want_error) = _walk_both(
+            topo, plan, make_schedule(plan), make_carriers)
+        assert error == want_error == message
+        assert got == want

@@ -766,35 +766,50 @@ def test_every_small_graph_measures_as_graphstate(n):
                 assert st.graph == getattr(g, kind)(v)
 
 
+class CountingAdjacency(dict):
+    """An adjacency map that counts its reads and writes in ``accesses``."""
+
+    accesses = 0
+
+
+def _counted(name):
+    method = getattr(dict, name)
+
+    def counting(self, *args):
+        CountingAdjacency.accesses += 1
+        return method(self, *args)
+    return counting
+
+
+for _name in ["__getitem__", "__setitem__", "__delitem__", "__contains__",
+              "get", "pop", "setdefault"]:
+    setattr(CountingAdjacency, _name, _counted(_name))
+
+
+def _carrier_of_degree(topo, node, degree):
+    """A carrier at ``node`` with ``degree`` spectators there, walked out and
+    back so that it sits in the slot of a dead qubit; returns (state,
+    carrier, spectators) with a fresh timestep."""
+    st = NetworkState(topo)
+    a = st.new_qubit(node)
+    spectators = [st.new_qubit(node) for _ in range(degree)]
+    for x in spectators:
+        st.apply_cz(a, x)
+    far = topo.neighbors(node)[0]
+    a = hop(st, hop(st, a, node, far), far, node)
+    st.advance_timestep()
+    return st, a, spectators
+
+
 def test_a_transfer_costs_the_same_for_any_carrier_degree():
     """A transfer hands the carrier's adjacency slot to the far pair half:
     it reads and writes the adjacency map as often for a carrier of degree
     1 as for one of degree 200, here a carrier that already sits in the
     slot of a dead qubit."""
 
-    class CountingAdjacency(dict):
-        accesses = 0
-
-    def counted(name):
-        method = getattr(dict, name)
-
-        def counting(self, *args):
-            CountingAdjacency.accesses += 1
-            return method(self, *args)
-        return counting
-
-    for name in ["__getitem__", "__setitem__", "__delitem__", "__contains__",
-                 "get", "pop", "setdefault"]:
-        setattr(CountingAdjacency, name, counted(name))
-
     def accesses(degree):
-        st = NetworkState(NetworkTopology(["a", "b"], [("a", "b")]))
-        a = st.new_qubit("a")
-        spectators = [st.new_qubit("a") for _ in range(degree)]
-        for x in spectators:
-            st.apply_cz(a, x)
-        a = hop(st, hop(st, a, "a", "b"), "b", "a")
-        st.advance_timestep()
+        st, a, spectators = _carrier_of_degree(
+            NetworkTopology(["a", "b"], [("a", "b")]), "a", degree)
         qb, qc = st.generate_epr("a", "b")
         st._adj = CountingAdjacency(st._adj)
         CountingAdjacency.accesses = 0
@@ -804,6 +819,28 @@ def test_a_transfer_costs_the_same_for_any_carrier_degree():
         return count
 
     assert 0 < accesses(1) == accesses(200)
+
+
+def test_an_advance_costs_the_same_per_hop_for_any_carrier_degree():
+    """``advance`` hands the carrier's slot on at every hop: each hop reads
+    and writes the adjacency map as often as the first, for a carrier of
+    degree 1 as for one of degree 200."""
+    topo = line_topology(4)
+    path = list(topo.nodes)
+
+    def accesses(degree, hops):
+        st, a, spectators = _carrier_of_degree(topo, "n00", degree)
+        st._adj = CountingAdjacency(st._adj)
+        CountingAdjacency.accesses = 0
+        c = st.advance(a, path, 0, hops)
+        count = CountingAdjacency.accesses
+        assert st.node_of(c) == path[hops]
+        assert st.neighbors(c) == frozenset(spectators)
+        return count
+
+    one_hop = accesses(1, 1)
+    assert 0 < one_hop == accesses(200, 1)
+    assert accesses(1, 3) == accesses(200, 3) == 3 * one_hop
 
 
 def test_y_measurement_of_a_neighbour_of_the_last_y_measured_qubit():

@@ -116,6 +116,13 @@ class TestResolve:
             resolve(tree_cfg(targets=["n00", "n01", "n02"], target_edges=edges))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("spec", [{"n": 3}, {}])
+    def test_topology_spec_without_a_kind(self, spec):
+        with pytest.raises(ValueError) as info:
+            resolve(ScenarioConfig.from_dict({"topology": spec}))
+        assert str(info.value) == ("topology spec needs a 'kind' entry, "
+                                   "one of ['line', 'tree', 'grid', 'gnp']")
+
     def test_topology_from_file(self, tmp_path):
         p = tmp_path / "topo.json"
         p.write_text(json.dumps({"nodes": ["a", "b"], "links": [["a", "b"]]}))
