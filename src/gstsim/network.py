@@ -272,9 +272,6 @@ class NetworkState:
             raise ValueError(f"qubit {q!r} is not live")
         return self.placement[q]
 
-    def qubits_at(self, node: NodeId) -> list[QubitId]:
-        return sorted(q for q, nd in self.placement.items() if nd == node)
-
     def qubit_count(self, node: NodeId) -> int:
         """Number of live qubits at ``node``: a count over ``placement``,
         O(live qubits)."""
@@ -286,11 +283,6 @@ class NetworkState:
         self.node_of(q)
         owner = self._owner
         return frozenset(owner.get(s, s) for s in self._adj[self._slot.get(q, q)])
-
-    def has_edge(self, u: QubitId, v: QubitId) -> bool:
-        placement, slot = self.placement, self._slot
-        return (u != v and u in placement and v in placement
-                and slot.get(v, v) in self._adj[slot.get(u, u)])
 
     @property
     def graph(self) -> GraphState:

@@ -1,10 +1,14 @@
-"""Brute-force state-vector oracle for the graph rewrite rules.
+"""The reference graph rewrite rules and the state-vector oracle that certifies them.
 
-Everything in here recomputes quantum behavior from dense state vectors so
-the graph-rewrite layer can be checked against actual linear algebra rather
-than against itself.  Sizes are capped (10 qubits for simulation, 5 for the
-local-Clifford equivalence search) because nothing in the package needs this
-path to be fast — it exists to be obviously correct.
+The four reference rules — ``toggle_edge`` (CZ), ``local_complement``,
+``measure_z`` and ``measure_y`` — are plain functions from one immutable
+``GraphState`` to the next.  ``NetworkState`` applies the same rules in
+place on every run; the tests replay its operations on these functions.
+Everything else in here recomputes quantum behavior from dense state
+vectors, so the rules are checked against actual linear algebra rather
+than against themselves.  Sizes are capped (10 qubits for simulation, 5 for
+the local-Clifford equivalence search) because nothing in the package needs
+this path to be fast — it exists to be obviously correct.
 
 Conventions
 -----------
@@ -24,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphstate import GraphState, VertexId
+from .graphstate import GraphState, VertexId, edge_key
 
 MAX_SIM_QUBITS = 10
 MAX_LC_QUBITS = 5
@@ -290,6 +294,46 @@ def lc_equivalent(a: StateVector, b: StateVector) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Reference rewrite rules (Hein, Eisert and Briegel, quant-ph/0307130)
+# ---------------------------------------------------------------------------
+#
+# Each returns a new graph, built with the public constructor, and leaves
+# its argument as it was.  They are the slow, plain form of the rules that
+# ``NetworkState`` applies in place; the verifiers below certify them, and
+# the tests replay network operations on them.  Measurement outcomes differ
+# only by single-qubit corrections, so each rule gives one canonical graph.
+
+def toggle_edge(g: GraphState, u: VertexId, v: VertexId) -> GraphState:
+    """CZ between two vertex qubits: flip edge membership of (u, v)."""
+    g.neighbors(u)  # raises on an unknown vertex
+    g.neighbors(v)
+    if u == v:
+        raise ValueError(f"cannot toggle a self-loop on {u!r}")
+    return GraphState(g.vertices, g.edges ^ {edge_key(u, v)})
+
+
+def local_complement(g: GraphState, a: VertexId) -> GraphState:
+    """Complement the subgraph induced on the neighborhood of ``a``.
+
+    Every pair of neighbors of ``a`` has its edge toggled; edges touching
+    ``a`` itself and everything outside N(a) are untouched.
+    """
+    pairs = {edge_key(x, y) for x, y in combinations(g.neighbors(a), 2)}
+    return GraphState(g.vertices, g.edges ^ pairs)
+
+
+def measure_z(g: GraphState, a: VertexId) -> GraphState:
+    """Z measurement of ``a``: delete the vertex and its incident edges."""
+    g.neighbors(a)  # raises on an unknown vertex
+    return GraphState(g.vertices - {a}, [e for e in g.edges if a not in e])
+
+
+def measure_y(g: GraphState, a: VertexId) -> GraphState:
+    """Y measurement of ``a``: locally complement at ``a``, then delete it."""
+    return measure_z(local_complement(g, a), a)
+
+
+# ---------------------------------------------------------------------------
 # Rule-level verifiers
 # ---------------------------------------------------------------------------
 
@@ -302,9 +346,9 @@ def verify_graphical_rule(graph: GraphState, vertex: VertexId, rule: str) -> boo
     """
     rule = rule.upper()
     if rule == "Y":
-        rewritten = graph.measure_y(vertex)
+        rewritten = measure_y(graph, vertex)
     elif rule == "Z":
-        rewritten = graph.measure_z(vertex)
+        rewritten = measure_z(graph, vertex)
     else:
         raise ValueError(f"rule must be 'Y' or 'Z', got {rule!r}")
     sv = build_graph_state(graph)
@@ -406,7 +450,7 @@ def verify_transfer_sequence(graph: GraphState, a: VertexId, b: VertexId, c: Ver
     corresponding rewrites.
     """
     _check_transfer_shape(graph, a, b, c)
-    rewritten = graph.toggle_edge(a, b).measure_y(a).measure_y(b)
+    rewritten = measure_y(measure_y(toggle_edge(graph, a, b), a), b)
     expect = build_graph_state(rewritten)
     sv = apply_cz(build_graph_state(graph), a, b)
     for branch_a in measure_pauli(sv, a, "Y"):

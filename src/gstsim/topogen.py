@@ -49,18 +49,13 @@ def grid_topology(rows: int, cols: int) -> NetworkTopology:
     _require_int("cols", cols)
     if rows < 1 or cols < 1:
         raise ValueError("grid needs positive dimensions")
-
-    def cell(r: int, c: int) -> str:
-        return f"r{r:02d}c{c:02d}"
-
-    nodes = [cell(r, c) for r in range(rows) for c in range(cols)]
+    nodes = [f"r{r:02d}c{c:02d}" for r in range(rows) for c in range(cols)]
     links = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                links.append((cell(r, c), cell(r, c + 1)))
-            if r + 1 < rows:
-                links.append((cell(r, c), cell(r + 1, c)))
+    for i, name in enumerate(nodes):  # row-major: cell i + 1 is right, i + cols below
+        if (i + 1) % cols:
+            links.append((name, nodes[i + 1]))
+        if i + cols < len(nodes):
+            links.append((name, nodes[i + cols]))
     return NetworkTopology(nodes, links)
 
 

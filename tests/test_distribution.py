@@ -666,16 +666,17 @@ class OpLog(NetworkState):
                 and ops[i + 2] == ("my", ops[i][2])]
 
     def replay(self) -> GraphState:
+        """The log replayed with the oracle's reference rules."""
         g = GraphState()
         for kind, *qs in self.ops:
             if kind == "new":
-                g = g.add_vertex(qs[0])
+                g = GraphState([*g.vertices, qs[0]], g.edges)
             elif kind in ("epr", "cz"):
-                g = g.toggle_edge(*qs)
+                g = oracle.toggle_edge(g, *qs)
             elif kind == "my":
-                g = g.measure_y(qs[0])
+                g = oracle.measure_y(g, qs[0])
             else:
-                g = g.measure_z(qs[0])
+                g = oracle.measure_z(g, qs[0])
         return g
 
 
@@ -727,7 +728,7 @@ class TestSemanticReplay:
         plan = plan_shortest(topo, nodes, "n00")
         st, report, sv = _record_and_replay(topo, req, plan)
         # relabel the request onto the delivered qubits (one per node here)
-        at_node = {node: st.qubits_at(node)[0] for node in nodes}
+        at_node = {node: q for q, node in st.placement.items()}
         relabeled = GraphState(
             [at_node[v] for v in req.target.vertices],
             [(at_node[u], at_node[v]) for u, v in req.target.edges])
@@ -751,7 +752,7 @@ class RootCounter(NetworkState):
         self.peak = 0
 
     def _sample(self):
-        self.peak = max(self.peak, len(self.qubits_at(self.root)))
+        self.peak = max(self.peak, self.qubit_count(self.root))
 
     def new_qubit(self, node):
         q = super().new_qubit(node)
@@ -911,7 +912,7 @@ class TestHopIdentity:
 
     Mirrors the benchmark's traced identity (Y measurements = 2 x EPR
     pairs) and checks the delivered graph against the three-step rewrite
-    replayed on GraphState.
+    replayed with the oracle's reference rules.
     """
 
     @pytest.mark.parametrize("topo", HOP_IDENTITY_TOPOLOGIES, ids=["tree4", "gnp30"])

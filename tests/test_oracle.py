@@ -204,3 +204,28 @@ def test_certification_smoke():
     assert report["ok"]
     checked, passed = report["rules_exhaustive_small"]
     assert checked == passed > 300
+
+
+class TestBrokenReferenceRules:
+    """The certification fails when a reference rule is wrong: each check
+    looks the rule up in ``gstsim.oracle`` when it runs."""
+
+    PATH = GraphState(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+    def test_a_y_measurement_without_its_complement_is_rejected(self, monkeypatch):
+        assert verify_graphical_rule(self.PATH, "b", "Y")
+        monkeypatch.setattr(oracle, "measure_y", oracle.measure_z)
+        assert not verify_graphical_rule(self.PATH, "b", "Y")
+        report = oracle.certification_report(five_qubit_samples=0)
+        assert not report["ok"]
+        passed, total = report["rules_exhaustive_small"]
+        assert passed < total
+
+    def test_a_cz_that_changes_nothing_is_rejected(self, monkeypatch):
+        assert all(verify_transfer_sequence(*t) for t in transfer_instances())
+        monkeypatch.setattr(oracle, "toggle_edge", lambda g, u, v: g)
+        assert not all(verify_transfer_sequence(*t) for t in transfer_instances())
+        report = oracle.certification_report(five_qubit_samples=0)
+        assert not report["ok"]
+        passed, total = report["transfer_sequence"]
+        assert passed < total

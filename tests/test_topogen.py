@@ -2,6 +2,7 @@
 
 import pytest
 
+from gstsim import topogen
 from gstsim.topogen import (
     generate_topology,
     gnp_topology,
@@ -39,6 +40,25 @@ def test_grid_shape():
     assert len(t.nodes) == 6
     assert len(t.links) == 2 * 2 + 3  # rows contribute 2x2, columns 3
     assert "r00c00" in t.nodes and "r01c02" in t.nodes
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (3, 4), (12, 12), (101, 2)])
+def test_grid_names_and_links_in_order(monkeypatch, rows, cols):
+    """The node list and the link list, in the order the topology receives
+    them, against lists built cell by cell: each cell, then its right and
+    its lower neighbour."""
+    monkeypatch.setattr(topogen, "NetworkTopology", lambda nodes, links: (nodes, links))
+    cell = "r{:02d}c{:02d}".format
+    nodes, links = [], []
+    for r in range(rows):
+        for c in range(cols):
+            nodes.append(cell(r, c))
+            if c + 1 < cols:
+                links.append((cell(r, c), cell(r, c + 1)))
+            if r + 1 < rows:
+                links.append((cell(r, c), cell(r + 1, c)))
+    assert grid_topology(rows, cols) == (nodes, links)
+    assert len(links) == rows * (cols - 1) + cols * (rows - 1)
 
 
 def test_gnp_is_seed_deterministic():
