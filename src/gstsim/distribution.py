@@ -4,15 +4,15 @@ The strategy simulated here builds the whole target graph state locally at a
 root node (local CZs are free), then walks each vertex qubit out to its
 destination along a network path.  One hop = one EPR pair across a link plus
 a three-step rewrite (CZ onto the local pair half, Y-measure the traveling
-qubit, Y-measure the local half) that hands the traveling qubit's
-entanglement to the remote half.  The local copy and the hops are
-``NetworkState`` methods (``local_copy``, ``advance`` for the hops of one
-schedule entry, ``transfer`` for one hop over a given pair): this module
-uses the state only through its public names.  A hop teleports before it
-measures: the remote half takes over the traveling qubit's adjacency slot,
-so each Y measurement then sees at most one neighbor and a hop costs
-constant time whatever the traveling qubit's degree.  Total EPR cost is
-the sum of path lengths.
+qubit, Y-measure the local half) that teleports the traveling qubit into
+the remote half.  The local copy and the hops are ``NetworkState`` methods
+(``local_copy``, ``advance`` for the hops of one schedule entry,
+``transfer`` for one hop over a given pair): this module uses the state
+only through its public names.  A traveling qubit keeps its id on every
+hop, and each hop consumes its pair, so the qubit ``local_copy`` minted
+for a vertex is the one delivered for it, and a hop costs constant time
+whatever the traveling qubit's degree.  Total EPR cost is the sum of path
+lengths.
 
 Scheduling packs hops into timesteps under the one-pair-per-link-per-step
 rule: a set of hops that touches no link twice can run in a single step, so
@@ -270,7 +270,9 @@ def make_schedule(plan: DistributionPlan) -> Schedule:
 
 def _walk_rounds(state: NetworkState, plan: DistributionPlan, schedule: Schedule,
                  carrier: dict) -> RunReport:
-    """Walk every scheduled hop, moving ``carrier[target]`` one link per EPR pair.
+    """Walk every scheduled hop, moving the qubit ``carrier[target]`` one link
+    per EPR pair; the qubits keep their ids, so ``carrier`` is read, never
+    written.
 
     Each schedule entry is one ``NetworkState.advance`` call.  Returns the
     run's report.  Its counts are read off the plan: a walk that skipped or
@@ -286,9 +288,10 @@ def _walk_rounds(state: NetworkState, plan: DistributionPlan, schedule: Schedule
     needs the carrier and the new pair half at one node, so a walk that
     succeeds starts with a hop that leaves the root while every carrier is
     still there: the start count + 1.  Carriers are only ever moved, never
-    created, and a hop adds one qubit at its near end that its Y
-    measurements remove together with the carrier.  So the root never
-    holds more than the start count + 1, even when a path revisits it.
+    created, and a hop adds one qubit at its near end, the pair half that
+    its Y measurements remove together with the far half, which has taken
+    the carrier's place there.  So the root never holds more than the start
+    count + 1, even when a path revisits it.
     """
     advance, paths = state.advance, plan.paths
     epr_pairs = plan.epr_cost
@@ -297,7 +300,7 @@ def _walk_rounds(state: NetworkState, plan: DistributionPlan, schedule: Schedule
         state.advance_timestep()
         for (tnode, start, end) in round_entries:
             try:
-                carrier[tnode] = advance(carrier[tnode], paths[tnode], start, end)
+                advance(carrier[tnode], paths[tnode], start, end)
             except ValueError as exc:
                 raise ExecutionError(f"round {rnum}: {exc}") from exc
     return RunReport(
@@ -351,17 +354,14 @@ def build_resource_state(state: NetworkState, targets, root: NodeId) -> tuple[di
     others = sorted(set(targets) - {root})
     plan = plan_shortest(state.topology, others, root) if others else DistributionPlan(root, {})
     schedule = make_schedule(plan)
-    anchors = {}
-    carrier = {}
+    pairs = {}
     for t in others:
         anchor = state.new_qubit(root)
         mover = state.new_qubit(root)
         state.apply_cz(anchor, mover)
-        anchors[t] = anchor
-        carrier[t] = mover
-    report = _walk_rounds(state, plan, schedule, carrier)
+        pairs[t] = (anchor, mover)
+    report = _walk_rounds(state, plan, schedule, {t: mover for t, (_, mover) in pairs.items()})
     report.resource_qubits = 2 * len(others)
-    pairs = {t: (anchors[t], carrier[t]) for t in others}
     for t, (anchor, remote) in pairs.items():
         if state.neighbors(anchor) != {remote}:
             raise ExecutionError(f"resource pair for {t!r} is not a clean pair")

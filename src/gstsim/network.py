@@ -8,10 +8,10 @@ pair generated across a link.  This module is the only one that knows how
 the state stores them: ``placement`` is the one record of where the live
 qubits are, and the operations that write the entanglement graph, the
 connection transfer, the walk of a schedule entry and the root's local
-copy among them, are ``NetworkState`` methods.  The graph is kept over
-adjacency slots, so a connection transfer hands the travelling qubit's
-slot to the receiving half in O(1) instead of rewriting every neighbor's
-set.
+copy among them, are ``NetworkState`` methods.  A qubit's id names the
+same logical qubit for its whole life, so a connection transfer moves the
+travelling qubit and consumes its pair in O(1) instead of rewriting every
+neighbor's set.
 
 Timesteps model link contention: within one step each link may source at
 most one EPR pair; a second pair raises LocalityError (a planner bug, not a
@@ -215,20 +215,21 @@ def topology_to_dict(topo: NetworkTopology) -> dict:
 class NetworkState:
     """Single-writer mutable state: placement map + shared entanglement graph.
 
-    The entanglement graph is a mutable adjacency map edited in place
-    (Anders-Briegel, quant-ph/0504117) over *slots*: a qubit is minted in
-    the slot of its own id, and ``_slot`` (qubit -> slot) and ``_owner``
-    (slot -> qubit) hold only the qubits that have since taken over another
-    slot.  Every entry point checks ``placement`` before it maps an id to a
-    slot, because a dead qubit's id may name a live slot.  Every operation
+    The entanglement graph is a mutable adjacency map keyed by qubit id and
+    edited in place (Anders-Briegel, quant-ph/0504117).  Every operation
     leaves the graph exact, so reads need no preparation.  A Y measurement
     complements the measured qubit's neighborhood at once, which costs
-    O(deg^2) pair toggles; a connection transfer first teleports, handing
-    the travelling qubit's slot to the far pair half, so its two Y
-    measurements see at most one neighbor each and a hop costs O(1)
-    whatever the degree.  ``advance`` walks a run of such hops, each over
-    a pair it generates.  ``graph`` returns an immutable ``GraphState``
-    copy for callers that need a value.
+    O(deg^2) pair toggles.
+
+    A qubit's id names the same logical qubit for its whole life.  A
+    connection transfer teleports the carrier across a pair: the carrier
+    keeps its name and moves to the far node, and the two qubits measured
+    at the near node carry the pair's names.  So a transfer swaps the
+    placements of the carrier and the far half and then Y-measures the two
+    halves, a bare pair by then, each seeing at most one neighbor: a hop
+    costs O(1) whatever the carrier's degree.  ``advance`` walks a run of
+    such hops, each over a pair it generates.  ``graph`` returns an
+    immutable ``GraphState`` copy for callers that need a value.
     """
 
     def __init__(self, topology: NetworkTopology):
@@ -238,9 +239,7 @@ class NetworkState:
         self._step = 0
         self._used: set = set()  # links used in the current timestep
         self.epr_generated = 0
-        self._adj: dict[int, set] = {}  # slot -> slots of its neighbors
-        self._slot: dict[QubitId, int] = {}  # qubits not in their own slot
-        self._owner: dict[int, QubitId] = {}  # the inverse of _slot
+        self._adj: dict[QubitId, set] = {}  # live qubit -> its neighbors
         self._next_qubit: QubitId = 0
 
     # -- qubit management ----------------------------------------------------
@@ -281,15 +280,12 @@ class NetworkState:
 
     def neighbors(self, q: QubitId) -> frozenset:
         self.node_of(q)
-        owner = self._owner
-        return frozenset(owner.get(s, s) for s in self._adj[self._slot.get(q, q)])
+        return frozenset(self._adj[q])
 
     @property
     def graph(self) -> GraphState:
         """Immutable snapshot of the entanglement graph; O(V + E) per call."""
-        owner = self._owner
-        edges = [(owner.get(s, s), owner.get(t, t))
-                 for s, ns in self._adj.items() for t in ns if s < t]
+        edges = [(q, x) for q, ns in self._adj.items() for x in ns if q < x]
         return GraphState(self.placement, edges)
 
     # -- operations ----------------------------------------------------------
@@ -330,14 +326,13 @@ class NetworkState:
             )
         if q1 == q2:
             raise ValueError(f"cannot toggle a self-loop on {q1!r}")
-        s1, s2 = self._slot.get(q1, q1), self._slot.get(q2, q2)
-        adj1, adj2 = self._adj[s1], self._adj[s2]
-        if s2 in adj1:
-            adj1.remove(s2)
-            adj2.remove(s1)
+        adj1, adj2 = self._adj[q1], self._adj[q2]
+        if q2 in adj1:
+            adj1.remove(q2)
+            adj2.remove(q1)
         else:
-            adj1.add(s2)
-            adj2.add(s1)
+            adj1.add(q2)
+            adj2.add(q1)
 
     def measure_y(self, q: QubitId) -> None:
         """Y measurement: complement the neighborhood of ``q``, then drop ``q``.
@@ -359,32 +354,28 @@ class NetworkState:
         self._remove(q)
 
     def _remove(self, q: QubitId) -> set:
-        """Drop live qubit ``q``, its slot and its edges; returns the slots
-        of its former neighbors."""
+        """Drop live qubit ``q`` and its edges; returns its former neighbors."""
         if self.placement.pop(q, None) is None:
             self.node_of(q)  # raises
         adj = self._adj
-        sq = self._slot.pop(q, q)
-        if sq != q:
-            del self._owner[sq]
-        nbrs = adj.pop(sq)
+        nbrs = adj.pop(q)
         for x in nbrs:
-            adj[x].discard(sq)
+            adj[x].discard(q)
         return nbrs
 
-    def transfer(self, a: QubitId, b: QubitId, c: QubitId) -> QubitId:
-        """Connection transfer: hand qubit a's entanglement to qubit c
-        through the pair (b, c); returns c.
+    def transfer(self, a: QubitId, b: QubitId, c: QubitId) -> None:
+        """Connection transfer: teleport qubit a to c's node over the pair
+        (b, c), which it consumes.
 
         Preconditions: a and b are co-located, b and c are a bare pair (each
         is the other's only neighbor), and a is neither b nor c.  The
         physical rewrite is CZ(a, b), Y-measure a, Y-measure b, after which
-        c's neighborhood is exactly a's former one (the closed form that
-        ``oracle._transfer_end_graph`` certifies).  That is the teleport:
-        c takes a's adjacency slot and a takes c's, two entries in the alias
-        maps, which leaves a and b a bare pair at the near node.  The two Y
-        measurements then remove it, each seeing at most one neighbor, so a
-        transfer costs O(1) whatever a's degree.
+        the far qubit has exactly a's former neighborhood (the closed form
+        that ``oracle._transfer_end_graph`` certifies).  Under the naming
+        convention (see the class) that is a placement swap: a moves to the
+        far node and c to the near one, which leaves b and c a bare pair
+        there.  The two Y measurements then remove it, each seeing at most
+        one neighbor, so a transfer costs O(1) whatever a's degree.
         Every check runs before the first write, so a rejected transfer
         leaves the state as it was.
         """
@@ -398,38 +389,33 @@ class NetworkState:
             raise ValueError(
                 f"qubits {a} and {b} are at different nodes; transfer must start locally"
             )
-        adj, slot, owner = self._adj, self._slot, self._owner
-        adj_b = adj[slot.get(b, b)]
-        sc = slot.get(c, c)
-        if len(adj_b) != 1 or c not in placement or sc not in adj_b:
+        adj = self._adj
+        adj_b = adj[b]
+        if len(adj_b) != 1 or c not in adj_b:
             raise ValueError(f"qubit {b} must be entangled with {c} and nothing else")
-        if len(adj[sc]) != 1:
+        if len(adj[c]) != 1:
             raise ValueError(f"qubit {c} must be entangled with {b} and nothing else")
-        sa = slot.get(a, a)
-        # the teleport: c takes a's slot and a takes c's
-        slot[c], owner[sa], slot[a], owner[sc] = sa, c, sc, a
-        self.measure_y(a)
+        placement[a], placement[c] = placement[c], node
+        self.measure_y(c)
         self.measure_y(b)
-        return c
 
-    def advance(self, q: QubitId, path, start: int, end: int) -> QubitId:
+    def advance(self, q: QubitId, path, start: int, end: int) -> None:
         """Move carrier ``q`` from ``path[start]`` to ``path[end]``, one
-        connection transfer per link; returns the qubit that carries it there.
+        connection transfer per link.
 
         Each hop generates a pair (b, c) across its link and then does what
-        ``transfer(q, b, c)`` does: c takes q's slot and q takes c's, and q
-        and b are Y-measured.  The slot is handed on unchanged at every hop,
-        so it is read once.  The first hop checks what ``transfer`` checks,
+        ``transfer(q, b, c)`` does: q and c swap placements, and c and b
+        are Y-measured.  The first hop checks what ``transfer`` checks,
         with its messages, once its pair exists: q is live and at the near
-        node.  Every later carrier is there by construction, and a fresh
+        node.  Every later hop finds q there by construction, and a fresh
         pair is a bare pair of distinct qubits.
         """
         generate_epr, measure_y = self.generate_epr, self.measure_y
-        placement, slot, owner = self.placement, self._slot, self._owner
-        sq = None
+        placement = self.placement
+        first = True
         for u, v in zip(path[start:end], path[start + 1:end + 1]):
             b, c = generate_epr(u, v)
-            if sq is None:
+            if first:
                 if q == b or q == c:
                     raise ValueError("transfer needs distinct qubits a, b, c")
                 if placement.get(q) != u:
@@ -437,13 +423,10 @@ class NetworkState:
                     raise ValueError(
                         f"qubits {q} and {b} are at different nodes; transfer must start locally"
                     )
-                sq = slot.get(q, q)
-            # the teleport: c takes q's slot and q takes c's
-            slot[c], owner[sq], slot[q], owner[c] = sq, c, c, q
-            measure_y(q)
+                first = False
+            placement[q], placement[c] = v, u
+            measure_y(c)
             measure_y(b)
-            q = c
-        return q
 
     def advance_timestep(self) -> None:
         self._step += 1
@@ -464,8 +447,8 @@ def verify_target(state: NetworkState, target: GraphState, assignment: dict) -> 
         raise ValueError("assignment must cover exactly the target vertices")
     if len(set(assignment.values())) != len(assignment):
         raise ValueError("assignment must send each vertex to a distinct node")
-    adj, slot = state._adj, state._slot
-    at = {node: slot.get(q, q) for q, node in state.placement.items()}  # node -> slot
+    adj = state._adj
+    at = {node: q for q, node in state.placement.items()}
     if len(at) != len(state.placement) or at.keys() != set(assignment.values()):
         return False
     image = {v: at[node] for v, node in assignment.items()}

@@ -381,15 +381,11 @@ def _transfer_basis() -> list[np.ndarray]:
 
 
 def _transfer_end_graph(graph: GraphState, a: VertexId, b: VertexId, c: VertexId) -> GraphState:
-    moved = sorted(graph.neighbors(a) - {c})
-    vertices = sorted(graph.vertices - {a, b})
+    """The graph after a transfer of a shape ``_check_transfer_shape`` accepts:
+    a and b gone, and c joined to every former neighbour of a."""
     edges = [e for e in graph.edges if a not in e and b not in e]
-    for x in moved:
-        if graph.has_edge(c, x):
-            edges = [e for e in edges if set(e) != {c, x}]
-        else:
-            edges.append((c, x))
-    return GraphState(vertices, edges)
+    edges += [(c, x) for x in graph.neighbors(a)]
+    return GraphState(graph.vertices - {a, b}, edges)
 
 
 def _check_transfer_shape(graph: GraphState, a: VertexId, b: VertexId, c: VertexId) -> None:

@@ -140,7 +140,7 @@ def _resolve_target_graph(spec, targets: list, rng: random.Random) -> GraphState
     ts = sorted(targets)
     if isinstance(spec, str):
         if spec == "complete":
-            edges = list(combinations(ts, 2))
+            edges = combinations(ts, 2)
         elif spec == "path":
             edges = list(zip(ts, ts[1:]))
         elif spec == "cycle":
@@ -155,7 +155,7 @@ def _resolve_target_graph(spec, targets: list, rng: random.Random) -> GraphState
         p = spec["gnp"]
         if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
             raise ValueError("edge probability must lie in [0, 1]")
-        edges = [e for e in combinations(ts, 2) if rng.random() < p]
+        edges = (e for e in combinations(ts, 2) if rng.random() < p)
     elif isinstance(spec, list):
         edges = check_node_pairs(spec, "target_edges")
         known = set(ts)

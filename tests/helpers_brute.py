@@ -13,7 +13,14 @@ max flow.  These functions share no code with the package under test.
 from collections import Counter, deque
 from itertools import combinations, permutations
 
+from gstsim.graphstate import GraphState
 from gstsim.network import NetworkTopology
+
+
+def relabel(g: GraphState, names: dict) -> GraphState:
+    """``g`` with each vertex x renamed ``names.get(x, x)``."""
+    return GraphState([names.get(x, x) for x in g.vertices],
+                      [(names.get(u, u), names.get(v, v)) for u, v in g.edges])
 
 
 def floyd_warshall(topology: NetworkTopology) -> dict:

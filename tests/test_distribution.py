@@ -4,7 +4,7 @@ import copy
 import hashlib
 import logging
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -35,7 +35,8 @@ from gstsim.flow import minimize_completion_time
 from gstsim.network import link_key
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
-from helpers_brute import brute_eccentricities, brute_lex_shortest_path, floyd_warshall
+from helpers_brute import (brute_eccentricities, brute_lex_shortest_path, floyd_warshall,
+                           relabel)
 
 
 def line(n):
@@ -53,8 +54,9 @@ def identity_request(nodes, edges):
 
 
 class TestConnectionTransfer:
-    """A transfer moves the carrier's edges; a rejected one raises ValueError
-    with a fixed text and leaves the state as it was."""
+    """A transfer moves the carrier, edges and name, to the far node and
+    consumes its pair; a rejected one raises ValueError with a fixed text
+    and leaves the state as it was."""
 
     def make_state(self):
         st = NetworkState(line(2))
@@ -78,10 +80,10 @@ class TestConnectionTransfer:
 
     def test_moves_edges_to_remote_half(self):
         st, a, spect, qb, qc = self.make_state()
-        out = st.transfer(a, qb, qc)
-        assert out == qc
-        assert st.graph.neighbors(qc) == frozenset({spect})
-        assert st.node_of(qc) == "n01"
+        assert st.transfer(a, qb, qc) is None
+        assert st.graph.neighbors(a) == frozenset({spect})
+        assert st.node_of(a) == "n01"
+        assert qb not in st.placement and qc not in st.placement
 
     def test_rejects_split_pair(self):
         st, a, spect, qb, qc = self.make_state()
@@ -124,10 +126,10 @@ class TestConnectionTransfer:
 
     def test_rejects_carrier_no_longer_live(self):
         st, a, spect, qb, qc = self.make_state()
-        st.transfer(a, qb, qc)  # a is measured away
+        st.transfer(a, qb, qc)  # the pair (qb, qc) is measured away
         st.advance_timestep()
         qb2, qc2 = st.generate_epr("n00", "n01")
-        self.assert_rejected(st, f"qubit {a!r} is not live", a, qb2, qc2)
+        self.assert_rejected(st, f"qubit {qc!r} is not live", qc, qb2, qc2)
 
     def test_rejects_bridge_no_longer_live(self):
         st, a, spect, qb, qc = self.make_state()
@@ -183,8 +185,8 @@ class TestConnectionTransfer:
         st.apply_cz(q, qb)
         st.measure_y(q)
         assert st.neighbors(qb) == {qc}
-        assert st.transfer(a, qb, qc) == qc
-        assert st.graph.neighbors(qc) == frozenset({spect})
+        assert st.transfer(a, qb, qc) is None
+        assert st.graph.neighbors(a) == frozenset({spect})
 
 
 class TestConnectionTransferAfterAYComplement(TestConnectionTransfer):
@@ -206,8 +208,8 @@ class TestConnectionTransferAfterAYComplement(TestConnectionTransfer):
 
 class TestConnectionTransferAfterHandOvers(TestConnectionTransfer):
     """The same transfers once a and spect have arrived by earlier
-    transfers, so both sit in the adjacency slots of dead qubits: a walks
-    n00 -> n01 -> n00, spect n00 -> n01 -> n00, and a fresh pair follows."""
+    transfers, which consumed four pairs: a walks n00 -> n01 -> n00, spect
+    n00 -> n01 -> n00, and a fresh pair follows."""
 
     def make_state(self):
         st = NetworkState(line(2))
@@ -215,13 +217,40 @@ class TestConnectionTransferAfterHandOvers(TestConnectionTransfer):
         st.apply_cz(a, spect)
         for hop in [("n00", "n01"), ("n01", "n00")]:
             st.advance_timestep()
-            a = st.transfer(a, *st.generate_epr(*hop))
+            st.transfer(a, *st.generate_epr(*hop))
             st.advance_timestep()
-            spect = st.transfer(spect, *st.generate_epr(*hop))
-        assert st._slot == {a: 0, spect: 1} and st.neighbors(a) == {spect}
+            st.transfer(spect, *st.generate_epr(*hop))
+        assert st.placement == {a: "n00", spect: "n00"} and st.neighbors(a) == {spect}
+        assert st._next_qubit == 10  # the ids 2 to 9 are dead
         st.advance_timestep()
         qb, qc = st.generate_epr("n00", "n01")
         return st, a, spect, qb, qc
+
+
+@pytest.mark.parametrize("shape", list(oracle.transfer_instances()),
+                         ids=lambda shape: repr(sorted(shape[0].edges)))
+def test_transfer_gives_the_oracles_end_graph_with_c_renamed_a(shape):
+    """Each transfer shape of the oracle, with a and b at n00, c at n01
+    and the extra vertices spread over both nodes in every way: the
+    transfer leaves the closed-form end graph with the far qubit named a,
+    a at n01, and b and c dead."""
+    graph, a, b, c = shape
+    extras = sorted(graph.vertices - {a, b, c})
+    for far in product([False, True], repeat=len(extras)):
+        st = NetworkState(line(2))
+        local = GraphState(graph.vertices - {b, c}, [e for e in graph.edges if b not in e])
+        q = st.local_copy(local, "n00")
+        for x, moves in zip(extras, far):
+            if moves:
+                st.advance_timestep()
+                st.advance(q[x], ["n00", "n01"], 0, 1)
+        st.advance_timestep()
+        q[b], q[c] = st.generate_epr("n00", "n01")
+        assert st.graph == relabel(graph, q)
+        st.transfer(q[a], q[b], q[c])
+        assert st.graph == relabel(oracle._transfer_end_graph(graph, a, b, c), {**q, c: q[a]})
+        assert st.node_of(q[a]) == "n01"
+        assert q[b] not in st.placement and q[c] not in st.placement
 
 
 class TestPlanning:
@@ -436,6 +465,27 @@ class TestSchedule:
 
 
 class TestExecute:
+    @pytest.mark.parametrize("planner", ["shortest", "flow"])
+    @pytest.mark.parametrize("shape", ["path", "complete", "gnp"])
+    @pytest.mark.parametrize("root", ["r00c00", "r01c01"], ids=["target-root", "relay-root"])
+    def test_each_vertex_arrives_as_the_qubit_local_copy_minted(self, planner, shape, root):
+        """Qubits keep their names: on a fresh state the i-th sorted vertex
+        is delivered as qubit i, and the graph is the target relabelled by
+        that index.  The relay root r01c01 is not a target."""
+        topo = grid_topology(3, 4)
+        nodes = [v for v in topo.nodes if v != "r01c01"]
+        req = (_shaped_request(nodes, shape) if shape != "gnp"
+               else _edges_request(nodes, shape))
+        if planner == "shortest":
+            plan = plan_shortest(topo, req.target_nodes, root)
+        else:
+            plan = minimize_completion_time(topo, req.target_nodes, [root])[2]
+        st = NetworkState(topo)
+        assert execute(st, req, plan).epr_pairs > 0
+        index = {v: i for i, v in enumerate(sorted(req.target.vertices))}
+        assert st.placement == {index[v]: node for v, node in req.assignment.items()}
+        assert st.graph == relabel(req.target, index)
+
     def test_line_end_root_costs(self):
         topo = line(4)
         req = identity_request(list(topo.nodes),
@@ -630,21 +680,25 @@ class OpLog(NetworkState):
         return mapping
 
     def transfer(self, a, b, c):
-        self.ops.append(("cz", a, b))  # its two Y measurements log themselves
-        return super().transfer(a, b, c)
+        """Logs CZ(a, b) and the teleport's ("swap", a, c), after which a
+        names the far qubit and c the near one (see ``physical``); the two
+        Y measurements, of c and b, log themselves."""
+        self.ops += [("cz", a, b), ("swap", a, c)]
+        super().transfer(a, b, c)
 
     def advance(self, q, path, start, end):
-        """Logs each hop's CZ(carrier, near half) before the carrier's Y
-        measurement: the ops after an "epr" (b, c) are Y(carrier), Y(b)."""
+        """Logs each hop as ``transfer`` does: the ops after an "epr" (b, c)
+        are CZ(q, b), ("swap", q, c), Y(c), Y(b)."""
         first = len(self.ops)
         try:
-            return super().advance(q, path, start, end)
+            super().advance(q, path, start, end)
         finally:
             walked = self.ops[first:]
             del self.ops[first:]
             for i, op in enumerate(walked):
                 if op[0] == "my" and i and walked[i - 1][0] == "epr":
-                    self.ops.append(("cz", op[1], walked[i - 1][1]))
+                    _, b, c = walked[i - 1]
+                    self.ops += [("cz", q, b), ("swap", q, c)]
                 self.ops.append(op)
 
     def measure_y(self, q):
@@ -659,16 +713,35 @@ class OpLog(NetworkState):
         return sum(op[0] == kind for op in self.ops)
 
     def hops(self):
-        """Every CZ(a, b) followed by Y(a), Y(b): one connection transfer each."""
+        """Every CZ(a, b), ("swap", a, c), Y(c), Y(b): one connection
+        transfer each."""
         ops = self.ops
-        return [ops[i] for i in range(len(ops) - 2)
-                if ops[i][0] == "cz" and ops[i + 1] == ("my", ops[i][1])
-                and ops[i + 2] == ("my", ops[i][2])]
+        return [ops[i] for i in range(len(ops) - 3)
+                if ops[i][0] == "cz" and ops[i + 1][:2] == ("swap", ops[i][1])
+                and ops[i + 2] == ("my", ops[i + 1][2]) and ops[i + 3] == ("my", ops[i][2])]
+
+    def physical(self):
+        """The log in physical qubits, and what each name denotes at its end.
+
+        A name denotes the qubit minted with its id until a ("swap", a, c)
+        exchanges what a and c denote: the teleport leaves a's qubit in the
+        far half.  So the physical log of a hop is CZ(a, b), Y(a), Y(b)."""
+        denotes = {}
+        ops = []
+        for kind, *qs in self.ops:
+            if kind == "swap":
+                a, c = qs
+                denotes[a], denotes[c] = denotes.get(c, c), denotes.get(a, a)
+            else:
+                ops.append((kind, *(denotes.get(q, q) for q in qs)))
+        return ops, denotes
 
     def replay(self) -> GraphState:
-        """The log replayed with the oracle's reference rules."""
+        """The physical log replayed with the oracle's reference rules, in
+        the state's names."""
+        ops, denotes = self.physical()
         g = GraphState()
-        for kind, *qs in self.ops:
+        for kind, *qs in ops:
             if kind == "new":
                 g = GraphState([*g.vertices, qs[0]], g.edges)
             elif kind in ("epr", "cz"):
@@ -677,24 +750,27 @@ class OpLog(NetworkState):
                 g = oracle.measure_y(g, qs[0])
             else:
                 g = oracle.measure_z(g, qs[0])
-        return g
+        return relabel(g, {p: q for q, p in denotes.items()})
 
 
 def _record_and_replay(topo, req, plan):
     """Execute while logging every physical operation, then replay the log
     on the state-vector oracle (outcome-0 branches throughout).
 
-    The replay never applies byproduct corrections — those are what the
-    2-bit messages in the trace pay for — so the replayed vector matches
-    the delivered graph state only up to single-qubit Cliffords.
+    Returns the state, its graph over the physical qubits its names denote
+    (see ``OpLog.physical``) and the replayed vector.  The replay never
+    applies byproduct corrections — those are what the 2-bit messages in
+    the trace pay for — so the replayed vector matches the delivered graph
+    state only up to single-qubit Cliffords.
     """
 
     st = OpLog(topo)
-    report = execute(st, req, plan)
+    execute(st, req, plan)
+    ops, denotes = st.physical()
 
     sv = None
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    for op in st.ops:
+    for op in ops:
         if op[0] == "new":
             if sv is None:
                 sv = oracle.StateVector((op[1],), plus.copy())
@@ -708,7 +784,7 @@ def _record_and_replay(topo, req, plan):
             branch = oracle.measure_pauli(sv, op[1], "Y" if op[0] == "my" else "Z")[0]
             assert branch.post_state is not None
             sv = branch.post_state
-    return st, report, sv
+    return st, relabel(st.graph, denotes), sv
 
 
 class TestSemanticReplay:
@@ -717,30 +793,26 @@ class TestSemanticReplay:
         nodes = list(topo.nodes)
         req = identity_request(nodes, [("n00", "n01"), ("n01", "n02")])
         plan = plan_shortest(topo, nodes, center_root(topo))
-        st, report, sv = _record_and_replay(topo, req, plan)
-        want = oracle.build_graph_state(st.graph)
-        assert oracle.lc_equivalent(sv, want)
+        st, delivered, sv = _record_and_replay(topo, req, plan)
+        assert oracle.lc_equivalent(sv, oracle.build_graph_state(delivered))
 
     def test_delivery_is_lc_equivalent_to_the_request(self):
         topo = line(3)
         nodes = list(topo.nodes)
         req = identity_request(nodes, [("n00", "n02")])
         plan = plan_shortest(topo, nodes, "n00")
-        st, report, sv = _record_and_replay(topo, req, plan)
+        st, delivered, sv = _record_and_replay(topo, req, plan)
         # relabel the request onto the delivered qubits (one per node here)
         at_node = {node: q for q, node in st.placement.items()}
-        relabeled = GraphState(
-            [at_node[v] for v in req.target.vertices],
-            [(at_node[u], at_node[v]) for u, v in req.target.edges])
-        assert st.graph == relabeled
-        assert oracle.lc_equivalent(sv, oracle.build_graph_state(relabeled))
+        assert st.graph == relabel(req.target, at_node)
+        assert oracle.lc_equivalent(sv, oracle.build_graph_state(delivered))
 
     def test_two_node_transfer_replay(self):
         topo = line(2)
         req = identity_request(["n00", "n01"], [("n00", "n01")])
         plan = plan_shortest(topo, ["n00", "n01"], "n00")
-        st, report, sv = _record_and_replay(topo, req, plan)
-        assert oracle.lc_equivalent(sv, oracle.build_graph_state(st.graph))
+        st, delivered, sv = _record_and_replay(topo, req, plan)
+        assert oracle.lc_equivalent(sv, oracle.build_graph_state(delivered))
 
 
 class RootCounter(NetworkState):
@@ -908,7 +980,8 @@ HOP_IDENTITY_TOPOLOGIES = [tree_topology(4), gnp_topology(30, 0.1, seed=3)]
 
 
 class TestHopIdentity:
-    """Each hop is exactly CZ, Y, Y through NetworkState, on dense targets.
+    """Each hop is exactly CZ, Y, Y through NetworkState, on dense targets,
+    in the physical qubits of ``OpLog.physical``.
 
     Mirrors the benchmark's traced identity (Y measurements = 2 x EPR
     pairs) and checks the delivered graph against the three-step rewrite
@@ -976,9 +1049,10 @@ WALK_IDS = ["tree3", "grid3x4", "gnp14"]
 
 class TestEveryYMeasurementInAWalkIsCheap:
     """Every Y measurement of a walk or a resource run is one of a
-    transfer's two, and the transfer hands the carrier's slot over first,
-    so the measured qubit has at most one neighbour: no complement loop
-    runs, and each hop stays O(1) in the carrier's degree."""
+    transfer's two, and the transfer moves the carrier to the far node
+    first, so the measured qubit is a pair half with at most one
+    neighbour: no complement loop runs, and each hop stays O(1) in the
+    carrier's degree."""
 
     @pytest.mark.parametrize("topo", WALK_TOPOLOGIES, ids=WALK_IDS)
     @pytest.mark.parametrize("shape", ["complete", "gnp"])
@@ -1015,14 +1089,12 @@ def _transfer_walk(state, plan, schedule, carrier):
         state.advance_timestep()
         for (tnode, start, end) in round_entries:
             path = plan.paths[tnode]
-            qubit = carrier[tnode]
             for i in range(start, end):
                 try:
                     qu, qv = state.generate_epr(path[i], path[i + 1])
-                    qubit = state.transfer(qubit, qu, qv)
+                    state.transfer(carrier[tnode], qu, qv)
                 except ValueError as exc:
                     raise ExecutionError(f"round {rnum}: {exc}") from exc
-            carrier[tnode] = qubit
 
 
 def _walk_both(topo, plan, schedule, make_carriers):
@@ -1039,8 +1111,8 @@ def _walk_both(topo, plan, schedule, make_carriers):
             error = None
         except ExecutionError as exc:
             error = str(exc)
-        fields = (st.placement, st.graph, st._adj, st._slot, st._owner,
-                  st.epr_generated, st._next_qubit, carrier)
+        fields = (st.placement, st.graph, st._adj, st.epr_generated, st._next_qubit,
+                  carrier)
         walks.append((st, fields, error))
     return walks
 

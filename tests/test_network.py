@@ -26,7 +26,7 @@ from gstsim.oracle import measure_y, measure_z, toggle_edge
 from gstsim.edcg import edcg_cost
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
-from helpers_brute import all_simple_paths, floyd_warshall
+from helpers_brute import all_simple_paths, floyd_warshall, relabel
 
 
 def diamond():
@@ -351,9 +351,12 @@ class TestNetworkState:
 
 
 def hop(st, q, u, v):
-    """Move qubit ``q`` from node u to v over a fresh EPR pair; returns its new qubit."""
+    """Move qubit ``q`` from node u to v over a fresh EPR pair; returns the
+    pair, which the hop consumes."""
     st.advance_timestep()
-    return st.transfer(q, *st.generate_epr(u, v))
+    pair = st.generate_epr(u, v)
+    st.transfer(q, *pair)
+    return pair
 
 
 class TestNetworkStateErrors:
@@ -412,29 +415,33 @@ class TestNetworkStateErrors:
         assert self.st.neighbors(self.qa2) == frozenset({self.qa})
 
     def test_carrier_after_a_hop(self):
-        """The carrier is dead once it has hopped, although its slot lives
-        on in the far pair half c: every operation on it is rejected as on
-        any dead qubit, it has no edge, and no transfer takes it."""
+        """The carrier keeps its name and its edges at the far node, and
+        both halves of the pair the hop consumed are dead: every operation
+        on them is rejected as on any dead qubit, they have no edge, and no
+        transfer takes them."""
         st, qa = self.st, self.qa
-        c = hop(st, qa, "a", "c")
-        assert st.neighbors(c) == frozenset({self.qb, self.qa2})
-        message = f"qubit {qa!r} is not live"
-        for op, args in [("node_of", (qa,)), ("neighbors", (qa,)), ("measure_y", (qa,)),
-                         ("measure_z", (qa,)), ("apply_cz", (qa, self.qa2)),
-                         ("apply_cz", (self.qa2, qa))]:
-            assert self.rejection(op, *args) == message
-        assert qa not in st.graph
-        for x in sorted(st.placement):
-            assert qa not in st.neighbors(x)
-        # qa as the carrier ...
-        st.advance_timestep()
-        qb, qc = st.generate_epr("c", "d")
-        assert self.rejection("transfer", qa, qb, qc) == message
-        # ... and as c, behind a bridge whose one neighbour holds qa's old slot
-        carrier, bridge = st.new_qubit("c"), st.new_qubit("c")
-        st.apply_cz(bridge, c)
-        assert (self.rejection("transfer", carrier, bridge, qa)
-                == f"qubit {bridge} must be entangled with {qa} and nothing else")
+        pair = hop(st, qa, "a", "c")
+        assert st.node_of(qa) == "c"
+        assert st.neighbors(qa) == frozenset({self.qb, self.qa2})
+        for dead in pair:
+            message = f"qubit {dead!r} is not live"
+            for op, args in [("node_of", (dead,)), ("neighbors", (dead,)),
+                             ("measure_y", (dead,)), ("measure_z", (dead,)),
+                             ("apply_cz", (dead, self.qa2)), ("apply_cz", (self.qa2, dead))]:
+                assert self.rejection(op, *args) == message
+            assert dead not in st.graph
+            for x in sorted(st.placement):
+                assert dead not in st.neighbors(x)
+            # the dead half as the carrier ...
+            st.advance_timestep()
+            qb, qc = st.generate_epr("c", "d")
+            assert self.rejection("transfer", dead, qb, qc) == message
+            # ... and as c, behind a bridge whose one neighbour is the carrier
+            carrier, bridge = st.new_qubit("c"), st.new_qubit("c")
+            st.apply_cz(bridge, qa)
+            assert (self.rejection("transfer", carrier, bridge, dead)
+                    == f"qubit {bridge} must be entangled with {dead} and nothing else")
+            st.apply_cz(bridge, qa)
 
 
 class TestNetworkStateErrorsAfterAYComplement(TestNetworkStateErrors):
@@ -460,32 +467,22 @@ class TestNetworkStateErrorsAfterAYComplement(TestNetworkStateErrors):
 class TestNetworkStateErrorsAfterHandOver(TestNetworkStateErrors):
     """The same rejections once every qubit in use has arrived by hops.
 
-    Each of qa, qa2 and qb then sits in the adjacency slot of a dead qubit,
-    so the dead ids 0, 1 and 2 name live slots.  The setup builds
-    the base class's graph at node a and walks the qubits through b and c.
+    The setup builds the base class's graph at node a and walks the qubits
+    through b and c.  They keep their ids 0, 1 and 2, and the five pairs
+    the hops consumed, ids 3 to 12, are dead.
     """
 
     def setup_method(self):
         self.st = st = NetworkState(diamond())
-        qa, qa2, qb = (st.new_qubit("a") for _ in range(3))
+        self.qa, self.qa2, self.qb = qa, qa2, qb = [st.new_qubit("a") for _ in range(3)]
         st.apply_cz(qa, qa2)
         st.apply_cz(qa, qb)
-        self.qa = hop(st, hop(st, qa, "a", "c"), "c", "a")
-        self.qa2 = hop(st, hop(st, qa2, "a", "b"), "b", "a")
-        self.qb = hop(st, qb, "a", "b")
-        assert st.graph == GraphState([self.qa, self.qa2, self.qb],
-                                      [(self.qa, self.qa2), (self.qa, self.qb)])
-        assert st._slot == {self.qa: qa, self.qa2: qa2, self.qb: qb}
-        assert not {qa, qa2, qb} & set(st.placement)
-
-
-def check_slots(st):
-    """The two alias maps are each other's inverse and hold only live
-    qubits, each in a slot of the adjacency map other than its id."""
-    assert st._owner == {s: q for q, s in st._slot.items()}
-    assert all(q != s for q, s in st._slot.items())
-    assert set(st._slot) <= set(st.placement)
-    assert set(st._owner) <= set(st._adj)
+        for q, far in [(qa, "c"), (qa2, "b")]:
+            hop(st, q, "a", far)
+            hop(st, q, far, "a")
+        hop(st, qb, "a", "b")
+        assert st.graph == GraphState([qa, qa2, qb], [(qa, qa2), (qa, qb)])
+        assert st.placement == {qa: "a", qa2: "a", qb: "b"} and st._next_qubit == 13
 
 
 def _transfer_op(st, ref, carrier, j) -> GraphState:
@@ -495,10 +492,12 @@ def _transfer_op(st, ref, carrier, j) -> GraphState:
     ``j % 4`` picks the kind: a transfer (toggle_edge, measure_y, measure_y
     of ``gstsim.oracle`` on ``ref``), a dirty bridge (a CZ onto the pair's local half first), a
     split pair (the halves swapped) or a dead carrier; ``j // 4`` picks the
-    link and the mate.  An accepted transfer must hand the carrier's
-    adjacency slot to the far half.  A rejected transfer must raise
-    ValueError and leave the state's snapshot as it was.  Returns the
-    updated reference.
+    link and the mate.  An accepted transfer must move the carrier to the
+    far node and consume the pair.  ``ref`` keeps the state's names: the
+    reference rewrite leaves the carrier's edges on the far half, the
+    physical qubit that the carrier's name denotes from then on, so the
+    far half is renamed.  A rejected transfer must raise ValueError and
+    leave the state's snapshot as it was.  Returns the updated reference.
     """
     node = st.node_of(carrier)
     links = sorted(link for link in st.topology.links if node in link)
@@ -506,14 +505,15 @@ def _transfer_op(st, ref, carrier, j) -> GraphState:
         return ref
     kind, pick = j % 4, j // 4
     u, v = links[pick % len(links)]
+    far = v if u == node else u
     st.advance_timestep()
-    qb, qc = st.generate_epr(node, v if u == node else u)
+    qb, qc = st.generate_epr(node, far)
     ref = toggle_edge(with_vertices(ref, qb, qc), qb, qc)
     if kind == 0:
-        slot = st._slot.get(carrier, carrier)
-        assert st.transfer(carrier, qb, qc) == qc
-        assert st._slot.get(qc) == slot  # qc took the carrier's slot
-        return measure_y(measure_y(toggle_edge(ref, carrier, qb), carrier), qb)
+        assert st.transfer(carrier, qb, qc) is None
+        assert st.node_of(carrier) == far and not {qb, qc} & st.placement.keys()
+        return relabel(measure_y(measure_y(toggle_edge(ref, carrier, qb), carrier), qb),
+                       {qc: carrier})
     if kind == 1:
         mates = [m for m in qubits_at(st, node) if m != qb]
         mate = mates[pick % len(mates)]
@@ -549,9 +549,8 @@ def _replay_state(topo, ops) -> int:
     GraphState with the oracle's reference rules; returns how many accepted transfers ran right after a Y
     measurement.
 
-    The state's snapshot must equal the replay after every step, its alias
-    maps must pass ``check_slots``, and no snapshot may change when the
-    state moves on.
+    The state's snapshot must equal the replay after every step, and no
+    snapshot may change when the state moves on.
     """
     nodes, links = topo.nodes, sorted(topo.links)
     st = NetworkState(topo)
@@ -587,7 +586,6 @@ def _replay_state(topo, ops) -> int:
             getattr(st, kind)(q)
             ref = getattr(oracle, kind)(ref, q)
         last = kind
-        check_slots(st)
         snapshot = st.graph
         assert snapshot == ref
         assert sorted(st.placement) == sorted(ref.vertices)
@@ -648,8 +646,8 @@ def _replay_from_a_dense_start(topo, start, ops) -> None:
     neighbourhood.  "y_near" Y-measures a neighbour of the last Y-measured
     qubit, whose edges that complement has just rewritten; "transfer" runs
     a connection transfer or a rejected one (see ``_transfer_op``) with
-    such a neighbour as its carrier.  After each operation the alias maps
-    must pass ``check_slots`` and the graph must equal the replay.
+    such a neighbour as its carrier.  After each operation the graph must
+    equal the replay.
     """
     nodes, links = topo.nodes, sorted(topo.links)
     st = NetworkState(topo)
@@ -725,7 +723,6 @@ def _replay_from_a_dense_start(topo, start, ops) -> None:
                 assert st.graph == ref
             else:
                 verify_read(live)
-        check_slots(st)
         assert st.graph == ref
         assert sorted(st.placement) == sorted(ref.vertices)
     assert st.graph == ref
@@ -772,7 +769,6 @@ def test_every_small_graph_measures_as_graphstate(n):
                 mapping = st.local_copy(g, "a")
                 assert mapping == {x: x for x in g.vertices}
                 getattr(st, kind)(mapping[v])
-                check_slots(st)
                 assert st.graph == getattr(oracle, kind)(g, v)
 
 
@@ -798,24 +794,25 @@ for _name in ["__getitem__", "__setitem__", "__delitem__", "__contains__",
 
 def _carrier_of_degree(topo, node, degree):
     """A carrier at ``node`` with ``degree`` spectators there, walked out and
-    back so that it sits in the slot of a dead qubit; returns (state,
-    carrier, spectators) with a fresh timestep."""
+    back over two pairs; returns (state, carrier, spectators) with a fresh
+    timestep."""
     st = NetworkState(topo)
     a = st.new_qubit(node)
     spectators = [st.new_qubit(node) for _ in range(degree)]
     for x in spectators:
         st.apply_cz(a, x)
     far = topo.neighbors(node)[0]
-    a = hop(st, hop(st, a, node, far), far, node)
+    hop(st, a, node, far)
+    hop(st, a, far, node)
     st.advance_timestep()
     return st, a, spectators
 
 
 def test_a_transfer_costs_the_same_for_any_carrier_degree():
-    """A transfer hands the carrier's adjacency slot to the far pair half:
-    it reads and writes the adjacency map as often for a carrier of degree
-    1 as for one of degree 200, here a carrier that already sits in the
-    slot of a dead qubit."""
+    """A transfer moves the carrier to the far node and then measures the
+    pair: it reads and writes the adjacency map as often for a carrier of
+    degree 1 as for one of degree 200, here a carrier that has already
+    hopped out and back."""
 
     def accesses(degree):
         st, a, spectators = _carrier_of_degree(
@@ -823,17 +820,17 @@ def test_a_transfer_costs_the_same_for_any_carrier_degree():
         qb, qc = st.generate_epr("a", "b")
         st._adj = CountingAdjacency(st._adj)
         CountingAdjacency.accesses = 0
-        assert st.transfer(a, qb, qc) == qc
+        assert st.transfer(a, qb, qc) is None
         count = CountingAdjacency.accesses
-        assert st.neighbors(qc) == frozenset(spectators)
+        assert st.node_of(a) == "b" and st.neighbors(a) == frozenset(spectators)
         return count
 
     assert 0 < accesses(1) == accesses(200)
 
 
 def test_an_advance_costs_the_same_per_hop_for_any_carrier_degree():
-    """``advance`` hands the carrier's slot on at every hop: each hop reads
-    and writes the adjacency map as often as the first, for a carrier of
+    """``advance`` moves the carrier on at every hop: each hop reads and
+    writes the adjacency map as often as the first, for a carrier of
     degree 1 as for one of degree 200."""
     topo = line_topology(4)
     path = list(topo.nodes)
@@ -842,10 +839,10 @@ def test_an_advance_costs_the_same_per_hop_for_any_carrier_degree():
         st, a, spectators = _carrier_of_degree(topo, "n00", degree)
         st._adj = CountingAdjacency(st._adj)
         CountingAdjacency.accesses = 0
-        c = st.advance(a, path, 0, hops)
+        assert st.advance(a, path, 0, hops) is None
         count = CountingAdjacency.accesses
-        assert st.node_of(c) == path[hops]
-        assert st.neighbors(c) == frozenset(spectators)
+        assert st.node_of(a) == path[hops]
+        assert st.neighbors(a) == frozenset(spectators)
         return count
 
     one_hop = accesses(1, 1)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 
 import pytest
@@ -158,6 +159,20 @@ class TestResolve:
         a = resolve(tree_cfg(target_edges={"gnp": 0.5}, seed=3))
         b = resolve(tree_cfg(target_edges={"gnp": 0.5}, seed=3))
         assert a.target_graph.edges == b.target_graph.edges
+
+    def test_generated_edges_draw_in_pair_order(self):
+        """A complete target has every pair, and a G(n, p) target keeps pair
+        i of the sorted pairs iff the i-th draw is below p, leaving the rng
+        where those draws leave it."""
+        ts = [f"n{i:02d}" for i in range(9)]
+        pairs = [(u, v) for i, u in enumerate(ts) for v in ts[i + 1:]]
+        complete = scenario._resolve_target_graph("complete", ts[::-1], random.Random(0))
+        assert complete.edges == frozenset(pairs)
+        rng, want_rng = random.Random(4), random.Random(4)
+        want = [e for e in pairs if want_rng.random() < 0.3]
+        got = scenario._resolve_target_graph({"gnp": 0.3}, ts, rng)
+        assert got.edges == frozenset(want) and 0 < len(want) < len(pairs)
+        assert rng.getstate() == want_rng.getstate()
 
 
 class TestRunners:
