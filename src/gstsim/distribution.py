@@ -276,9 +276,9 @@ def _walk_rounds(state: NetworkState, plan: DistributionPlan, schedule: Schedule
 
     Each schedule entry is one ``NetworkState.advance`` call.  Returns the
     run's report.  Its counts are read off the plan: a walk that skipped or
-    repeated a hop would fail in ``advance``, whose first hop checks that
-    the carrier is at the near node, or in the caller's checks of the
-    delivered state before any report is returned.
+    repeated a hop would fail in ``advance``, whose first hop is a checked
+    ``transfer`` that needs the carrier at the near node, or in the
+    caller's checks of the delivered state before any report is returned.
     The walk sends the messages of ``_walk_messages(plan, schedule)``, one
     EPR pair and 2-bit report per hop and one 2-bit directive per target,
     so ``classical_bits`` is 2·(EPR pairs + targets).
@@ -332,7 +332,7 @@ def execute(state: NetworkState, request: DistributionRequest, plan: Distributio
     copy_map = state.local_copy(request.target, plan.root)
     carrier = {node: copy_map[v] for v, node in request.assignment.items()}
     report = _walk_rounds(state, plan, schedule, carrier)
-    if not verify_target(state, request.target, request.assignment):
+    if not verify_target(state, request):
         raise ExecutionError("delivered state does not realize the request")
     assert state.epr_generated == plan.epr_cost
     return report
@@ -403,7 +403,7 @@ def distribute_via_resource(state: NetworkState, request: DistributionRequest,
             raise ExecutionError(f"resource transfer to {node!r}: {exc}") from exc
         trace.append(TraceEvent("measure_report", (node, 0), bits=2))
         trace.append(TraceEvent("directive", (node,), bits=2))
-    if not verify_target(state, request.target, request.assignment):
+    if not verify_target(state, request):
         raise ExecutionError("delivered state does not realize the request")
     report = RunReport(
         epr_pairs=len(remote),

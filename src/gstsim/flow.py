@@ -15,7 +15,10 @@ gap, so a tight floor costs one flow call.  Across roots, visited in
 (floor, id) order, only a strict improvement or a tie with a smaller id
 matters, and the visit stops at the first floor above the best k so far.
 The unit flow paths of the chosen (root, k) fall out of a deterministic
-decomposition of the probe that found it.
+decomposition of the probe that found it.  On a tree the search is not
+run: the floors are exact and each target has one path from the root, so
+the least (floor, id) root wins at its floor and the plan is the tree's
+paths, with no flow call.
 
 `max_flow` is Dinic's algorithm over flat arc arrays with an iterative,
 explicit-stack DFS, so augmenting paths of any length fit.
@@ -23,7 +26,7 @@ explicit-stack DFS, so augmenting paths of any length fit.
 
 from __future__ import annotations
 
-from .distribution import DistributionPlan
+from .distribution import DistributionPlan, plan_shortest
 from .network import NetworkTopology, NodeId
 from .record import Record
 
@@ -344,7 +347,8 @@ def minimize_completion_time(topology: NetworkTopology, targets,
     that saturates; a root that cannot beat k* is probed at k* only when
     its id is smaller than root*'s.  So the result is the smallest k and,
     among roots with that k, the least id, as if every root had been
-    searched.
+    searched.  A tree needs no probe: its first-ranked root, floor and
+    shortest paths are that result.
     """
     candidates = sorted(set(roots)) if roots is not None else list(topology.nodes)
     if not candidates:
@@ -352,6 +356,8 @@ def minimize_completion_time(topology: NetworkTopology, targets,
     targets = tuple(sorted(set(targets)))
     ranked = sorted(zip(_floors(topology, targets, candidates), candidates))
     floor, root = ranked[0]
+    if len(topology.links) == len(topology) - 1:  # a tree: exact floors, unique paths
+        return root, floor, plan_shortest(topology, targets, root)
     k, flow = _smallest_k(topology, targets, root, floor, max(1, len(targets)))
     for floor, cand in ranked[1:]:
         if floor > k:

@@ -377,7 +377,8 @@ class NetworkState:
         there.  The two Y measurements then remove it, each seeing at most
         one neighbor, so a transfer costs O(1) whatever a's degree.
         Every check runs before the first write, so a rejected transfer
-        leaves the state as it was.
+        leaves the state as it was.  ``advance`` opens each run of hops
+        with this call, so these checks and messages are the walk's too.
         """
         if a == b or a == c:
             raise ValueError("transfer needs distinct qubits a, b, c")
@@ -403,27 +404,19 @@ class NetworkState:
         """Move carrier ``q`` from ``path[start]`` to ``path[end]``, one
         connection transfer per link.
 
-        Each hop generates a pair (b, c) across its link and then does what
-        ``transfer(q, b, c)`` does: q and c swap placements, and c and b
-        are Y-measured.  The first hop checks what ``transfer`` checks,
-        with its messages, once its pair exists: q is live and at the near
-        node.  Every later hop finds q there by construction, and a fresh
-        pair is a bare pair of distinct qubits.
+        Each hop generates a pair (b, c) across its link and transfers q
+        over it.  The first hop is a ``transfer`` call, so its checks, its
+        messages and the state it leaves when it rejects are ``transfer``'s.
+        Every later hop finds q at the near node by construction, and a
+        fresh pair is a bare pair of distinct qubits, so it does what
+        ``transfer`` does without the checks: q and c swap placements, and
+        c and b are Y-measured.
         """
         generate_epr, measure_y = self.generate_epr, self.measure_y
         placement = self.placement
-        first = True
-        for u, v in zip(path[start:end], path[start + 1:end + 1]):
+        self.transfer(q, *generate_epr(path[start], path[start + 1]))
+        for u, v in zip(path[start + 1:end], path[start + 2:end + 1]):
             b, c = generate_epr(u, v)
-            if first:
-                if q == b or q == c:
-                    raise ValueError("transfer needs distinct qubits a, b, c")
-                if placement.get(q) != u:
-                    self.node_of(q)  # raises if q is not live
-                    raise ValueError(
-                        f"qubits {q} and {b} are at different nodes; transfer must start locally"
-                    )
-                first = False
             placement[q], placement[c] = v, u
             measure_y(c)
             measure_y(b)
@@ -433,20 +426,18 @@ class NetworkState:
         self._used = set()
 
 
-def verify_target(state: NetworkState, target: GraphState, assignment: dict) -> bool:
-    """Does the live entanglement graph realize the target at its destinations?
+def verify_target(state: NetworkState, request) -> bool:
+    """Does the live entanglement graph realize a ``DistributionRequest``?
 
-    ``assignment`` maps each target vertex to the node that must hold it, a
-    distinct node per vertex.  True iff the live qubits are exactly one per
+    The request's ``assignment`` maps each vertex of its ``target`` to the
+    node that must hold it, a distinct node per vertex (the request checks
+    both when it is made).  True iff the live qubits are exactly one per
     assigned node and the map from each vertex to the qubit at its node
     preserves edges exactly: no extra or missing entanglement, no extra
     live qubits.  With an injective assignment that map is the only
     placement-respecting bijection, so there is nothing to search.
     """
-    if set(assignment) != set(target.vertices):
-        raise ValueError("assignment must cover exactly the target vertices")
-    if len(set(assignment.values())) != len(assignment):
-        raise ValueError("assignment must send each vertex to a distinct node")
+    target, assignment = request.target, request.assignment
     adj = state._adj
     at = {node: q for q, node in state.placement.items()}
     if len(at) != len(state.placement) or at.keys() != set(assignment.values()):

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "count_code_lines.py"
 spec = importlib.util.spec_from_file_location("count_code_lines", TOOL)
 count_code_lines = importlib.util.module_from_spec(spec)
@@ -43,3 +45,13 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["1", "2", "3"]
     assert lines[-1].split()[1] == "total"
+
+
+@pytest.mark.parametrize("arg", ["--help", "no-such-path"])
+def test_an_argument_that_is_no_file_or_directory_is_a_usage_error(tmp_path, capsys, arg):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    assert count_code_lines.main([str(tmp_path), arg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == count_code_lines.USAGE
+    assert repr(arg) in err

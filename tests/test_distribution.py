@@ -1149,7 +1149,7 @@ class TestAdvance:
             topo, plan, make_schedule(plan), _local_copy_carriers(req, plan.root))
         assert error is None
         assert got == want
-        assert verify_target(st, req.target, req.assignment)
+        assert verify_target(st, req)
 
     @pytest.mark.parametrize("n, targets, rounds, message", [
         (3, ["n00", "n02"], ((("n02", 1, 2),),),

@@ -10,6 +10,7 @@ from gstsim.flow import (
     FlowInstance,
     FlowResult,
     _floors,
+    _smallest_k,
     decompose_flow,
     max_flow,
     min_saturating_k,
@@ -235,6 +236,12 @@ class TestDeepPaths:
         assert plan.paths["n1499"] == list(topo.nodes)
 
 
+def _searched_k(topo: NetworkTopology, targets, root) -> int:
+    """The saturating k of ``root`` found by flow probes alone, from k = 1."""
+    targets = tuple(sorted(set(targets)))
+    return _smallest_k(topo, targets, root, 1, max(1, len(targets)))[0]
+
+
 def _count_max_flow(monkeypatch) -> list:
     """Route gstsim.flow.max_flow through a recorder of (instance, result)."""
     calls: list = []
@@ -280,14 +287,13 @@ def test_grid_probe_budget(monkeypatch):
 
 
 def test_line_probe_budget(monkeypatch):
-    """Walking from n00 toward a line's middle improves k by exactly one per
-    root, so the k* - 2 probe settles each root without a binary search
-    (72 max_flow calls with only the k* - 1 probe)."""
+    """A line is a tree: its floors are exact and its paths are the plan, so
+    the middle root is found without a max_flow call."""
     calls = _count_max_flow(monkeypatch)
     topo = line_topology(40)
     root, k, _ = minimize_completion_time(topo, topo.nodes)
     assert (root, k) == ("n19", 20)
-    assert len(calls) <= 40
+    assert calls == []
 
 
 def _networkx_value(instance: FlowInstance) -> int:
@@ -327,10 +333,10 @@ def _check_link_flow(result: FlowResult) -> None:
 
 
 def test_optimizer_differential_sweep(monkeypatch):
-    """Pruned search == exhaustive per-root search; every probe's value
-    matches networkx and its link flow is a feasible, conserving flow."""
+    """Pruned search == exhaustive per-root flow search; every probe's value
+    matches networkx and its link flow is a feasible, conserving flow.
+    Every case with a cycle probes, and no tree does."""
     rng = random.Random(2020)
-    probes = 0
     for case in range(220):
         n = rng.randint(1, 14)
         topo = gnp_topology(n, rng.uniform(0.15, 0.7), seed=case)
@@ -339,9 +345,9 @@ def test_optimizer_differential_sweep(monkeypatch):
         roots = rng.sample(nodes, rng.randint(1, n)) if case % 2 else None
         candidates = sorted(set(roots)) if roots is not None else nodes
 
-        want_root = min(candidates, key=lambda r: (min_saturating_k(topo, S, r),
+        want_root = min(candidates, key=lambda r: (_searched_k(topo, S, r),
                                                    candidates.index(r)))
-        want_k = min_saturating_k(topo, S, want_root)
+        want_k = _searched_k(topo, S, want_root)
 
         calls = _count_max_flow(monkeypatch)
         root, k, plan = minimize_completion_time(topo, S, roots=roots)
@@ -354,8 +360,8 @@ def test_optimizer_differential_sweep(monkeypatch):
         for instance, result in calls:
             assert result.value == _networkx_value(instance)
             _check_link_flow(result)
-        probes += len(calls)
-    assert probes > 220
+        is_tree = len(topo.links) == len(topo) - 1
+        assert bool(calls) != is_tree, (case, n, S, roots)
 
 
 def _random_tree(n: int, rng: random.Random) -> NetworkTopology:
@@ -424,7 +430,7 @@ class TestFloors:
         for topo, targets in _floor_cases(rng, family):
             floors = _floors(topo, targets, topo.nodes)
             for root, floor in zip(topo.nodes, floors):
-                k = min_saturating_k(topo, targets, root)
+                k = _searched_k(topo, targets, root)
                 assert floor == _brute_floor(topo, targets, root), (topo.links, targets, root)
                 assert floor <= k, (topo.links, targets, root)
                 if family in ("tree", "line"):
@@ -456,9 +462,41 @@ def test_floor_order_call_budget(monkeypatch, label, build):
     assert len(calls) <= 2
 
 
-def test_min_saturating_k_on_a_tree_is_one_call(monkeypatch):
+def test_min_saturating_k_on_a_tree_is_no_call(monkeypatch):
     topo = tree_topology(5)
     calls = _count_max_flow(monkeypatch)
     # n01's link to the top carries the top and its other half-tree: 1 + 31
     assert min_saturating_k(topo, topo.nodes, "n01") == 32
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_a_tree_is_planned_by_its_paths_without_flow(monkeypatch):
+    """On random labelled trees, with free and fixed roots and target sets
+    that may be empty, the optimizer returns what the flow search returns
+    when run explicitly: each candidate searched from its floor, its flow
+    decomposed, the least (k, id) kept.  It makes no max_flow call."""
+    rng = random.Random(28)
+    empty = 0
+    for case in range(320):
+        n = rng.randint(1, 25)
+        names = [f"t{i:02d}" for i in rng.sample(range(100), n)]
+        topo = NetworkTopology(names, [(names[rng.randrange(i)], names[i])
+                                       for i in range(1, n)])
+        S = tuple(sorted(rng.sample(names, rng.choice([0, rng.randint(0, n)]))))
+        empty += not S
+        roots = rng.sample(names, rng.randint(1, n)) if case % 2 else None
+        candidates = sorted(set(roots)) if roots is not None else sorted(names)
+
+        searched = []
+        for cand, floor in zip(candidates, _floors(topo, S, candidates)):
+            k, found = _smallest_k(topo, S, cand, floor, max(1, len(S)))
+            searched.append((k, cand, decompose_flow(found)))
+        want_k, want_root, want_plan = min(searched, key=lambda x: x[:2])
+
+        calls = _count_max_flow(monkeypatch)
+        root, k, plan = minimize_completion_time(topo, S, roots=roots)
+        monkeypatch.undo()
+        assert calls == [], case
+        assert (root, k) == (want_root, want_k), (case, topo.links, S, roots)
+        assert plan.root == want_plan.root and plan.paths == want_plan.paths, case
+    assert empty >= 50

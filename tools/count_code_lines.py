@@ -9,7 +9,8 @@ multi-line string, puts each of them on the count.
     python3 tools/count_code_lines.py src/gstsim
 
 prints each file's count and then the total; arguments may be files or
-directories, which are searched for ``*.py``.
+directories, which are searched for ``*.py``.  Any other argument, such as
+``--help``, prints the usage line to stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 import tokenize
 from pathlib import Path
 
+USAGE = "usage: python3 tools/count_code_lines.py [FILE_OR_DIR ...]"
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -51,7 +53,14 @@ def main(argv: list[str]) -> int:
     files = []
     for arg in argv or ["src/gstsim"]:
         p = Path(arg)
-        files.extend(sorted(p.rglob("*.py")) if p.is_dir() else [p])
+        if p.is_dir():
+            files.extend(sorted(p.rglob("*.py")))
+        elif p.is_file():
+            files.append(p)
+        else:
+            print(f"{USAGE}\ncount_code_lines.py: error: no file or directory {arg!r}",
+                  file=sys.stderr)
+            return 2
     total = 0
     for f in files:
         n = count_code_lines(f)
