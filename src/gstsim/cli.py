@@ -25,9 +25,10 @@ from .scenario import (
     emit_report,
     load_scenario,
     optimize_scenario,
+    resolve_topology,
     run_scenario,
 )
-from .topogen import BUILDERS, generate_topology
+from .topogen import BUILDERS
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -139,14 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _gen_topo(args) -> int:
-    params = {}
-    for key in ("n", "height", "rows", "cols", "p"):
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
-    if args.kind == "gnp":
-        params["seed"] = args.seed
-    topo = generate_topology(args.kind, **params)
+    """Write ``{"kind": --kind, <the size flags given>}`` as resolved by
+    ``resolve_topology``, the scenario's reader, so gnp draws with --seed."""
+    spec = {key: val for key in ("kind", "n", "height", "rows", "cols", "p")
+            if (val := getattr(args, key)) is not None}
+    topo = resolve_topology(spec, args.seed)
     text = json.dumps(topology_to_dict(topo), indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -98,7 +98,10 @@ def load_scenario(path: str, defaults: dict | None = None) -> ScenarioConfig:
         return ScenarioConfig.from_dict(json.load(fh), defaults)
 
 
-def _resolve_topology(spec, seed: int) -> NetworkTopology:
+def resolve_topology(spec, seed: int) -> NetworkTopology:
+    """The one reader of topology specs, for a scenario and for ``gen-topo``:
+    a file path, or a generator spec ``{"kind": ..., **params}`` whose gnp
+    draw takes ``seed`` unless the spec gives its own."""
     if isinstance(spec, str):
         return load_topology(spec)
     if isinstance(spec, dict):
@@ -173,39 +176,43 @@ def _resolve_target_graph(spec, targets: list, rng: random.Random) -> GraphState
 
 
 class ResolvedScenario(Record):
-    _fields = ("config", "topology", "targets", "target_graph")
+    """A checked scenario: its topology, sorted targets and target graph,
+    the fixed root (None for "center" and "optimize") and the one
+    ``DistributionRequest`` every leg executes."""
+
+    _fields = ("config", "topology", "targets", "target_graph", "root")
 
     def __init__(self, config: ScenarioConfig, topology: NetworkTopology, targets: list,
-                 target_graph: GraphState):
+                 target_graph: GraphState, root: NodeId | None):
         self.config = config
         self.topology = topology
         self.targets = targets
         self.target_graph = target_graph
-
-    @property
-    def request(self) -> DistributionRequest:
-        return DistributionRequest(self.target_graph, {t: t for t in self.targets})
+        self.root = root
+        self.request = DistributionRequest(target_graph, {t: t for t in targets})
 
 
 def resolve(config: ScenarioConfig) -> ResolvedScenario:
+    """Check every scenario key and build what the runners read.  The root
+    policy is parsed here only: "fixed:<id>" must name a topology node."""
     if isinstance(config.seed, bool) or not isinstance(config.seed, int):
         raise ValueError(f"scenario seed must be an integer, not {config.seed!r}")
     rng = random.Random(config.seed)
-    topology = _resolve_topology(config.topology, config.seed)
+    topology = resolve_topology(config.topology, config.seed)
     targets = _resolve_targets(config.targets, topology, rng)
     graph = _resolve_target_graph(config.target_edges, targets, rng)
     if config.edcg_mode not in EDCG_MODES:
         raise ValueError(f"unknown ordering mode {config.edcg_mode!r}")
     if config.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {config.strategy!r}")
-    policy = config.root
+    policy, root = config.root, None
     if isinstance(policy, str) and policy.startswith("fixed:"):
         root = policy.split(":", 1)[1]
         if root not in topology.nodes:
             raise ValueError(f"fixed root {root!r} is not a topology node")
     elif policy not in ("center", "optimize"):
         raise ValueError(f"unknown root policy {policy!r}")
-    return ResolvedScenario(config, topology, targets, graph)
+    return ResolvedScenario(config, topology, targets, graph, root)
 
 
 def _row(scn: ResolvedScenario, algorithm: str, cost, bound: int | None,
@@ -232,25 +239,31 @@ def _edcg_row(scn: ResolvedScenario) -> dict:
 
 
 def _gst_leg(scn: ResolvedScenario, strategy: str, root: NodeId | None = None,
-             free_root: bool = False) -> tuple[dict, RunReport, int | None]:
+             free_root: bool = False, walked: RunReport | None = None
+             ) -> tuple[dict, RunReport, int | None]:
     """Plan, schedule and execute one GST leg; returns (row, report, k).
 
     "shortest" routes along shortest paths from ``root``.  "flow" routes
     the saturating flow from ``root``, or from the root of least completion
     time when ``root`` is None; k is its per-link budget (None for shortest
     paths), checked against the schedule's rounds.  Every leg runs on a
-    fresh network state, and a shortest-path leg must stay within the EPR
-    bound (``free_root``: the bound for a most-central root).
+    fresh network state, except that an earlier leg's report ``walked`` of
+    the same plan (root and paths) is reused rather than walked again.  A
+    shortest-path leg must stay within the EPR bound (``free_root``: the
+    bound for a most-central root).
     """
     if strategy == "shortest":
         plan, k = plan_shortest(scn.topology, scn.targets, root), None
     else:
         root, k, plan = minimize_completion_time(
             scn.topology, scn.targets, None if root is None else [root])
-    schedule = make_schedule(plan)
-    if k is not None:
-        warn_if_rounds_exceed(schedule, k)
-    report = execute(NetworkState(scn.topology), scn.request, plan, schedule)
+    if walked is not None and walked.walk[0] == plan:
+        report = walked
+    else:
+        schedule = make_schedule(plan)
+        if k is not None:
+            warn_if_rounds_exceed(schedule, k)
+        report = execute(NetworkState(scn.topology), scn.request, plan, schedule)
     bound = epr_bound(len(scn.topology), len(scn.targets), free_root=free_root)
     if strategy == "shortest" and report.epr_pairs > bound:
         raise AssertionError(
@@ -266,13 +279,11 @@ def run_scenario(config: ScenarioConfig) -> list[dict]:
     always planned by flow.
     """
     scn = resolve(config)
-    policy, strategy, root = config.root, config.strategy, None
+    policy, strategy, root = config.root, config.strategy, scn.root
     if policy == "optimize":
         strategy = "flow"
     elif policy == "center":
         root = center_root(scn.topology)
-    else:  # "fixed:<id>", checked by resolve
-        root = policy.split(":", 1)[1]
     free_root = (strategy == "shortest" and policy == "center"
                  and len(scn.targets) == len(scn.topology))
     gst_row, _, _ = _gst_leg(scn, strategy, root, free_root)
@@ -299,11 +310,15 @@ def compare_scenario(config: ScenarioConfig) -> list[dict]:
 
 
 def optimize_scenario(config: ScenarioConfig) -> tuple[dict, list[dict]]:
-    """Best completion-time root: flow row plus the same-root shortest row."""
+    """Best completion-time root: flow row plus the same-root shortest row.
+
+    The shortest leg reuses the flow leg's walk when the two plans match,
+    as they do on every tree, so a tree is walked once.
+    """
     scn = resolve(config)
     flow_row, flow_report, k = _gst_leg(scn, "flow")
     root = flow_row["root"]
-    short_row, _, _ = _gst_leg(scn, "shortest", root)
+    short_row, _, _ = _gst_leg(scn, "shortest", root, walked=flow_report)
     info = {"root": root, "k": k, "rounds": flow_report.timesteps}
     return info, [flow_row, short_row]
 

@@ -9,6 +9,7 @@ import gstsim.cli as cli
 import gstsim.scenario
 from gstsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from gstsim.network import topology_to_dict
+from gstsim.scenario import resolve_topology
 from gstsim.topogen import generate_topology
 
 
@@ -36,6 +37,22 @@ def test_gen_topo_gnp_uses_the_seed_flag(capsys):
         assert json.loads(capsys.readouterr().out) == topology_to_dict(expected)
     assert (topology_to_dict(generate_topology("gnp", n=12, p=0.3, seed=5))
             != topology_to_dict(generate_topology("gnp", n=12, p=0.3, seed=6)))
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "line", "n": 5},
+    {"kind": "tree", "height": 3},
+    {"kind": "grid", "rows": 3, "cols": 4},
+    {"kind": "gnp", "n": 12, "p": 0.3},
+])
+@pytest.mark.parametrize("seed", [None, 0, 7])
+def test_gen_topo_resolves_as_a_scenario_does(capsys, spec, seed):
+    argv = ["gen-topo"] + [f"--{key}={val}" for key, val in spec.items()]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    assert main(argv) == EXIT_OK
+    want = topology_to_dict(resolve_topology(spec, 0 if seed is None else seed))
+    assert json.loads(capsys.readouterr().out) == want
 
 
 def test_gen_topo_wrong_params_is_config_error(capsys):

@@ -124,6 +124,15 @@ class TestResolve:
         assert str(info.value) == ("topology spec needs a 'kind' entry, "
                                    "one of ['line', 'tree', 'grid', 'gnp']")
 
+    @pytest.mark.parametrize("policy, root", [
+        ("fixed:n03", "n03"), ("center", None), ("optimize", None),
+    ])
+    def test_root_policy_is_parsed_once(self, policy, root):
+        scn = resolve(tree_cfg(root=policy))
+        assert scn.root == root
+        assert scn.request.assignment == {t: t for t in scn.targets}
+        assert scn.request.target is scn.target_graph
+
     def test_topology_from_file(self, tmp_path):
         p = tmp_path / "topo.json"
         p.write_text(json.dumps({"nodes": ["a", "b"], "links": [["a", "b"]]}))
@@ -206,6 +215,40 @@ class TestRunners:
         assert {"root", "k", "rounds"} <= set(info)
         assert [r["strategy"] for r in rows] == ["flow", "shortest"]
         assert rows[0]["root"] == rows[1]["root"] == info["root"]
+
+    @pytest.mark.parametrize("topology, walks", [
+        ({"kind": "tree", "height": 4}, 1),
+        ({"kind": "line", "n": 40}, 1),
+        ({"kind": "line", "n": 200}, 1),
+        ({"kind": "grid", "rows": 6, "cols": 6}, 2),
+        ({"kind": "gnp", "n": 50, "p": 0.08}, 2),
+    ], ids=["tree4", "line40", "line200", "grid6", "gnp50"])
+    def test_optimize_walks_each_distinct_plan_once(self, monkeypatch, topology, walks):
+        """On a tree the flow plan is the shortest plan, so the shortest leg
+        reuses the flow leg's report; elsewhere the plans differ and each
+        is walked.  Every walk executes the scenario's one request."""
+        calls = []
+        real = scenario.execute
+        monkeypatch.setattr(scenario, "execute",
+                            lambda state, request, plan, schedule:
+                            calls.append(request) or real(state, request, plan, schedule))
+        info, (flow_row, short_row) = optimize_scenario(ScenarioConfig.from_dict(dict(
+            topology=topology, target_edges="path")))
+        assert len(calls) == walks
+        assert all(request is calls[0] for request in calls)
+        if walks == 1:
+            assert {**flow_row, "strategy": "shortest"} == short_row
+        else:
+            assert (flow_row["epr_pairs"], flow_row["timesteps"]) != (
+                short_row["epr_pairs"], short_row["timesteps"])
+
+    def test_run_with_optimized_root_walks_once(self, monkeypatch):
+        calls = []
+        real = scenario.execute
+        monkeypatch.setattr(scenario, "execute",
+                            lambda *args: calls.append(args) or real(*args))
+        rows = run_scenario(tree_cfg(root="optimize", target_edges="path"))
+        assert len(calls) == 1 and rows[0]["strategy"] == "flow"
 
     @pytest.mark.parametrize("topology, root, targets, edges, csv_row", [
         ({"kind": "tree", "height": 4}, "fixed:n01", "all", "path",
