@@ -51,7 +51,6 @@ _ORACLE_NAMES = (
     "StateVector",
     "build_graph_state",
     "certification_report",
-    "lc_equivalent",
     "measure_pauli",
     "verify_graphical_rule",
     "verify_teleport_transfer",

@@ -16,7 +16,7 @@ import sys
 from functools import cache
 
 from .distribution import ExecutionError
-from .network import topology_to_dict
+from .network import decode_json, topology_to_dict
 from .scenario import (
     REPORT_FORMATS,
     STRATEGIES,
@@ -33,6 +33,7 @@ from .topogen import BUILDERS
 EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_CONFIG = 3
+MESSAGE_LIMIT = 300  # characters; a longer error message is cut to this
 
 
 def _scenario_from_args(args) -> ScenarioConfig:
@@ -40,7 +41,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
     if args.topology is not None:
         if args.topology.lstrip().startswith("{"):
             try:
-                flags["topology"] = json.loads(args.topology)
+                flags["topology"] = decode_json(args.topology)
             except ValueError as exc:
                 raise ValueError(f"argument --topology: invalid JSON: {exc}") from None
         else:
@@ -187,11 +188,13 @@ def main(argv=None) -> int:
         _emit(rows, cfg)
         return EXIT_OK
     except (ExecutionError, AssertionError) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_VERIFY, f"verification failure: {exc}"
+    except (ValueError, OSError, TypeError) as exc:
+        code, message = EXIT_CONFIG, f"configuration error: {exc}"
+    if len(message) > MESSAGE_LIMIT:  # it may echo a value of any size
+        message = message[:MESSAGE_LIMIT - 3] + "..."
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -199,10 +199,20 @@ def topology_from_dict(data: dict) -> NetworkTopology:
     return NetworkTopology(nodes, check_node_pairs(data["links"], "topology links"))
 
 
+def decode_json(text: str):
+    """``json.loads``, except that a document nested too deep for the
+    decoder is a ValueError like any other malformed one, not a
+    RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
 def load_topology(path: str) -> NetworkTopology:
     """Read a topology JSON file: {"nodes": [...], "links": [[u, v], ...]}."""
     with open(path) as fh:
-        return topology_from_dict(json.load(fh))
+        return topology_from_dict(decode_json(fh.read()))
 
 
 def topology_to_dict(topo: NetworkTopology) -> dict:
@@ -370,8 +380,12 @@ class NetworkState:
         Preconditions: a and b are co-located, b and c are a bare pair (each
         is the other's only neighbor), and a is neither b nor c.  The
         physical rewrite is CZ(a, b), Y-measure a, Y-measure b, after which
-        the far qubit has exactly a's former neighborhood (the closed form
-        that ``oracle._transfer_end_graph`` certifies).  Under the naming
+        the far qubit has exactly a's former neighborhood, once a's
+        byproduct (a local gate on b among a's neighbours) is undone before
+        b is measured and b's after; left on b, a's byproduct reaches c and
+        the hop delivers a's neighborhood only up to a Clifford on c
+        (``oracle.verify_transfer_sequence`` certifies both steps, and
+        ``oracle._transfer_end_graph`` is the closed form).  Under the naming
         convention (see the class) that is a placement swap: a moves to the
         far node and c to the near one, which leaves b and c a bare pair
         there.  The two Y measurements then remove it, each seeing at most

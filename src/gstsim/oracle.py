@@ -6,9 +6,8 @@ The four reference rules — ``toggle_edge`` (CZ), ``local_complement``,
 place on every run; the tests replay its operations on these functions.
 Everything else in here recomputes quantum behavior from dense state
 vectors, so the rules are checked against actual linear algebra rather
-than against themselves.  Sizes are capped (10 qubits for simulation, 5 for
-the local-Clifford equivalence search) because nothing in the package needs
-this path to be fast — it exists to be obviously correct.
+than against themselves.  States are capped at 10 qubits because nothing in
+the package needs this path to be fast — it exists to be obviously correct.
 
 Conventions
 -----------
@@ -18,6 +17,9 @@ Conventions
   on axis ``i``.
 * Measurement outcome 0 is the +1 eigenvector, outcome 1 the -1 eigenvector.
 * Two states are compared up to global phase: |<a|b>| >= 1 - DEFAULT_TOL.
+* A rewrite is checked exactly: each measurement branch must equal the
+  rewritten graph's state once that outcome's byproduct is undone (see
+  ``_BYPRODUCT_UNDO``), not merely be local-Clifford equivalent to it.
 """
 
 from __future__ import annotations
@@ -31,13 +33,7 @@ import numpy as np
 from .graphstate import GraphState, VertexId, edge_key
 
 MAX_SIM_QUBITS = 10
-MAX_LC_QUBITS = 5
 DEFAULT_TOL = 1e-9
-
-# Pruning margin for the Clifford search; looser than the acceptance
-# tolerance so float error can never discard a branch that could still
-# reach fidelity 1 (see _search_local_cliffords).
-_PRUNE_EPS = 1e-7
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -47,6 +43,15 @@ _MEAS_EIGVECS = {
         np.array([_SQ2, 1j * _SQ2], dtype=complex),
         np.array([_SQ2, -1j * _SQ2], dtype=complex),
     ),
+}
+
+# The gate that undoes each outcome's byproduct, applied to every neighbour
+# of the measured vertex in the graph just before the measurement (Hein,
+# Eisert and Briegel, quant-ph/0307130): a Y outcome leaves S (outcome 0) or
+# S-dagger (outcome 1) there, a Z outcome leaves nothing (0) or Z (1).
+_BYPRODUCT_UNDO = {
+    "Y": (np.diag([1, -1j]), np.diag([1, 1j])),
+    "Z": (np.eye(2), np.diag([1.0, -1.0])),
 }
 
 
@@ -167,133 +172,6 @@ def measure_pauli(state: StateVector, qubit: VertexId, basis: str) -> list[Measu
 
 
 # ---------------------------------------------------------------------------
-# Single-qubit Clifford group and local-Clifford equivalence
-# ---------------------------------------------------------------------------
-
-def _canonical_key(m: np.ndarray) -> tuple:
-    flat = m.reshape(-1)
-    idx = int(np.argmax(np.abs(flat) > 1e-8))
-    phase = flat[idx] / abs(flat[idx])
-    norm = np.round(flat / phase, 9)
-    return tuple((float(z.real), float(z.imag)) for z in norm)
-
-
-def _build_cliffords() -> list[np.ndarray]:
-    """The 24 single-qubit Cliffords (up to phase), generated from H and S.
-
-    Ordered so the corrections graphical rules actually produce (identity,
-    S, S-dagger, Z, then the other Paulis and H) are tried first; the search
-    result does not depend on the order, only its speed does.
-    """
-    h = _SQ2 * np.array([[1, 1], [1, -1]], dtype=complex)
-    s = np.array([[1, 0], [0, 1j]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    found = {_canonical_key(eye): eye}
-    frontier = [eye]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for gate in (h, s):
-                cand = gate @ m
-                key = _canonical_key(cand)
-                if key not in found:
-                    found[key] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    if len(found) != 24:  # pragma: no cover - sanity check on the generator set
-        raise AssertionError(f"expected 24 Cliffords, generated {len(found)}")
-    sdg = s.conj().T
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    preferred = [eye, s, sdg, z, x, y, h]
-    ordered = []
-    seen = set()
-    for m in preferred:
-        key = _canonical_key(m)
-        ordered.append(found[key])
-        seen.add(key)
-    for key, m in found.items():
-        if key not in seen:
-            ordered.append(m)
-    return ordered
-
-
-CLIFFORDS_1Q: list[np.ndarray] = _build_cliffords()
-_CLIFF_STACK = np.stack(CLIFFORDS_1Q)  # (24, 2, 2)
-
-
-def _apply_all_cliffords(flat: np.ndarray, k: int, n: int) -> np.ndarray:
-    """All 24 images of ``flat`` under a Clifford on qubit axis ``k``; (24, 2^n)."""
-    t = flat.reshape(2**k, 2, 2 ** (n - k - 1))
-    out = np.einsum("cij,ajb->caib", _CLIFF_STACK, t)
-    return out.reshape(24, -1)
-
-
-def _search_local_cliffords(a_flat: np.ndarray, b_flat: np.ndarray, n: int):
-    """Depth-first exhaustive search for per-qubit Cliffords mapping b to a.
-
-    Branches on qubits in order.  A branch with Cliffords fixed on qubits
-    0..k is kept only if a *global* unitary on the remaining qubits could
-    still reach fidelity 1: that best-case value is the nuclear norm of
-    G = A^dagger B' (A, B' reshaped with the fixed qubits as rows), since
-    max_U |Tr(U^T G)| equals the sum of G's singular values.  The bound can
-    only overestimate what product corrections achieve, so pruning on it
-    never discards a viable assignment and the search remains exhaustive.
-    """
-
-    def dfs(k: int, b_cur: np.ndarray):
-        if k == n - 1:
-            amat = a_flat.reshape(-1, 2)
-            bmat = b_cur.reshape(-1, 2)
-            g = amat.conj().T @ bmat
-            vals = np.abs(np.einsum("cxy,xy->c", _CLIFF_STACK, g))
-            hit = int(np.argmax(vals))
-            if vals[hit] >= 1.0 - DEFAULT_TOL:
-                return [hit]
-            return None
-        children = _apply_all_cliffords(b_cur, k, n)
-        d = 2 ** (n - k - 1)
-        amat = a_flat.reshape(-1, d)
-        bmats = children.reshape(24, -1, d)
-        g = np.einsum("fx,cfy->cxy", amat.conj(), bmats)
-        bounds = np.linalg.svd(g, compute_uv=False).sum(axis=-1)
-        for c in range(24):
-            if bounds[c] < 1.0 - _PRUNE_EPS:
-                continue
-            rest = dfs(k + 1, children[c])
-            if rest is not None:
-                return [c] + rest
-        return None
-
-    if n == 0:
-        return []
-    return dfs(0, b_flat)
-
-
-def find_local_cliffords(a: StateVector, b: StateVector):
-    """Per-qubit Cliffords C_i with |<a|(C_1 x ... x C_n)|b>| >= 1 - DEFAULT_TOL.
-
-    Returns the list of 2x2 matrices (aligned with qubit_order) or None.
-    """
-    if a.qubit_order != b.qubit_order:
-        raise ValueError("states must share the same qubit_order")
-    if a.n > MAX_LC_QUBITS:
-        raise ValueError(f"local-Clifford search capped at {MAX_LC_QUBITS} qubits")
-    if a.n and abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - DEFAULT_TOL:
-        return [CLIFFORDS_1Q[0]] * a.n
-    idxs = _search_local_cliffords(a.amplitudes, b.amplitudes, a.n)
-    if idxs is None:
-        return None
-    return [CLIFFORDS_1Q[i] for i in idxs]
-
-
-def lc_equivalent(a: StateVector, b: StateVector) -> bool:
-    """True iff some tensor product of single-qubit Cliffords maps b onto a."""
-    return find_local_cliffords(a, b) is not None
-
-
-# ---------------------------------------------------------------------------
 # Reference rewrite rules (Hein, Eisert and Briegel, quant-ph/0307130)
 # ---------------------------------------------------------------------------
 #
@@ -337,12 +215,30 @@ def measure_y(g: GraphState, a: VertexId) -> GraphState:
 # Rule-level verifiers
 # ---------------------------------------------------------------------------
 
+def _corrected_branches(graph: GraphState, state: StateVector, vertex: VertexId,
+                        basis: str):
+    """Measure ``vertex`` of ``state``, exactly the state of ``graph``, in
+    ``basis``; yield each possible branch with its byproduct undone on the
+    vertex's neighbours in ``graph``."""
+    for branch, undo in zip(measure_pauli(state, vertex, basis), _BYPRODUCT_UNDO[basis]):
+        if branch.post_state is None:
+            continue
+        post = branch.post_state
+        for nb in sorted(graph.neighbors(vertex)):
+            post = apply_single_qubit(post, nb, undo)
+        yield post
+
+
+def _all_match(expect: StateVector, branches) -> bool:
+    return all(overlap(expect, post) >= 1.0 - DEFAULT_TOL for post in branches)
+
+
 def verify_graphical_rule(graph: GraphState, vertex: VertexId, rule: str) -> bool:
     """Check one measurement rewrite against the state vector.
 
     Simulates a Y or Z measurement of ``vertex`` on the graph's state vector
-    and demands every outcome branch be local-Clifford equivalent to the
-    state of the rewritten graph.
+    and demands every outcome branch, once its byproduct is undone, equal
+    the state of the rewritten graph.
     """
     rule = rule.upper()
     if rule == "Y":
@@ -351,14 +247,8 @@ def verify_graphical_rule(graph: GraphState, vertex: VertexId, rule: str) -> boo
         rewritten = measure_z(graph, vertex)
     else:
         raise ValueError(f"rule must be 'Y' or 'Z', got {rule!r}")
-    sv = build_graph_state(graph)
-    expect = build_graph_state(rewritten)
-    for branch in measure_pauli(sv, vertex, rule):
-        if branch.post_state is None:
-            continue
-        if not lc_equivalent(expect, branch.post_state):
-            return False
-    return True
+    return _all_match(build_graph_state(rewritten),
+                      _corrected_branches(graph, build_graph_state(graph), vertex, rule))
 
 
 def _transfer_basis() -> list[np.ndarray]:
@@ -401,23 +291,19 @@ def _check_transfer_shape(graph: GraphState, a: VertexId, b: VertexId, c: Vertex
 
 def teleport_corrections(graph: GraphState, a: VertexId, b: VertexId,
                          c: VertexId) -> list[str | None]:
-    """Which correction on c fixes up each of the four projection outcomes.
+    """Which Pauli correction on c fixes up each of the four projection outcomes.
 
     For every outcome, projects (a, b) of the graph's state vector onto the
-    transfer basis and searches single-qubit Cliffords on c alone for one
-    matching the moved-neighborhood end state.  Returns one label per
-    outcome, the first match of one scan: 'I', 'X', 'Z' or 'XZ' when a Pauli
-    works, else 'C' when a Clifford does, None when nothing does.
+    transfer basis and tries I, X, Z and XZ on c alone against the
+    moved-neighborhood end state.  Returns one label per outcome, the first
+    that matches, or None when none does (or the outcome is impossible).
     """
     _check_transfer_shape(graph, a, b, c)
-    if len(graph) > MAX_LC_QUBITS:
-        raise ValueError(f"transfer oracle capped at {MAX_LC_QUBITS} qubits")
     sv = build_graph_state(graph)
     expect = build_graph_state(_transfer_end_graph(graph, a, b, c))
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     corrections = [("I", np.eye(2, dtype=complex)), ("X", x), ("Z", z), ("XZ", x @ z)]
-    corrections += [("C", gate) for gate in CLIFFORDS_1Q]
     labels: list[str | None] = []
     for vec in _transfer_basis():
         _, post = _project(sv, (a, b), vec)
@@ -431,8 +317,8 @@ def teleport_corrections(graph: GraphState, a: VertexId, b: VertexId,
 def verify_teleport_transfer(graph: GraphState, a: VertexId, b: VertexId, c: VertexId) -> bool:
     """True iff all four projection outcomes reach the moved-neighborhood state.
 
-    The projection basis is the four-vector family above; equivalence allows
-    a single-qubit Clifford on c only (the designated receiving qubit).
+    The projection basis is the four-vector family above; each outcome may
+    be corrected by a Pauli on c only (the designated receiving qubit).
     """
     return None not in teleport_corrections(graph, a, b, c)
 
@@ -440,24 +326,21 @@ def verify_teleport_transfer(graph: GraphState, a: VertexId, b: VertexId, c: Ver
 def verify_transfer_sequence(graph: GraphState, a: VertexId, b: VertexId, c: VertexId) -> bool:
     """Check the three-step transfer rewrite against full quantum simulation.
 
-    Applies CZ(a, b) to the state vector, takes both branches of a Y
-    measurement on a and then on b (four leaves), and demands every leaf be
-    local-Clifford equivalent to the state of the graph obtained by the
-    corresponding rewrites.
+    Applies CZ(a, b) to the state vector and takes both branches of a Y
+    measurement on a, each with its byproduct undone (on b among the rest),
+    then both branches of a Y measurement on b, undone likewise.  Every one
+    of the four leaves must equal the state of the graph obtained by the
+    corresponding rewrites.  Undoing a's byproduct before b is measured is
+    what makes the leaves exact: left on b, it reaches c as a Clifford that
+    no Pauli or phase correction removes.
     """
     _check_transfer_shape(graph, a, b, c)
-    rewritten = measure_y(measure_y(toggle_edge(graph, a, b), a), b)
-    expect = build_graph_state(rewritten)
+    joined = toggle_edge(graph, a, b)
+    moved = measure_y(joined, a)
     sv = apply_cz(build_graph_state(graph), a, b)
-    for branch_a in measure_pauli(sv, a, "Y"):
-        if branch_a.post_state is None:
-            continue
-        for branch_b in measure_pauli(branch_a.post_state, b, "Y"):
-            if branch_b.post_state is None:
-                continue
-            if not lc_equivalent(expect, branch_b.post_state):
-                return False
-    return True
+    return _all_match(build_graph_state(measure_y(moved, b)),
+                      (leaf for mid in _corrected_branches(joined, sv, a, "Y")
+                       for leaf in _corrected_branches(moved, mid, b, "Y")))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .network import (
     NodeId,
     check_node_ids,
     check_node_pairs,
+    decode_json,
     load_topology,
 )
 from .record import Record
@@ -95,7 +96,7 @@ class ScenarioConfig(Record):
 def load_scenario(path: str, defaults: dict | None = None) -> ScenarioConfig:
     """Read a scenario file and check it with ``ScenarioConfig.from_dict``."""
     with open(path) as fh:
-        return ScenarioConfig.from_dict(json.load(fh), defaults)
+        return ScenarioConfig.from_dict(decode_json(fh.read()), defaults)
 
 
 def resolve_topology(spec, seed: int) -> NetworkTopology:

@@ -128,6 +128,43 @@ def test_missing_scenario_file_is_config_error(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
 
+DEEP = "[" * 1000 + "]" * 1000  # deeper than the JSON decoder recurses
+
+
+@pytest.mark.parametrize("where", ["scenario-file", "topology-file", "inline-topology"])
+def test_json_nested_too_deeply_is_config_error(tmp_path, capsys, where):
+    """A document nested 1,000 deep is one configuration-error line, not a
+    RecursionError traceback, wherever the CLI decodes JSON."""
+    doc = tmp_path / "deep.json"
+    doc.write_text(DEEP)
+    argv = {"scenario-file": ["run", "--scenario", str(doc)],
+            "topology-file": ["run", "--topology", str(doc)],
+            "inline-topology": ["run", "--topology", '{"a": ' + DEEP + "}"]}[where]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.endswith("JSON nested too deeply to decode\n")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("where", ["targets-flag", "deep-targets"])
+def test_a_long_echoed_value_is_cut(tmp_path, capsys, where):
+    """An error message that echoes a huge value is cut to MESSAGE_LIMIT
+    characters, the value's head kept."""
+    if where == "targets-flag":
+        argv = ["run", "--topology", '{"kind": "line", "n": 3}', "--targets", "x" * 5000]
+    else:
+        scn = tmp_path / "scn.json"
+        scn.write_text('{"topology": {"kind": "line", "n": 3}, "targets": '
+                       + "[" * 900 + "]" * 900 + "}")
+        argv = ["run", "--scenario", str(scn)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: targets")
+    assert err.endswith("...\n")
+    assert len(err) == cli.MESSAGE_LIMIT + 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "--strategy", "bogus"], "argument --strategy: invalid choice: 'bogus'"),
     (["run", "--topology", '{"kind": "line", "n": 3}', "--format", "xml"],

@@ -22,7 +22,7 @@ import pytest
 import gstsim
 
 ORACLE_NAMES = ["StateVector", "build_graph_state", "certification_report",
-                "lc_equivalent", "measure_pauli", "verify_graphical_rule",
+                "measure_pauli", "verify_graphical_rule",
                 "verify_teleport_transfer", "verify_transfer_sequence"]
 
 KEPT_OFF = ["dataclasses", "inspect", "logging", "numpy"]

@@ -1,4 +1,4 @@
-"""State-vector oracle: conventions, rule checks, LC search."""
+"""State-vector oracle: conventions, exact rule checks, broken rules rejected."""
 
 import random
 
@@ -8,12 +8,9 @@ import pytest
 from gstsim.graphstate import GraphState
 from gstsim import oracle
 from gstsim.oracle import (
-    CLIFFORDS_1Q,
     all_connected_graphs,
     apply_single_qubit,
     build_graph_state,
-    find_local_cliffords,
-    lc_equivalent,
     measure_pauli,
     overlap,
     random_connected_graph,
@@ -100,64 +97,6 @@ class TestMeasurement:
         assert overlap(sv, rotated) > 1 - 1e-12
 
 
-class TestCliffordTable:
-    def test_twenty_four_distinct_unitaries(self):
-        assert len(CLIFFORDS_1Q) == 24
-        for u in CLIFFORDS_1Q:
-            assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
-        # pairwise distinct up to global phase
-        for i in range(24):
-            for j in range(i + 1, 24):
-                inner = abs(np.trace(CLIFFORDS_1Q[i].conj().T @ CLIFFORDS_1Q[j]))
-                assert inner < 2 - 1e-9
-
-    def test_identity_comes_first(self):
-        assert np.allclose(CLIFFORDS_1Q[0], np.eye(2))
-
-
-class TestLcSearch:
-    def test_identity_fast_path(self):
-        g = random_graph(random.Random(7), 4)
-        sv = build_graph_state(g)
-        found = find_local_cliffords(sv, sv)
-        assert found is not None
-        assert all(np.allclose(u, np.eye(2)) for u in found)
-
-    def test_recovers_random_local_cliffords(self):
-        rng = random.Random(13)
-        for _ in range(8):
-            n = rng.randint(2, 4)
-            g = random_graph(rng, n, 0.6)
-            sv = build_graph_state(g)
-            twisted = sv
-            for q in list(sv.qubit_order):
-                twisted = apply_single_qubit(
-                    twisted, q, CLIFFORDS_1Q[rng.randrange(24)])
-            assert lc_equivalent(sv, twisted)
-
-    def test_separates_edge_from_no_edge(self):
-        a = build_graph_state(GraphState([0, 1], [(0, 1)]))
-        b = build_graph_state(GraphState([0, 1], []))
-        assert not lc_equivalent(a, b)
-
-    def test_separates_path_from_triangle_union_isolated(self):
-        """A 3-path is LC-equivalent to a triangle, not to anything split."""
-        path = build_graph_state(GraphState(range(3), [(0, 1), (1, 2)]))
-        tri = build_graph_state(GraphState(range(3), [(0, 1), (1, 2), (0, 2)]))
-        split = build_graph_state(GraphState(range(3), [(0, 1)]))
-        assert lc_equivalent(path, tri)
-        assert not lc_equivalent(path, split)
-
-    def test_size_and_order_guards(self):
-        big = build_graph_state(GraphState(range(6), []))
-        with pytest.raises(ValueError):
-            lc_equivalent(big, big)
-        a = build_graph_state(GraphState(range(2), []))
-        b = build_graph_state(GraphState([0, 9], []))
-        with pytest.raises(ValueError):
-            lc_equivalent(a, b)
-
-
 class TestGraphicalRules:
     @pytest.mark.parametrize("basis", ["Y", "Z"])
     def test_rules_on_small_random_graphs(self, basis):
@@ -166,6 +105,15 @@ class TestGraphicalRules:
             g = random_connected_graph(rng.randint(2, 5), rng)
             v = rng.choice(sorted(g.vertices))
             assert verify_graphical_rule(g, v, basis)
+
+    def test_rules_hold_exactly_up_to_the_simulation_cap(self):
+        """No local-Clifford search caps the size: 6 to 10 vertices."""
+        rng = random.Random(23)
+        for n in range(6, 11):
+            g = random_connected_graph(n, rng)
+            for v in sorted(g.vertices)[:3]:
+                assert verify_graphical_rule(g, v, "Y")
+                assert verify_graphical_rule(g, v, "Z")
 
     def test_enumeration_counts(self):
         assert len(list(all_connected_graphs(2))) == 1
@@ -192,6 +140,15 @@ class TestTransfer:
         need exactly I, Z, X, XZ on the receiving end."""
         g = GraphState(["a", "b", "c", "e"], [("b", "c"), ("a", "e")])
         assert teleport_corrections(g, "a", "b", "c") == ["I", "Z", "X", "XZ"]
+
+    def test_teleport_corrections_past_five_qubits(self):
+        """Three and four spectators on the moving qubit (6 and 8 qubits):
+        every outcome still needs only a Pauli on c."""
+        for extra in (["x1", "x2", "x3"], ["x1", "x2", "x3", "x4", "x5"]):
+            edges = [("b", "c")] + [("a", x) for x in extra[:4]] + [("x1", "x2")]
+            g = GraphState(["a", "b", "c", *extra], edges)
+            assert teleport_corrections(g, "a", "b", "c") == ["I", "Z", "X", "XZ"]
+            assert verify_transfer_sequence(g, "a", "b", "c")
 
     def test_transfer_shape_violations_raise(self):
         g = GraphState(["a", "b", "c", "x"], [("b", "c"), ("b", "x")])
@@ -229,3 +186,51 @@ class TestBrokenReferenceRules:
         assert not report["ok"]
         passed, total = report["transfer_sequence"]
         assert passed < total
+
+
+def _lc_at_least_neighbour(min_degree):
+    """A wrong Y rule in the right local-Clifford orbit: the true rewrite,
+    then a local complementation at the measured vertex's least neighbour
+    whenever the vertex has at least ``min_degree`` neighbours."""
+    right = oracle.measure_y
+
+    def wrong(g, a):
+        out = right(g, a)
+        nbrs = g.neighbors(a)
+        return oracle.local_complement(out, min(nbrs)) if len(nbrs) >= min_degree else out
+    return wrong
+
+
+class TestExactCertification:
+    """Each branch is compared with the rewritten graph's state once its
+    byproduct is undone, so a rule that is right only up to local Cliffords
+    fails."""
+
+    STAR = GraphState(range(5), [(0, leaf) for leaf in range(1, 5)])
+
+    def test_a_wrong_rule_at_degree_four_is_rejected(self, monkeypatch):
+        assert verify_graphical_rule(self.STAR, 0, "Y")
+        monkeypatch.setattr(oracle, "measure_y", _lc_at_least_neighbour(4))
+        assert not verify_graphical_rule(self.STAR, 0, "Y")
+        report = oracle.certification_report()
+        assert not report["ok"]
+        passed, total = report["rules_random_five"]
+        assert passed < total
+
+    def test_a_wrong_rule_at_every_degree_fails_both_rule_suites(self, monkeypatch):
+        monkeypatch.setattr(oracle, "measure_y", _lc_at_least_neighbour(1))
+        report = oracle.certification_report()
+        for suite in ("rules_exhaustive_small", "rules_random_five"):
+            passed, total = report[suite]
+            assert passed < total, suite
+
+    def test_swapping_s_and_s_dagger_fails(self, monkeypatch):
+        s_dg, s = oracle._BYPRODUCT_UNDO["Y"]
+        monkeypatch.setitem(oracle._BYPRODUCT_UNDO, "Y", (s, s_dg))
+        assert not verify_graphical_rule(GraphState([0, 1], [(0, 1)]), 0, "Y")
+        assert not oracle.certification_report(five_qubit_samples=0)["ok"]
+
+    def test_the_byproduct_of_a_z_outcome_is_z(self, monkeypatch):
+        eye = oracle._BYPRODUCT_UNDO["Z"][0]
+        monkeypatch.setitem(oracle._BYPRODUCT_UNDO, "Z", (eye, eye))
+        assert not verify_graphical_rule(GraphState([0, 1], [(0, 1)]), 0, "Z")
