@@ -200,7 +200,10 @@ def epr_bound(n: int, s: int, free_root: bool = False) -> int:
     With a caller-chosen root the targets occupy the s farthest possible
     distances, giving s(2n - s - 1)/2.  When every node is a target and the
     root may be optimized, a most-central root halves the reach:
-    (3n^2 - 2n)/8 for even n, (3n^2 - 4n + 1)/8 for odd n.
+    (3n^2 - 2n)/8 for even n, (3n^2 - 4n + 1)/8 for odd n.  The divisions
+    are exact: s and 2n - s - 1 differ in parity, so one is even; with
+    n = 2k, 3n^2 - 2n = 4k(3k - 1), and with n = 2k + 1, 3n^2 - 4n + 1 =
+    4k(3k + 1), where k(3k - 1) and k(3k + 1) are even.
     """
     if not 1 <= s <= n:
         raise ValueError("need 1 <= s <= n")
@@ -208,12 +211,8 @@ def epr_bound(n: int, s: int, free_root: bool = False) -> int:
         if s != n:
             raise ValueError("free-root bound is defined for s = n")
         num = 3 * n * n - 2 * n if n % 2 == 0 else 3 * n * n - 4 * n + 1
-        q, r = divmod(num, 8)
-        assert r == 0
-        return q
-    q, r = divmod(s * (2 * n - s - 1), 2)
-    assert r == 0
-    return q
+        return num // 8
+    return s * (2 * n - s - 1) // 2
 
 
 def make_schedule(plan: DistributionPlan) -> Schedule:
@@ -276,9 +275,11 @@ def _walk_rounds(state: NetworkState, plan: DistributionPlan, schedule: Schedule
 
     Each schedule entry is one ``NetworkState.advance`` call.  Returns the
     run's report.  Its counts are read off the plan: a walk that skipped or
-    repeated a hop would fail in ``advance``, whose first hop is a checked
+    repeated a hop would fail in ``advance``, which rejects an entry that is
+    not a run of hops on its path and opens each with a checked
     ``transfer`` that needs the carrier at the near node, or in the
-    caller's checks of the delivered state before any report is returned.
+    caller's checks of the delivered state and of the pairs generated
+    before any report is returned.
     The walk sends the messages of ``_walk_messages(plan, schedule)``, one
     EPR pair and 2-bit report per hop and one 2-bit directive per target,
     so ``classical_bits`` is 2·(EPR pairs + targets).
@@ -334,7 +335,10 @@ def execute(state: NetworkState, request: DistributionRequest, plan: Distributio
     report = _walk_rounds(state, plan, schedule, carrier)
     if not verify_target(state, request):
         raise ExecutionError("delivered state does not realize the request")
-    assert state.epr_generated == plan.epr_cost
+    if state.epr_generated != plan.epr_cost:
+        raise ExecutionError(
+            f"the walk generated {state.epr_generated} EPR pairs; the plan costs {plan.epr_cost}"
+        )
     return report
 
 

@@ -20,10 +20,12 @@ that union ends a closure path, so it is a terminal, and a union that is a
 tree is therefore its own Steiner tree: the peel pick and the tree size are
 read off the chain's kept degrees, with no tree built.  That is every step
 of a cascade over every node, and nearly every step elsewhere.  A union
-with a cycle is thinned by a sorted BFS, and one leaf queue prunes the
-non-terminal leaves the BFS leaves.  A plan keeps the order and the tree
-sizes and derives the trees on first read.  The module keeps no state
-between calls.
+with a cycle is read as a network of its own: its tree is the union of
+``NetworkTopology.shortest_paths`` from the least terminal to every
+terminal, the one lexicographic search the rest of the package uses.  The
+"exhaustive" order solves each suffix set once, from the sets one smaller.
+A plan keeps the order and the tree sizes and derives the trees on first
+read.  The module keeps no state between calls.
 
 Distances: one closure-MST search, ``_closure_kruskal``, serves both the
 first MST and its repair, and keeps nothing.  It takes the terminals
@@ -39,14 +41,14 @@ from ``NetworkTopology.shortest_path``, a search that stops at its far end.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter, deque
+from collections import Counter
 from functools import cached_property
-from itertools import permutations
 
 from .network import NetworkTopology, link_key
 from .record import Record
 
 EDCG_MODES = ("peel", "lex", "exhaustive")  # the cascade orderings edcg_order knows
+EXHAUSTIVE_MAX_TARGETS = 8  # "exhaustive" solves 2^m suffix sets; beyond this, peel
 
 
 def _closure_kruskal(topology: NetworkTopology, pieces) -> list[tuple]:
@@ -254,41 +256,19 @@ class _SuffixChain:
         return len(self.count) == len(self.adj) - 1
 
     def tree(self) -> set:
-        """Edge set of the current terminals' Steiner tree (see steiner_tree)."""
+        """Edge set of the current terminals' Steiner tree (see steiner_tree).
+
+        A union with a cycle becomes a ``NetworkTopology`` of its own, and
+        the tree is the union of its ``shortest_paths`` from the least
+        terminal to every terminal.
+        """
         if len(self.near) < 2:
             return set()
         if self.union_is_tree():
             return set(self.count)
-        root = min(self.near)
-        parent = {root: None}
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            for nb in sorted(self.adj[cur]):
-                if nb not in parent:
-                    parent[nb] = cur
-                    queue.append(nb)
-        adj = {v: set() for v in parent}
-        edges = set()
-        for v, p in parent.items():
-            if p is not None:
-                adj[v].add(p)
-                adj[p].add(v)
-                edges.add(link_key(v, p))
-        # prune non-terminal leaves: the fixpoint is unique, so one queue will do
-        degree = {v: len(adj[v]) for v in adj.keys() - self.near.keys()}
-        leaves = [v for v, d in degree.items() if d == 1]
-        pruned = set()
-        while leaves:
-            v = leaves.pop()
-            pruned.add(v)
-            (nb,) = adj[v] - pruned
-            edges.remove(link_key(v, nb))
-            if nb in degree:
-                degree[nb] -= 1
-                if degree[nb] == 1:
-                    leaves.append(nb)
-        return edges
+        union = NetworkTopology(self.adj, self.count)
+        paths = union.shortest_paths(min(self.near), self.near).values()
+        return {link_key(a, b) for path in paths for a, b in zip(path, path[1:])}
 
 
 def _suffixes(topology: NetworkTopology, order):
@@ -306,10 +286,11 @@ def steiner_tree(topology: NetworkTopology, terminals) -> set:
 
     Each closure edge becomes its lexicographically-least shortest path.
     When the union of those paths is already a tree it is the spanning
-    tree: its leaves end paths, so they are terminals.  Otherwise a BFS from
-    the smallest terminal, visiting neighbours in sorted order, picks one,
-    and the non-terminal leaves that leaves are pruned through a single
-    leaf queue; pruning to a fixpoint gives the same tree in any order.
+    tree: its leaves end paths, so they are terminals.  Otherwise the tree
+    is the union of the lexicographically least shortest paths, within the
+    union, from the smallest terminal to every terminal: a BFS tree that
+    visits neighbours in sorted order with its non-terminal leaves pruned,
+    built by ``NetworkTopology.shortest_paths``.
     """
     return _SuffixChain(topology, terminals).tree()
 
@@ -347,29 +328,34 @@ def _cascade(topology: NetworkTopology, targets, order=None) -> tuple[list, list
 def _exhaustive_order(topology: NetworkTopology, targets: list) -> list:
     """Cheapest cascade over all orders; ties go to the smallest order.
 
-    Tree sizes are memoized per suffix set: 8 targets have 8! orders but
-    only 2^8 - 9 suffix sets of two or more.
+    A cascade over a suffix set S costs its tree's size plus the cheapest
+    cascade over S minus the terminal it drops first, so
+    best(S) = size(S) + min over s in S of best(S - {s}), and a tie taken
+    by the least s gives the lexicographically least cheapest order.  Each
+    suffix set is solved once: 8 targets have 8! orders but only 2^8 - 9
+    suffix sets of two or more, and each builds one tree.
     """
-    sizes: dict = {}
+    best: dict = {}  # suffix set of two or more -> (cost, cheapest order)
 
-    def cost(order: tuple) -> int:
-        total = 0
-        for i in range(len(order) - 1):
-            key = frozenset(order[i:])
-            if key not in sizes:
-                sizes[key] = len(steiner_tree(topology, key))
-            total += sizes[key]
-        return total
+    def solve(suffix: frozenset) -> tuple:
+        if len(suffix) < 2:
+            return 0, tuple(suffix)
+        if suffix not in best:
+            cost, first = min((solve(suffix - {s})[0], s) for s in suffix)
+            rest = solve(suffix - {first})[1]
+            best[suffix] = (len(steiner_tree(topology, suffix)) + cost, (first, *rest))
+        return best[suffix]
 
-    return list(min(permutations(targets), key=lambda order: (cost(order), order)))
+    return list(solve(frozenset(targets))[1])
 
 
 def edcg_order(targets, topology: NetworkTopology, mode: str = "peel") -> list:
     """Deterministic ordering s_1..s_m of the targets for the GHZ cascade.
 
     Modes: "peel" (default; leaf-stripping order described above), "lex"
-    (plain sort), "exhaustive" (cheapest over all permutations; capped at 8
-    targets — beyond that it errors, and callers fall back with a warning).
+    (plain sort), "exhaustive" (cheapest over all permutations; capped at
+    ``EXHAUSTIVE_MAX_TARGETS`` targets — beyond that it errors, and callers
+    fall back with a warning).
     """
     if mode not in EDCG_MODES:
         raise ValueError(f"unknown ordering mode {mode!r}")
@@ -378,10 +364,9 @@ def edcg_order(targets, topology: NetworkTopology, mode: str = "peel") -> list:
         return targets
     if mode == "peel":
         return _cascade(topology, targets)[0]
-    if len(targets) > 8:
-        raise ValueError(
-            f"exhaustive ordering supports at most 8 targets, got {len(targets)}"
-        )
+    if len(targets) > EXHAUSTIVE_MAX_TARGETS:
+        raise ValueError(f"exhaustive ordering supports at most {EXHAUSTIVE_MAX_TARGETS} "
+                         f"targets, got {len(targets)}")
     return _exhaustive_order(topology, targets)
 
 
@@ -438,14 +423,14 @@ def edcg_cost(topology: NetworkTopology, targets, mode: str = "peel") -> tuple[E
     vertices plus one decoration per edge.  Classical bits: 2 per EPR pair
     plus 2 per complete-graph edge slot.  Every mode walks one suffix
     chain: "peel" picks its order on the way, and the others walk the order
-    ``edcg_order`` gives.  Over 8 targets "exhaustive" falls back to "peel"
-    with a warning.
+    ``edcg_order`` gives.  Over ``EXHAUSTIVE_MAX_TARGETS`` targets
+    "exhaustive" falls back to "peel" with a warning.
     """
     targets = sorted(set(targets))
     m = len(targets)
     if m == 0:
         raise ValueError("need at least one target")
-    if mode == "exhaustive" and m > 8:
+    if mode == "exhaustive" and m > EXHAUSTIVE_MAX_TARGETS:
         import logging  # here, not at module level: importing it slows every start-up
 
         logging.getLogger(__name__).warning(

@@ -28,6 +28,19 @@ from .graphstate import GraphState, edge_key as link_key
 NodeId = str
 QubitId = int
 
+# The most nodes, links or target edges one spec may ask for, counted from
+# the spec before anything is allocated (target vertices are distinct
+# nodes, so the node count bounds them).  Complete targets on a tree of
+# height 10, 2,094,081 edges, fit: about 0.5 GB.
+SIZE_LIMIT = 2 ** 21
+
+
+def check_size(size, what: str) -> None:
+    """A ValueError naming ``size`` and the limit if ``size`` ``what``
+    exceed ``SIZE_LIMIT``."""
+    if size > SIZE_LIMIT:
+        raise ValueError(f"{size} {what} exceed the size limit of {SIZE_LIMIT}")
+
 
 class LocalityError(ValueError):
     """A two-qubit gate was requested across nodes."""
@@ -196,7 +209,10 @@ def topology_from_dict(data: dict) -> NetworkTopology:
     if not isinstance(data, dict) or "nodes" not in data or "links" not in data:
         raise ValueError("topology document needs 'nodes' and 'links' keys")
     nodes = check_node_ids(data["nodes"], "topology nodes")
-    return NetworkTopology(nodes, check_node_pairs(data["links"], "topology links"))
+    links = check_node_pairs(data["links"], "topology links")
+    check_size(len(nodes), "topology nodes")
+    check_size(len(links), "topology links")
+    return NetworkTopology(nodes, links)
 
 
 def decode_json(text: str):
@@ -424,8 +440,14 @@ class NetworkState:
         Every later hop finds q at the near node by construction, and a
         fresh pair is a bare pair of distinct qubits, so it does what
         ``transfer`` does without the checks: q and c swap placements, and
-        c and b are Y-measured.
+        c and b are Y-measured.  An entry that is not a run of hops on the
+        path, ``0 <= start < end <= len(path) - 1``, is a ValueError before
+        any write.
         """
+        if not 0 <= start < end < len(path):
+            raise ValueError(
+                f"hops {start} to {end} are not a run of hops on a path of {len(path) - 1}"
+            )
         generate_epr, measure_y = self.generate_epr, self.measure_y
         placement = self.placement
         self.transfer(q, *generate_epr(path[start], path[start + 1]))

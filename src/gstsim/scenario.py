@@ -33,6 +33,7 @@ from .network import (
     NodeId,
     check_node_ids,
     check_node_pairs,
+    check_size,
     decode_json,
     load_topology,
 )
@@ -144,6 +145,7 @@ def _resolve_target_graph(spec, targets: list, rng: random.Random) -> GraphState
     ts = sorted(targets)
     if isinstance(spec, str):
         if spec == "complete":
+            check_size(len(ts) * (len(ts) - 1) // 2, "target edges")
             edges = combinations(ts, 2)
         elif spec == "path":
             edges = list(zip(ts, ts[1:]))
@@ -159,6 +161,7 @@ def _resolve_target_graph(spec, targets: list, rng: random.Random) -> GraphState
         p = spec["gnp"]
         if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
             raise ValueError("edge probability must lie in [0, 1]")
+        check_size(len(ts) * (len(ts) - 1) // 2, "target edge draws")
         edges = (e for e in combinations(ts, 2) if rng.random() < p)
     elif isinstance(spec, list):
         edges = check_node_pairs(spec, "target_edges")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .network import NetworkTopology
+from .network import NetworkTopology, check_size
 
 GNP_RETRY_BUDGET = 500
 
@@ -24,6 +24,7 @@ def line_topology(n: int) -> NetworkTopology:
     _require_int("n", n)
     if n < 1:
         raise ValueError("line needs at least one node")
+    check_size(n, "nodes")
     nodes = [_name(i, n) for i in range(n)]
     links = list(zip(nodes, nodes[1:]))
     return NetworkTopology(nodes, links)
@@ -34,7 +35,8 @@ def tree_topology(height: int) -> NetworkTopology:
     _require_int("height", height)
     if height < 0:
         raise ValueError("height must be >= 0")
-    count = 2 ** (height + 1) - 1
+    count = 2 ** (height + 1) - 1 if height < 64 else float("inf")
+    check_size(count, "nodes")
     nodes = [_name(i, count) for i in range(count)]
     links = []
     for i in range(count):
@@ -49,6 +51,8 @@ def grid_topology(rows: int, cols: int) -> NetworkTopology:
     _require_int("cols", cols)
     if rows < 1 or cols < 1:
         raise ValueError("grid needs positive dimensions")
+    check_size(rows * cols, "nodes")
+    check_size(rows * (cols - 1) + cols * (rows - 1), "links")
     nodes = [f"r{r:02d}c{c:02d}" for r in range(rows) for c in range(cols)]
     links = []
     for i, name in enumerate(nodes):  # row-major: cell i + 1 is right, i + cols below
@@ -67,6 +71,7 @@ def gnp_topology(n: int, p: float, seed: int) -> NetworkTopology:
         raise ValueError("gnp needs at least one node")
     if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
+    check_size(n * (n - 1) // 2, "link draws")  # at least n from n = 3 on
     rng = random.Random(seed)
     nodes = [_name(i, n) for i in range(n)]
     for _ in range(GNP_RETRY_BUDGET):

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,28 @@ def test_json_nested_too_deeply_is_config_error(tmp_path, capsys, where):
     assert captured.err.endswith("JSON nested too deeply to decode\n")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-topo", "--kind", "tree", "--height", "30"],
+     "2147483647 nodes exceed the size limit of 2097152"),
+    (["gen-topo", "--kind", "grid", "--rows", "100000", "--cols", "100000"],
+     "10000000000 nodes exceed the size limit of 2097152"),
+    (["run", "--topology", '{"kind": "line", "n": 100000}', "--edges", "complete"],
+     "4999950000 target edges exceed the size limit of 2097152"),
+], ids=["tree-height-30", "grid-1e5-by-1e5", "complete-targets-on-line-1e5"])
+def test_a_spec_over_the_size_limit_is_config_error(argv, message):
+    """Sizes are checked from the spec before anything is allocated, so a
+    huge one exits 3 at once; a fresh interpreter under a timeout, since an
+    unchecked one allocates without bound."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "gstsim.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == f"configuration error: {message}\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("where", ["targets-flag", "deep-targets"])

@@ -48,6 +48,9 @@ def ring(n):
     return NetworkTopology(nodes, list(zip(nodes, nodes[1:] + nodes[:1])))
 
 
+SHORT = {"n00": ["n00"], "n02": ["n00", "n01", "n02"]}  # plan_shortest on line(3), root n00
+
+
 def identity_request(nodes, edges):
     g = GraphState(nodes, edges)
     return DistributionRequest(g, {x: x for x in nodes})
@@ -528,18 +531,31 @@ class TestExecute:
         with pytest.raises(ExecutionError):
             execute(NetworkState(topo), req, plan, schedule=stuck)
 
-    @pytest.mark.parametrize("rounds", [
-        ((("n02", 1, 2),),),                                     # skips n00-n01
-        ((("n02", 0, 1),), (("n02", 0, 1),), (("n02", 1, 2),)),  # repeats it
-        ((("n02", 0, 2),), (("n02", 1, 2),)),                    # repeats n01-n02
-    ], ids=["skip", "repeat-first", "repeat-last"])
-    def test_schedule_that_skips_or_repeats_a_hop_fails(self, rounds):
+    @pytest.mark.parametrize("paths, rounds, match", [
+        (SHORT, ((("n02", 1, 2),),), None),                                       # skips n00-n01
+        (SHORT, ((("n02", 0, 1),), (("n02", 0, 1),), (("n02", 1, 2),)), None),    # repeats it
+        (SHORT, ((("n02", 0, 2),), (("n02", 1, 2),)), None),                      # repeats n01-n02
+        ({"n00": ["n00"], "n01": ["n00", "n01"], "n02": ["n00", "n01", "n02"]},
+         ((("n01", 0, 1),), (("n02", 0, 1),), (("n02", 1, 1),)),
+         "round 2: hops 1 to 1 are not a run of hops on a path of 2"),
+        (SHORT, ((("n02", 0, 5),),),
+         "round 0: hops 0 to 5 are not a run of hops on a path of 2"),
+        ({"n00": ["n00"], "n02": ["n00", "n01", "n00", "n01", "n02"]},
+         tuple((("n02", i, i + 1),) for i in (0, 1, 0, 1, 2, 3)),
+         "the walk generated 6 EPR pairs; the plan costs 4"),
+    ], ids=["skip", "repeat-first", "repeat-last", "empty-entry", "past-the-end",
+            "loop-walked-twice"])
+    def test_schedule_that_skips_or_repeats_a_hop_fails(self, paths, rounds, match):
         """The report's counts are read off the plan, so a walk that
-        deviates from it must raise before any report exists."""
+        deviates from it must raise before any report exists: an entry
+        that is not a run of hops on its path fails in ``advance`` before
+        it walks a hop the report would not count, and a schedule that
+        walks a looping path's loop twice delivers the right state but
+        generates more pairs than the plan."""
         topo = line(3)
-        req = identity_request(["n00", "n02"], [("n00", "n02")])
-        plan = plan_shortest(topo, ["n00", "n02"], "n00")
-        with pytest.raises(ExecutionError):
+        req = identity_request(sorted(paths), [("n00", "n02")])
+        plan = DistributionPlan("n00", paths)
+        with pytest.raises(ExecutionError, match=match):
             execute(NetworkState(topo), req, plan, schedule=Schedule(rounds=rounds))
 
     def test_link_overuse_reports_round(self):

@@ -855,6 +855,20 @@ def test_an_advance_costs_the_same_per_hop_for_any_carrier_degree():
     assert three - two == two - one > 0
 
 
+@pytest.mark.parametrize("start, end", [(1, 1), (2, 1), (-1, 1), (0, 4), (3, 4)])
+def test_an_advance_that_is_not_a_run_of_hops_writes_nothing(start, end):
+    """``advance`` needs 0 <= start < end <= len(path) - 1, and checks it
+    before it generates a pair or moves a qubit."""
+    topo = line_topology(4)
+    path = list(topo.nodes)
+    st, a, _ = _carrier_of_degree(topo, "n00", 2)
+    before = (st.graph, dict(st.placement), st.epr_generated)
+    with pytest.raises(ValueError, match=f"hops {start} to {end} are not a run of hops "
+                                         "on a path of 3"):
+        st.advance(a, path, start, end)
+    assert (st.graph, dict(st.placement), st.epr_generated) == before
+
+
 def test_y_measurement_of_a_neighbour_of_the_last_y_measured_qubit():
     """Two Y measurements in a row, by hand: the second measures a qubit
     whose edges the first one's complement has just rewritten.

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from gstsim import flow, scenario
+from gstsim import flow, network, scenario
 from gstsim.scenario import (
     REPORT_COLUMNS,
     ScenarioConfig,
@@ -182,6 +182,17 @@ class TestResolve:
         got = scenario._resolve_target_graph({"gnp": 0.3}, ts, rng)
         assert got.edges == frozenset(want) and 0 < len(want) < len(pairs)
         assert rng.getstate() == want_rng.getstate()
+
+    @pytest.mark.parametrize("edges, what", [("complete", "target edges"),
+                                             ({"gnp": 0.5}, "target edge draws")])
+    def test_generated_edges_over_the_size_limit(self, monkeypatch, edges, what):
+        """Complete and G(n, p) targets count their |S|(|S| - 1)/2 pairs
+        against the size limit before they draw one; paths need no count."""
+        monkeypatch.setattr(network, "SIZE_LIMIT", 20)
+        assert len(resolve(tree_cfg(targets={"random": 6}, target_edges=edges)).targets) == 6
+        with pytest.raises(ValueError, match=f"^21 {what} exceed the size limit of 20$"):
+            resolve(tree_cfg(targets="all", target_edges=edges))
+        assert resolve(tree_cfg(targets="all", target_edges="path")).target_graph.edges
 
 
 class TestRunners:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gstsim import topogen
+from gstsim import network, topogen
 from gstsim.topogen import (
     generate_topology,
     gnp_topology,
@@ -135,3 +135,34 @@ def test_generate_rejects_non_integer_sizes(kind, params):
 def test_gnp_rejects_non_numeric_probability(p):
     with pytest.raises(ValueError, match=r"edge probability must lie in \[0, 1\]"):
         gnp_topology(5, p, seed=0)
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("line", {"n": 2 ** 21 + 1}, "2097153 nodes"),
+    ("tree", {"height": 21}, "4194303 nodes"),
+    ("tree", {"height": 10 ** 100}, "inf nodes"),
+    ("grid", {"rows": 2 ** 11, "cols": 2 ** 10 + 1}, "2099200 nodes"),
+    ("grid", {"rows": 2, "cols": 2 ** 20}, "3145726 links"),
+    ("gnp", {"n": 2049, "p": 0.5, "seed": 0}, "2098176 link draws"),
+])
+def test_generators_refuse_a_spec_over_the_size_limit(kind, params, message):
+    """Each generator counts its nodes and links (a gnp spec's n(n - 1)/2
+    draws) from the spec, before it allocates anything."""
+    with pytest.raises(ValueError, match=f"^{message} exceed the size limit of 2097152$"):
+        generate_topology(kind, **params)
+
+
+def test_the_size_limit_admits_its_own_size():
+    network.check_size(network.SIZE_LIMIT, "nodes")
+    with pytest.raises(ValueError, match="^2097153 nodes exceed"):
+        network.check_size(network.SIZE_LIMIT + 1, "nodes")
+
+
+def test_a_topology_document_over_the_size_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(network, "SIZE_LIMIT", 3)
+    line = {"nodes": ["a", "b", "c"], "links": [["a", "b"], ["b", "c"]]}
+    assert len(network.topology_from_dict(line)) == 3
+    with pytest.raises(ValueError, match="^4 topology nodes exceed the size limit of 3$"):
+        network.topology_from_dict({"nodes": ["a", "b", "c", "d"], "links": []})
+    with pytest.raises(ValueError, match="^4 topology links exceed the size limit of 3$"):
+        network.topology_from_dict({"nodes": ["a", "b"], "links": [["a", "b"]] * 4})
