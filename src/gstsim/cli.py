@@ -3,9 +3,11 @@
 Verbs: gen-topo, run, optimize, compare, verify-oracle.  Exit codes:
 0 success, 2 verification/assertion failure, 3 configuration error (a
 malformed flag among them).
-Scenario flags mirror the scenario JSON.  They reach
-``ScenarioConfig.from_dict`` as defaults, which checks the document and lets
-a --scenario file's values take precedence over flags.
+Scenario flags mirror the scenario JSON: argparse parses each straight
+into its scenario key, so a command line with several malformed flags
+reports the first in argv order.  They reach ``ScenarioConfig.from_dict``
+as defaults, which checks the document and lets a --scenario file's values
+take precedence over flags.
 """
 
 from __future__ import annotations
@@ -36,37 +38,36 @@ EXIT_CONFIG = 3
 MESSAGE_LIMIT = 300  # characters; a longer error message is cut to this
 
 
+def _topology_flag(text: str):
+    """--topology: inline JSON when it starts with "{", else a file path."""
+    if not text.lstrip().startswith("{"):
+        return text
+    try:
+        return decode_json(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from None
+
+
+def _targets_flag(text: str):
+    return "all" if text == "all" else text.split(",")
+
+
+def _edges_flag(text: str):
+    """--edges: a named shape, or gnp:<p> as {"gnp": p}."""
+    if not text.startswith("gnp:"):
+        return text
+    p = text.split(":", 1)[1]
+    try:
+        return {"gnp": float(p)}
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid edge probability {p!r}") from None
+
+
 def _scenario_from_args(args) -> ScenarioConfig:
-    flags = {}
-    if args.topology is not None:
-        if args.topology.lstrip().startswith("{"):
-            try:
-                flags["topology"] = decode_json(args.topology)
-            except ValueError as exc:
-                raise ValueError(f"argument --topology: invalid JSON: {exc}") from None
-        else:
-            flags["topology"] = args.topology
-    if args.targets is not None:
-        flags["targets"] = "all" if args.targets == "all" else args.targets.split(",")
-    if args.edges is not None:
-        if args.edges.startswith("gnp:"):
-            p = args.edges.split(":", 1)[1]
-            try:
-                flags["target_edges"] = {"gnp": float(p)}
-            except ValueError:
-                raise ValueError(f"argument --edges: invalid edge probability {p!r}") from None
-        else:
-            flags["target_edges"] = args.edges
-    if args.root is not None:
-        flags["root"] = args.root
-    if getattr(args, "strategy", None) is not None:
-        flags["strategy"] = args.strategy
-    if args.seed is not None:
-        flags["seed"] = args.seed
-    if args.scenario is not None:
-        cfg = load_scenario(args.scenario, flags)
-    else:
-        cfg = ScenarioConfig.from_dict(flags)
+    flags = {key: val for key in ScenarioConfig._fields
+             if (val := getattr(args, key, None)) is not None}
+    cfg = (ScenarioConfig.from_dict(flags) if args.scenario is None
+           else load_scenario(args.scenario, flags))
     if args.out is not None and "path" not in cfg.output:
         cfg.output["path"] = args.out
     if args.format is not None and "format" not in cfg.output:
@@ -86,9 +87,12 @@ def _emit(rows, cfg: ScenarioConfig) -> None:
 
 def _add_scenario_flags(sub, with_strategy: bool = True) -> None:
     sub.add_argument("--scenario", help="scenario JSON file (overrides flags)")
-    sub.add_argument("--topology", help="topology JSON file or inline generator spec")
-    sub.add_argument("--targets", help="'all' or comma-separated node ids")
-    sub.add_argument("--edges", help="complete|path|cycle|empty|gnp:<p>")
+    sub.add_argument("--topology", type=_topology_flag,
+                     help="topology JSON file or inline generator spec")
+    sub.add_argument("--targets", type=_targets_flag,
+                     help="'all' or comma-separated node ids")
+    sub.add_argument("--edges", type=_edges_flag, dest="target_edges", metavar="EDGES",
+                     help="complete|path|cycle|empty|gnp:<p>")
     sub.add_argument("--root", help="center | fixed:<id> | optimize")
     if with_strategy:
         sub.add_argument("--strategy", choices=STRATEGIES)

@@ -142,6 +142,10 @@ class NetworkTopology:
         is its least-ranked neighbour on the level above, so following
         parents back from any node gives its lexicographically least shortest
         path.  The search stops as soon as the last target is reached.
+        Targets are then taken in BFS order, so each one's parent walk stops
+        at the nearest target (or ``src``) above it, whose path is already
+        known, and only the targets' paths are built, after their summed
+        length passes ``check_size``.
         Returns {target: [src, ..., target]} in the order of ``targets``.
         """
         if src not in self._adj:
@@ -154,6 +158,7 @@ class NetworkTopology:
         wanted.discard(src)
         parent = {src: None}
         order = [src]
+        found = []  # the targets other than src, in BFS order
         adj = self._adj
         for cur in order:
             if not wanted:
@@ -162,16 +167,23 @@ class NetworkTopology:
                 if nb not in parent:
                     parent[nb] = cur
                     order.append(nb)
-                    wanted.discard(nb)
+                    if nb in wanted:
+                        wanted.remove(nb)
+                        found.append(nb)
+        length = {src: 1}  # path length of src and of each target taken so far
+        legs = []  # (target, the end above it, the nodes between, bottom up)
+        for t in found:
+            up = [t]
+            v = parent[t]
+            while v not in length:
+                up.append(v)
+                v = parent[v]
+            length[t] = length[v] + len(up)
+            legs.append((t, v, up))
+        check_size(sum(length[t] for t in set(targets)), "path entries")
         paths = {src: [src]}
-        for t in targets:
-            up = []
-            while t not in paths:
-                up.append(t)
-                t = parent[t]
-            route = paths[t]
-            for v in reversed(up):
-                route = paths[v] = route + [v]
+        for t, v, up in legs:
+            paths[t] = paths[v] + up[::-1]
         return {t: paths[t] for t in targets}
 
     def shortest_path(self, src: NodeId, dst: NodeId) -> list[NodeId]:

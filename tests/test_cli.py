@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -158,7 +159,10 @@ def test_json_nested_too_deeply_is_config_error(tmp_path, capsys, where):
      "10000000000 nodes exceed the size limit of 2097152"),
     (["run", "--topology", '{"kind": "line", "n": 100000}', "--edges", "complete"],
      "4999950000 target edges exceed the size limit of 2097152"),
-], ids=["tree-height-30", "grid-1e5-by-1e5", "complete-targets-on-line-1e5"])
+    (["run", "--topology", '{"kind":"line","n":100000}', "--edges", "path"],
+     "2500100000 path entries exceed the size limit of 2097152"),
+], ids=["tree-height-30", "grid-1e5-by-1e5", "complete-targets-on-line-1e5",
+        "path-targets-on-line-1e5"])
 def test_a_spec_over_the_size_limit_is_config_error(argv, message):
     """Sizes are checked from the spec before anything is allocated, so a
     huge one exits 3 at once; a fresh interpreter under a timeout, since an
@@ -171,6 +175,22 @@ def test_a_spec_over_the_size_limit_is_config_error(argv, message):
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr == f"configuration error: {message}\n"
     assert proc.stdout == ""
+
+
+def test_deep_sparse_targets_store_only_their_paths(capsys):
+    """Two targets at the ends of line(20000): the plan holds 20,001 path
+    entries, not a path for every node between (about 1.5 GB of them)."""
+    argv = ["run", "--topology", '{"kind":"line","n":20000}', "--targets", "n00000,n19999",
+            "--root", "fixed:n00000", "--edges", "path"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+    assert "gst,20000,2,19999,39997,1,40002,0,n00000,shortest,0" in \
+        capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("where", ["targets-flag", "deep-targets"])

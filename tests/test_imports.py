@@ -1,8 +1,8 @@
 """Planning and simulation never import the state-vector oracle or numpy.
 
-``gstsim`` resolves the oracle's names on first access, so `gen-topo`,
-`run`, `optimize` and `compare` start without numpy; `verify-oracle` loads
-it.  Those four verbs and ``import gstsim.cli`` also leave ``logging``,
+``import gstsim`` loads no submodule: each public name and submodule is
+imported on first access, so `gen-topo`, `run`, `optimize` and `compare`
+start without numpy; `verify-oracle` loads it.  Those four verbs and ``import gstsim.cli`` also leave ``logging``,
 ``dataclasses`` and ``inspect`` unloaded, which together cost about a third
 of a fresh import, and ``run``, ``optimize`` and ``compare`` load no
 ``typing`` in an interpreter whose ``site`` has not loaded it.  Import
@@ -136,3 +136,38 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         gstsim.not_a_name
     assert not hasattr(gstsim, "numpy")
+
+
+CLI_MODULES = ["gstsim.distribution", "gstsim.edcg", "gstsim.flow", "gstsim.graphstate",
+               "gstsim.network", "gstsim.record", "gstsim.scenario", "gstsim.topogen"]
+
+# Prints the gstsim submodules loaded after the import given as argv[1].
+SUBMODULE_PROBE = """
+import sys
+exec(sys.argv[1])
+print(sorted(m for m in sys.modules if m.startswith("gstsim.")))
+"""
+
+
+def test_import_gstsim_loads_no_submodule():
+    assert fresh_python(SUBMODULE_PROBE, "import gstsim") == "[]"
+    assert fresh_python(SUBMODULE_PROBE, "import gstsim.cli") == str(
+        sorted(CLI_MODULES + ["gstsim.cli"]))
+
+
+def test_a_submodule_import_loads_only_what_it_needs():
+    assert fresh_python(SUBMODULE_PROBE, "from gstsim.topogen import tree_topology") == str(
+        ["gstsim.graphstate", "gstsim.network", "gstsim.topogen"])
+
+
+def test_each_public_name_is_its_home_modules_object():
+    """Every name in ``__all__`` resolves to the object the module that
+    defines it holds, and each submodule name to that submodule."""
+    for name in gstsim.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(gstsim, name)
+        home = sys.modules[obj.__module__]
+        assert home.__name__.startswith("gstsim.")
+        assert getattr(home, name) is obj
+        assert getattr(gstsim, home.__name__.split(".")[1]) is home

@@ -21,7 +21,7 @@ from gstsim.network import (
 )
 from gstsim.graphstate import GraphState, edge_key
 from gstsim.distribution import DistributionRequest, center_root, execute, plan_shortest
-from gstsim import edcg, oracle
+from gstsim import edcg, network, oracle
 from gstsim.oracle import measure_y, measure_z, toggle_edge
 from gstsim.edcg import edcg_cost
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
@@ -202,6 +202,19 @@ class TestPathsAndDistances:
             t.shortest_path("z", "a")
         with pytest.raises(ValueError, match="no path from 'a' to 'y'"):
             t.shortest_paths("a", ["d", "z", "y"])
+
+    def test_shortest_paths_count_their_entries_against_the_size_limit(self, monkeypatch):
+        """The summed path lengths are checked before any path is built:
+        line(6) from n00 to every node holds 1 + 2 + ... + 6 = 21 entries,
+        and a repeated target counts once."""
+        t = line_topology(6)
+        monkeypatch.setattr(network, "SIZE_LIMIT", 21)
+        paths = t.shortest_paths("n00", list(t.nodes) + ["n05"])
+        assert [len(p) for p in paths.values()] == [1, 2, 3, 4, 5, 6]
+        monkeypatch.setattr(network, "SIZE_LIMIT", 20)
+        with pytest.raises(ValueError, match="^21 path entries exceed the size limit of 20$"):
+            t.shortest_paths("n00", t.nodes)
+        assert t.shortest_paths("n02", t.nodes)["n05"] == ["n02", "n03", "n04", "n05"]
 
     def test_queries_leave_the_topology_unchanged(self, monkeypatch):
         """The topology keeps no derived state: center_root, cascades over
