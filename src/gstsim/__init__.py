@@ -19,7 +19,7 @@ _EXPORTS = {
                      "RunReport", "Schedule", "build_resource_state", "center_root",
                      "distribute_via_resource", "epr_bound", "execute",
                      "make_schedule", "plan_shortest"),
-    "edcg": ("EdcgPlan", "build_edcg_plan", "edcg_cost", "edcg_order", "steiner_tree"),
+    "edcg": ("EdcgPlan", "build_edcg_plan", "edcg_cost", "steiner_tree"),
     "flow": ("FlowInstance", "FlowResult", "decompose_flow", "max_flow",
              "min_saturating_k", "minimize_completion_time"),
     "oracle": ("StateVector", "build_graph_state", "certification_report",

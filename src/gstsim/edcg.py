@@ -11,9 +11,10 @@ so reported pair counts are a modeled upper estimate — report rows carry a
 "modeled-cost" marker for exactly this reason.
 
 Consecutive suffixes differ by one terminal, so one ``_SuffixChain`` walks
-a whole cascade, and one loop, ``_cascade``, walks it for every ordering:
-it drops the peel pick it reads off the chain, or the next terminal of a
-given order.  A drop costs only what changes: the departing
+a whole cascade, and one loop, ``_cascade``, walks it for every ordering
+and for every reader of a plan: it drops the peel pick it reads off the
+chain, or the next terminal of a given order, and yields each suffix's
+tree.  A drop costs only what changes: the departing
 terminal's closure edges, the edges that replace them (none when it had one
 closure neighbour) and their paths in the counted union.  Every leaf of
 that union ends a closure path, so it is a terminal, and a union that is a
@@ -24,8 +25,9 @@ with a cycle is read as a network of its own: its tree is the union of
 ``NetworkTopology.shortest_paths`` from the least terminal to every
 terminal, the one lexicographic search the rest of the package uses.  The
 "exhaustive" order solves each suffix set once, from the sets one smaller.
-A plan keeps the order and the tree sizes and derives the trees on first
-read.  The module keeps no state between calls.
+A plan (``EdcgPlan``, which ``edcg_cost`` returns for every mode) keeps
+the order and the tree sizes, reads its cost off them and derives the
+trees on first read.  The module keeps no state between calls.
 
 Distances: one closure-MST search, ``_closure_kruskal``, serves both the
 first MST and its repair, and keeps nothing.  It takes the terminals
@@ -47,7 +49,7 @@ from functools import cached_property
 from .network import NetworkTopology, link_key
 from .record import Record
 
-EDCG_MODES = ("peel", "lex", "exhaustive")  # the cascade orderings edcg_order knows
+EDCG_MODES = ("peel", "lex", "exhaustive")  # the cascade orderings edcg_cost knows
 EXHAUSTIVE_MAX_TARGETS = 8  # "exhaustive" solves 2^m suffix sets; beyond this, peel
 
 
@@ -271,16 +273,6 @@ class _SuffixChain:
         return {link_key(a, b) for path in paths for a, b in zip(path, path[1:])}
 
 
-def _suffixes(topology: NetworkTopology, order):
-    """One chain walked along ``order``, yielded at each suffix
-    {s_k..s_m}, k = 1..m-1."""
-    if order:
-        chain = _SuffixChain(topology, order)
-        for gone in order[:-1]:
-            yield chain
-            chain.drop(gone)
-
-
 def steiner_tree(topology: NetworkTopology, terminals) -> set:
     """Edge set of a tree spanning the terminals (metric-closure MST expansion).
 
@@ -295,34 +287,36 @@ def steiner_tree(topology: NetworkTopology, terminals) -> set:
     return _SuffixChain(topology, terminals).tree()
 
 
-def _cascade(topology: NetworkTopology, targets, order=None) -> tuple[list, list]:
-    """Walk one ``_SuffixChain`` down a cascade: the order and the size of
-    each suffix {s_k..s_m}'s Steiner tree, k = 1..m-1.
+def _cascade(topology: NetworkTopology, targets, order=None):
+    """Walk one ``_SuffixChain`` down a cascade, yielding, for each suffix
+    {s_k..s_m}, k = 1..m-1, the terminal it drops next and its Steiner
+    tree's links.  While the union is a tree those links are the chain's
+    live ``count``, so read them before asking for the next suffix.
 
     With an ``order`` the chain drops its terminals in turn.  Without one it
     drops the peel pick: the smallest terminal on a leaf of the tree, so
     every suffix's tree loses exactly one leaf edge relative to the previous
     one whenever the network itself is a tree — the ordering the cascade
     cost story assumes.  While the union is a tree the pick is its smallest
-    leaf terminal and the size its link count; only a union with a cycle
-    builds a tree, and then the pick reads the tree's degrees.  A tree's
-    leaves are terminals once pruned, so a leaf terminal exists.
+    leaf terminal; only a union with a cycle builds a tree, and then the
+    pick reads the tree's degrees.  A tree's leaves are terminals once
+    pruned, so a leaf terminal exists.
     """
+    if not targets:
+        return
     chain = _SuffixChain(topology, targets)
-    picks, sizes = [] if order is None else list(order), []
-    while len(chain.near) > 1:
+    for k in range(len(chain.near) - 1):
         bare = chain.union_is_tree()
         edges = chain.count if bare else chain.tree()  # keyed by the tree's links
-        sizes.append(len(edges))
-        if order is None and bare:
-            picks.append(chain.leaves[0])
-        elif order is None:
+        if order is not None:
+            gone = order[k]
+        elif bare:
+            gone = chain.leaves[0]
+        else:
             degree = Counter(x for link in edges for x in link)
-            picks.append(min(t for t in chain.near if degree[t] <= 1))
-        chain.drop(picks[len(sizes) - 1])
-    if order is None:
-        picks += chain.near
-    return picks, sizes
+            gone = min(t for t in chain.near if degree[t] <= 1)
+        yield gone, edges
+        chain.drop(gone)
 
 
 def _exhaustive_order(topology: NetworkTopology, targets: list) -> list:
@@ -349,33 +343,17 @@ def _exhaustive_order(topology: NetworkTopology, targets: list) -> list:
     return list(solve(frozenset(targets))[1])
 
 
-def edcg_order(targets, topology: NetworkTopology, mode: str = "peel") -> list:
-    """Deterministic ordering s_1..s_m of the targets for the GHZ cascade.
-
-    Modes: "peel" (default; leaf-stripping order described above), "lex"
-    (plain sort), "exhaustive" (cheapest over all permutations; capped at
-    ``EXHAUSTIVE_MAX_TARGETS`` targets — beyond that it errors, and callers
-    fall back with a warning).
-    """
-    if mode not in EDCG_MODES:
-        raise ValueError(f"unknown ordering mode {mode!r}")
-    targets = sorted(set(targets))
-    if mode == "lex":
-        return targets
-    if mode == "peel":
-        return _cascade(topology, targets)[0]
-    if len(targets) > EXHAUSTIVE_MAX_TARGETS:
-        raise ValueError(f"exhaustive ordering supports at most {EXHAUSTIVE_MAX_TARGETS} "
-                         f"targets, got {len(targets)}")
-    return _exhaustive_order(topology, targets)
-
-
 class EdcgPlan(Record):
-    """Ordered cascade plus the size of the spanning tree charged to each suffix.
+    """Ordered cascade plus the size of the spanning tree charged to each
+    suffix, and the cost a report row reads off them (m = len(order)).
 
-    The trees themselves (``suffix_trees``) are derived when first read, by
-    walking one suffix chain along the order again, so a plan holds m - 1
-    sizes rather than about m^2/2 links.  Equality ignores the topology.
+    EPR pairs: the sum of the suffix tree sizes.  Timesteps: m - 1 (one GHZ
+    layer per step).  Classical bits: 2 per EPR pair plus 2 per
+    complete-graph edge slot.  Resource qubits: m(m+1)/2, the complete
+    graph's vertices plus one decoration per edge.  The trees themselves
+    (``suffix_trees``) are derived when first read, by walking the order
+    again, so a plan holds m - 1 sizes rather than about m^2/2 links.
+    Equality ignores the topology.
     """
 
     _fields = ("order", "tree_sizes")
@@ -389,10 +367,25 @@ class EdcgPlan(Record):
     def epr_pairs(self) -> int:
         return sum(self.tree_sizes)
 
+    @property
+    def timesteps(self) -> int:
+        return max(len(self.order) - 1, 0)
+
+    @property
+    def classical_bits(self) -> int:
+        m = len(self.order)
+        return 2 * self.epr_pairs + m * (m - 1)
+
+    @property
+    def resource_qubits(self) -> int:
+        m = len(self.order)
+        return m * (m + 1) // 2
+
     @cached_property
     def suffix_trees(self) -> tuple:
         """One frozenset of links per suffix {s_k..s_m}, k = 1..m-1."""
-        return tuple(frozenset(chain.tree()) for chain in _suffixes(self.topology, self.order))
+        walk = _cascade(self.topology, self.order, self.order)
+        return tuple(frozenset(edges) for _, edges in walk)
 
 
 def build_edcg_plan(topology: NetworkTopology, order) -> EdcgPlan:
@@ -400,32 +393,21 @@ def build_edcg_plan(topology: NetworkTopology, order) -> EdcgPlan:
     order = tuple(order)
     if len(set(order)) != len(order):
         raise ValueError("the cascade order repeats a target")
-    sizes = _cascade(topology, order, order)[1] if order else ()
-    return EdcgPlan(order, tuple(sizes), topology)
+    sizes = tuple(len(edges) for _, edges in _cascade(topology, order, order))
+    return EdcgPlan(order, sizes, topology)
 
 
-class EdcgCost(Record):
-    _fields = ("epr_pairs", "timesteps", "classical_bits", "resource_qubits")
+def edcg_cost(topology: NetworkTopology, targets, mode: str = "peel") -> EdcgPlan:
+    """The priced cascade that shares the edge-decorated complete graph over
+    the targets, s_1..s_m ordered by ``mode``.
 
-    def __init__(self, epr_pairs: int, timesteps: int, classical_bits: int,
-                 resource_qubits: int):
-        self.epr_pairs = epr_pairs
-        self.timesteps = timesteps
-        self.classical_bits = classical_bits
-        self.resource_qubits = resource_qubits
-
-
-def edcg_cost(topology: NetworkTopology, targets, mode: str = "peel") -> tuple[EdcgPlan, EdcgCost]:
-    """Modeled cost of sharing the edge-decorated complete graph over targets.
-
-    EPR pairs: sum of suffix spanning-tree sizes.  Timesteps: m - 1 (one
-    GHZ layer per step).  Resource qubits: m(m+1)/2 — the complete graph's
-    vertices plus one decoration per edge.  Classical bits: 2 per EPR pair
-    plus 2 per complete-graph edge slot.  Every mode walks one suffix
-    chain: "peel" picks its order on the way, and the others walk the order
-    ``edcg_order`` gives.  Over ``EXHAUSTIVE_MAX_TARGETS`` targets
-    "exhaustive" falls back to "peel" with a warning.
+    Modes: "peel" (default; the walk's own picks, see ``_cascade``), "lex"
+    (plain sort) and "exhaustive" (cheapest over all orders).  Over
+    ``EXHAUSTIVE_MAX_TARGETS`` targets "exhaustive" falls back to "peel"
+    with a warning.  Every mode walks one suffix chain.
     """
+    if mode not in EDCG_MODES:
+        raise ValueError(f"unknown ordering mode {mode!r}")
     targets = sorted(set(targets))
     m = len(targets)
     if m == 0:
@@ -437,14 +419,13 @@ def edcg_cost(topology: NetworkTopology, targets, mode: str = "peel") -> tuple[E
             "exhaustive ordering unavailable for %d targets; falling back to peel", m
         )
         mode = "peel"
-    order = None if mode == "peel" else edcg_order(targets, topology, mode)
-    order, sizes = _cascade(topology, targets, order)
-    plan = EdcgPlan(tuple(order), tuple(sizes), topology)
-    epr = plan.epr_pairs
-    cost = EdcgCost(
-        epr_pairs=epr,
-        timesteps=max(m - 1, 0),
-        classical_bits=2 * epr + m * (m - 1),
-        resource_qubits=m * (m + 1) // 2,
-    )
-    return plan, cost
+    if mode == "lex":
+        return build_edcg_plan(topology, targets)
+    if mode == "exhaustive":
+        return build_edcg_plan(topology, _exhaustive_order(topology, targets))
+    picks, sizes = [], []
+    for gone, edges in _cascade(topology, targets):
+        picks.append(gone)
+        sizes.append(len(edges))
+    picks += set(targets).difference(picks)  # the one terminal left
+    return EdcgPlan(tuple(picks), tuple(sizes), topology)

@@ -34,12 +34,13 @@ from .record import Record
 class FlowInstance(Record):
     """Directed max-flow encoding of one (root, S, k) question.
 
-    Arcs live in flat lists indexed by arc id; arc ``a ^ 1`` is the reverse
-    of arc ``a`` and starts with capacity 0.  Link i of ``links`` (the
-    topology's links, sorted) owns arc 4i (u->v) and arc 4i + 2 (v->u),
-    both of capacity k; target t of ``targets`` owns arc 4L + 2t to the
-    sink, of capacity 1, where L is the number of links.  The arrays derive
-    from the four fields, so equality compares the fields alone.
+    Arcs live in flat lists indexed by arc id, and arc ``a ^ 1`` is the
+    reverse of arc ``a``.  Link i of ``links`` (the topology's links,
+    sorted) is the one pair of arc 2i (u->v) and arc 2i + 1 (v->u), both of
+    capacity k; target t of ``targets`` owns arc 2L + 2t to the sink, of
+    capacity 1, whose reverse starts at 0, where L is the number of links.
+    The arrays derive from the four fields, so equality compares the
+    fields alone.
     """
 
     _fields = ("topology", "root", "targets", "k")
@@ -64,22 +65,17 @@ class FlowInstance(Record):
             raise ValueError("root and targets must be topology nodes")
         self.source = index[self.root]
         self.sink = len(names)
-        self.adj = [[] for _ in range(len(names) + 1)]  # adj[v] = arc ids leaving v, in order
-        self.to = []    # to[a] = head of arc a
-        self.cap = []   # cap[a] = initial capacity of arc a
+        self.adj = adj = [[] for _ in range(len(names) + 1)]  # adj[v] = arc ids leaving v
+        self.to = to = []    # to[a] = head of arc a
+        self.cap = cap = []  # cap[a] = initial capacity of arc a
         self.links = sorted(self.topology.links)
-        for u, v in self.links:
-            self._add_arc(index[u], index[v], self.k)
-            self._add_arc(index[v], index[u], self.k)
-        for t in targets:
-            self._add_arc(index[t], self.sink, 1)
-
-    def _add_arc(self, u: int, v: int, cap: int) -> None:
-        a = len(self.to)
-        self.adj[u].append(a)
-        self.adj[v].append(a + 1)
-        self.to += (v, u)
-        self.cap += (cap, 0)
+        pairs = [(index[u], index[v], self.k, self.k) for u, v in self.links]
+        pairs += [(index[t], self.sink, 1, 0) for t in targets]
+        for a, (u, v, forward, back) in enumerate(pairs):  # arcs 2a (u->v), 2a + 1 (v->u)
+            adj[u].append(2 * a)
+            adj[v].append(2 * a + 1)
+            to += (v, u)
+            cap += (forward, back)
 
 
 class FlowResult(Record):
@@ -153,14 +149,15 @@ def max_flow(instance: FlowInstance) -> FlowResult:
             else:
                 break
 
-    # Link i's arcs 4i (u->v) and 4i + 2 (v->u) both start at k, so the net
-    # flow u->v is the residual capacity of the second less that of the first.
+    # Link i's arc 2i (u->v) starts at k, so the net flow u->v is k less
+    # its residual capacity.
+    k = instance.k
     net: dict = {}
-    for (u, v), uv_left, vu_left in zip(instance.links, cap[::4], cap[2::4]):
-        if vu_left > uv_left:
-            net[(u, v)] = vu_left - uv_left
-        elif uv_left > vu_left:
-            net[(v, u)] = uv_left - vu_left
+    for (u, v), uv_left in zip(instance.links, cap[::2]):
+        if uv_left < k:
+            net[(u, v)] = k - uv_left
+        elif uv_left > k:
+            net[(v, u)] = uv_left - k
     return FlowResult(instance, total, net)
 
 

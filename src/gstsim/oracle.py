@@ -25,12 +25,12 @@ Conventions
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .graphstate import GraphState, VertexId, edge_key
+from .record import Record
 
 MAX_SIM_QUBITS = 10
 DEFAULT_TOL = 1e-9
@@ -55,21 +55,22 @@ _BYPRODUCT_UNDO = {
 }
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """Dense complex amplitudes over the sorted qubit order."""
 
-    qubit_order: tuple
-    amplitudes: np.ndarray = field(repr=False)
+    _fields = ("qubit_order", "amplitudes")
+    _unshown = ("amplitudes",)
 
-    def __post_init__(self):
-        n = len(self.qubit_order)
+    def __init__(self, qubit_order: tuple, amplitudes: np.ndarray):
+        n = len(qubit_order)
         if n > MAX_SIM_QUBITS:
             raise ValueError(f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit oracle cap")
-        if list(self.qubit_order) != sorted(self.qubit_order):
+        if list(qubit_order) != sorted(qubit_order):
             raise ValueError("qubit_order must be sorted")
-        if self.amplitudes.shape != (2**n,):
-            raise ValueError(f"expected {2**n} amplitudes, got {self.amplitudes.shape}")
+        if amplitudes.shape != (2**n,):
+            raise ValueError(f"expected {2**n} amplitudes, got {amplitudes.shape}")
+        self.qubit_order = qubit_order
+        self.amplitudes = amplitudes
 
     @property
     def n(self) -> int:
@@ -85,13 +86,15 @@ class StateVector:
         return self.amplitudes.reshape((2,) * self.n)
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
+class MeasurementOutcome(Record):
     """One branch of a projective single-qubit measurement."""
 
-    outcome: int                     # 0 -> +1 eigenvalue, 1 -> -1 eigenvalue
-    probability: float
-    post_state: StateVector | None   # None when the branch has probability 0
+    _fields = ("outcome", "probability", "post_state")
+
+    def __init__(self, outcome: int, probability: float, post_state: StateVector | None):
+        self.outcome = outcome          # 0 -> +1 eigenvalue, 1 -> -1 eigenvalue
+        self.probability = probability
+        self.post_state = post_state    # None when the branch has probability 0
 
 
 def build_graph_state(graph: GraphState) -> StateVector:

@@ -221,7 +221,7 @@ def resolve(config: ScenarioConfig) -> ResolvedScenario:
 
 def _row(scn: ResolvedScenario, algorithm: str, cost, bound: int | None,
          root: NodeId, strategy: str) -> dict:
-    """One report row; ``cost`` is a GST ``RunReport`` or an ``EdcgCost``."""
+    """One report row; ``cost`` is a GST ``RunReport`` or an ``EdcgPlan``."""
     return {
         "algorithm": algorithm,
         "n": len(scn.topology),
@@ -238,8 +238,8 @@ def _row(scn: ResolvedScenario, algorithm: str, cost, bound: int | None,
 
 
 def _edcg_row(scn: ResolvedScenario) -> dict:
-    plan, cost = edcg_cost(scn.topology, scn.targets, scn.config.edcg_mode)
-    return _row(scn, "edcg", cost, None, plan.order[-1], "modeled-cost")
+    plan = edcg_cost(scn.topology, scn.targets, scn.config.edcg_mode)
+    return _row(scn, "edcg", plan, None, plan.order[-1], "modeled-cost")
 
 
 def _gst_leg(scn: ResolvedScenario, strategy: str, root: NodeId | None = None,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .network import NetworkTopology, check_size
+from .network import SIZE_LIMIT, NetworkTopology, check_size
 
 GNP_RETRY_BUDGET = 500
 
@@ -64,17 +64,24 @@ def grid_topology(rows: int, cols: int) -> NetworkTopology:
 
 
 def gnp_topology(n: int, p: float, seed: int) -> NetworkTopology:
-    """Connected Erdos-Renyi sample; retries fresh draws until connected."""
+    """Connected Erdos-Renyi sample; retries fresh draws until connected.
+
+    Each draw makes n(n - 1)/2 link draws, so the retries stay within the
+    size budget as one draw does: at most ``GNP_RETRY_BUDGET`` draws, and
+    at most ``SIZE_LIMIT`` link draws in all (but always one draw).
+    """
     _require_int("n", n)
     _require_int("seed", seed)
     if n < 1:
         raise ValueError("gnp needs at least one node")
     if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
-    check_size(n * (n - 1) // 2, "link draws")  # at least n from n = 3 on
+    pairs = n * (n - 1) // 2
+    check_size(pairs, "link draws")  # at least n from n = 3 on
+    draws = min(GNP_RETRY_BUDGET, SIZE_LIMIT // max(pairs, 1))
     rng = random.Random(seed)
     nodes = [_name(i, n) for i in range(n)]
-    for _ in range(GNP_RETRY_BUDGET):
+    for _ in range(draws):
         links = [
             (nodes[i], nodes[j])
             for i in range(n)
@@ -86,7 +93,7 @@ def gnp_topology(n: int, p: float, seed: int) -> NetworkTopology:
         except ValueError:
             continue
     raise ValueError(
-        f"no connected G({n}, {p}) draw within {GNP_RETRY_BUDGET} retries; raise p"
+        f"no connected G({n}, {p}) draw in {draws} attempt(s); raise p"
     )
 
 

@@ -111,7 +111,7 @@ def test_criterion_4_dominance_over_the_cascade():
             topo = _random_topology(n, seed=70_000 + n * 1000 + i)
             nodes = list(topo.nodes)
             S = sorted(rng.sample(nodes, rng.randint(1, n)))
-            plan, cost = edcg_cost(topo, S)
+            plan = edcg_cost(topo, S)
             anchor = plan.order[-1]
             gst_plan = plan_shortest(topo, S, anchor)
             dist = topo.bfs_distances(anchor)
@@ -121,7 +121,7 @@ def test_criterion_4_dominance_over_the_cascade():
                 for idx, tree in enumerate(plan.suffix_trees)
             )
             checked += 1
-            if not (gst_plan.epr_cost == floor <= cost.epr_pairs and suffix_ok):
+            if not (gst_plan.epr_cost == floor <= plan.epr_pairs and suffix_ok):
                 violations += 1
             # the executed comparison enforces the same ordering end to end
             rows = compare_scenario(ScenarioConfig.from_dict({

@@ -161,17 +161,21 @@ def test_json_nested_too_deeply_is_config_error(tmp_path, capsys, where):
      "4999950000 target edges exceed the size limit of 2097152"),
     (["run", "--topology", '{"kind":"line","n":100000}', "--edges", "path"],
      "2500100000 path entries exceed the size limit of 2097152"),
+    (["gen-topo", "--kind", "gnp", "--n", "2000", "--p", "0"],
+     "no connected G(2000, 0.0) draw in 1 attempt(s); raise p"),
 ], ids=["tree-height-30", "grid-1e5-by-1e5", "complete-targets-on-line-1e5",
-        "path-targets-on-line-1e5"])
+        "path-targets-on-line-1e5", "never-connected-gnp-2000"])
 def test_a_spec_over_the_size_limit_is_config_error(argv, message):
     """Sizes are checked from the spec before anything is allocated, so a
     huge one exits 3 at once; a fresh interpreter under a timeout, since an
-    unchecked one allocates without bound."""
+    unchecked one allocates without bound.  A gnp spec's retries stay in
+    the same budget: one G(2000, 0) draw is 1,999,000 of its 2,097,152 link
+    draws, so it is drawn once (500 draws would take about 96 s)."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", "gstsim.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=30)
+                          capture_output=True, text=True, env=env, timeout=20)
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr == f"configuration error: {message}\n"
     assert proc.stdout == ""

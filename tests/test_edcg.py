@@ -12,14 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from gstsim import edcg
-from gstsim.edcg import (
-    EdcgCost,
-    EdcgPlan,
-    build_edcg_plan,
-    edcg_cost,
-    edcg_order,
-    steiner_tree,
-)
+from gstsim.edcg import EdcgPlan, build_edcg_plan, edcg_cost, steiner_tree
 from gstsim.network import NetworkTopology
 from gstsim.topogen import gnp_topology, grid_topology, line_topology, tree_topology
 
@@ -117,21 +110,20 @@ class TestSteiner:
 class TestOrdering:
     def test_lex_mode_sorts(self):
         topo = line_topology(3)
-        assert edcg_order(["n02", "n00"], topo, mode="lex") == ["n00", "n02"]
+        assert edcg_cost(topo, ["n02", "n00"], mode="lex").order == ("n00", "n02")
 
     def test_modes_agree_on_a_line(self):
         topo = line_topology(4)
         S = ["n01", "n00", "n02"]
-        assert edcg_order(S, topo, mode="peel") == ["n00", "n01", "n02"]
-        assert edcg_order(S, topo, mode="lex") == ["n00", "n01", "n02"]
-        assert edcg_order(S, topo, mode="exhaustive") == ["n00", "n01", "n02"]
+        for mode in ("peel", "lex", "exhaustive"):
+            assert edcg_cost(topo, S, mode).order == ("n00", "n01", "n02")
 
     def test_exhaustive_matches_direct_minimum(self):
         from itertools import permutations
         rng = random.Random(71)
         topo = gnp_topology(6, 0.5, seed=4)
         S = sorted(rng.sample(list(topo.nodes), 4))
-        best = edcg_order(S, topo, mode="exhaustive")
+        best = edcg_cost(topo, S, mode="exhaustive").order
         cost_of = lambda order: build_edcg_plan(topo, list(order)).epr_pairs
         assert cost_of(best) == min(cost_of(p) for p in permutations(S))
 
@@ -140,7 +132,7 @@ class TestOrdering:
         topo = grid_topology(6, 6)
         S = list(topo.nodes)[::4][:8]
         calls = record_steiner_calls(monkeypatch)
-        best = edcg_order(S, topo, mode="exhaustive")
+        best = edcg_cost(topo, S, mode="exhaustive").order
         monkeypatch.undo()
         assert len(calls) == len(set(calls)) == 2 ** 8 - 9  # suffix sets of 2+
 
@@ -149,17 +141,12 @@ class TestOrdering:
         size = lru_cache(maxsize=None)(lambda terms: len(steiner_tree(topo, terms)))
         cost = lambda order: sum(size(frozenset(order[i:])) for i in range(len(order) - 1))
         expected = min(permutations(sorted(S)), key=lambda order: (cost(order), order))
-        assert best == list(expected)
+        assert best == expected
         assert cost(expected) == build_edcg_plan(topo, best).epr_pairs
 
-    def test_exhaustive_capped_at_eight(self):
-        topo = gnp_topology(9, 0.6, seed=1)
-        with pytest.raises(ValueError):
-            edcg_order(list(topo.nodes), topo, mode="exhaustive")
-
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            edcg_order(["n00"], line_topology(2), mode="greedy")
+        with pytest.raises(ValueError, match="unknown ordering mode 'greedy'"):
+            edcg_cost(line_topology(2), ["n00"], mode="greedy")
 
 
 class TestCost:
@@ -167,24 +154,23 @@ class TestCost:
     def test_binary_tree_grows_quadratically(self, h):
         topo = tree_topology(h)
         n = len(topo.nodes)
-        plan, cost = edcg_cost(topo, list(topo.nodes))
-        assert cost.epr_pairs == n * (n - 1) // 2
-        assert cost.timesteps == n - 1
-        assert cost.resource_qubits == n * (n + 1) // 2
-        assert cost.classical_bits == 2 * cost.epr_pairs + n * (n - 1)
+        plan = edcg_cost(topo, list(topo.nodes))
+        assert plan.epr_pairs == n * (n - 1) // 2
+        assert plan.timesteps == n - 1
+        assert plan.resource_qubits == n * (n + 1) // 2
+        assert plan.classical_bits == 2 * plan.epr_pairs + n * (n - 1)
 
     def test_line_all_nodes(self):
         topo = line_topology(5)
-        _, cost = edcg_cost(topo, list(topo.nodes))
-        assert cost.epr_pairs == 10
+        assert edcg_cost(topo, list(topo.nodes)).epr_pairs == 10
 
     def test_plan_exposes_suffix_trees(self):
         topo = tree_topology(2)
         S = ["n03", "n04", "n05"]
-        plan, cost = edcg_cost(topo, S)
+        plan = edcg_cost(topo, S)
         assert isinstance(plan, EdcgPlan)
         assert len(plan.suffix_trees) == len(S) - 1
-        assert cost.epr_pairs == sum(len(t) for t in plan.suffix_trees)
+        assert plan.epr_pairs == sum(len(t) for t in plan.suffix_trees)
 
     def test_each_suffix_tree_beats_plain_distance(self):
         """Every cascade step spans at least the last-to-kth distance —
@@ -193,19 +179,36 @@ class TestCost:
         for seed in range(8):
             topo = gnp_topology(7, 0.4, seed=seed)
             S = sorted(rng.sample(list(topo.nodes), 4))
-            plan, _ = edcg_cost(topo, S)
+            plan = edcg_cost(topo, S)
             fw = floyd_warshall(topo)
             last = plan.order[-1]
             for idx, tree in enumerate(plan.suffix_trees):
                 assert len(tree) >= fw[(plan.order[idx], last)]
 
+    def test_plan_cost_follows_the_formulas(self):
+        """Every mode and build_edcg_plan price a plan off its order and
+        tree sizes alone, m = len(order); the empty order costs nothing."""
+        topo = gnp_topology(12, 0.3, seed=2)
+        S = sorted(topo.nodes)[:6]
+        plans = [edcg_cost(topo, S, mode) for mode in edcg.EDCG_MODES]
+        plans += [build_edcg_plan(topo, order) for order in (S[::-1], S[:1], ())]
+        for plan in plans:
+            m, epr = len(plan.order), sum(plan.tree_sizes)
+            assert (plan.epr_pairs, plan.timesteps, plan.classical_bits, plan.resource_qubits) \
+                == (epr, max(m - 1, 0), 2 * epr + m * (m - 1), m * (m + 1) // 2)
+        assert [len(plan.tree_sizes) for plan in plans] == [5, 5, 5, 5, 0, 0]
+        empty = plans[-1]
+        assert (empty.epr_pairs, empty.timesteps, empty.classical_bits,
+                empty.resource_qubits) == (0, 0, 0, 0)
+        assert empty.suffix_trees == ()
+
     def test_exhaustive_falls_back_for_big_sets(self, caplog):
         topo = gnp_topology(10, 0.45, seed=6)
         S = sorted(topo.nodes)[:9]
         with caplog.at_level(logging.WARNING):
-            plan, cost = edcg_cost(topo, S, mode="exhaustive")
+            plan = edcg_cost(topo, S, mode="exhaustive")
         assert any("exhaustive" in rec.message for rec in caplog.records)
-        assert cost.epr_pairs == edcg_cost(topo, S, mode="peel")[1].epr_pairs
+        assert plan.epr_pairs == edcg_cost(topo, S, mode="peel").epr_pairs
 
     def test_exhaustive_fallback_walks_one_chain(self, caplog, monkeypatch):
         """Over 8 targets the fallback to peel is decided before the walk,
@@ -216,15 +219,16 @@ class TestCost:
         monkeypatch.setattr(edcg, "_mst_on_terminals",
                             lambda t, ts: builds.append(list(ts)) or fresh_mst(t, ts))
         with caplog.at_level(logging.WARNING, logger="gstsim.edcg"):
-            plan, cost = edcg_cost(topo, S, mode="exhaustive")
+            plan = edcg_cost(topo, S, mode="exhaustive")
         assert builds == [S]
         assert [(rec.name, rec.getMessage()) for rec in caplog.records] == [
             ("gstsim.edcg", "exhaustive ordering unavailable for 9 targets; falling back to peel")]
-        assert cost == EdcgCost(epr_pairs=36, timesteps=8, classical_bits=144, resource_qubits=45)
+        assert (plan.epr_pairs, plan.timesteps, plan.classical_bits, plan.resource_qubits) == \
+            (36, 8, 144, 45)
         assert plan == EdcgPlan(("n02", "n05", "n00", "n04", "n06", "n01", "n07", "n03", "n08"),
                                 (8, 7, 6, 5, 4, 3, 2, 1), topo)
         monkeypatch.undo()
-        assert (plan, cost) == edcg_cost(topo, S, mode="peel")
+        assert plan == edcg_cost(topo, S, mode="peel")
 
     @pytest.mark.parametrize("topo", [
         gnp_topology(12, 0.3, seed=2), gnp_topology(20, 0.15, seed=7),
@@ -237,28 +241,31 @@ class TestCost:
         build_edcg_plan derives from the peel order."""
         rng = random.Random(len(topo.nodes))
         nodes = list(topo.nodes)
-        real_tree, fresh_mst = edcg._SuffixChain.tree, edcg._mst_on_terminals
+        real_tree, real_drop = edcg._SuffixChain.tree, edcg._SuffixChain.drop
+        fresh_mst = edcg._mst_on_terminals
 
         def bare(c):  # the union is a tree
             return len(c.count) == len(c.adj) - 1
 
         for S in [nodes] + [rng.sample(nodes, rng.randint(1, len(nodes))) for _ in range(4)]:
             steiner_calls = record_steiner_calls(monkeypatch)
-            tree_calls, fresh_builds = [], []
+            tree_calls, fresh_builds, unions = [], [], []  # unions: bare at each suffix
             monkeypatch.setattr(edcg._SuffixChain, "tree",
                                 lambda c: tree_calls.append(bare(c)) or real_tree(c))
+            monkeypatch.setattr(edcg._SuffixChain, "drop",
+                                lambda c, gone: unions.append(bare(c)) or real_drop(c, gone))
             monkeypatch.setattr(edcg, "_mst_on_terminals",
                                 lambda t, ts: fresh_builds.append(list(ts)) or fresh_mst(t, ts))
-            plan, cost = edcg_cost(topo, S)
+            plan = edcg_cost(topo, S)
             monkeypatch.undo()
             assert not any(tree_calls)
-            assert len(tree_calls) == sum(not bare(c) for c in edcg._suffixes(topo, plan.order))
+            assert len(unions) == len(plan.order) - 1
+            assert len(tree_calls) == unions.count(False)
             if S is nodes:
                 assert tree_calls == []
             assert fresh_builds == [sorted(set(S))]
             assert steiner_calls == []
-            assert plan == build_edcg_plan(topo, edcg_order(S, topo))
-            assert cost.epr_pairs == plan.epr_pairs
+            assert plan == build_edcg_plan(topo, plan.order)
 
     @pytest.mark.parametrize("topo", [
         line_topology(30), grid_topology(5, 6), tree_topology(4),
@@ -274,8 +281,8 @@ class TestCost:
         nodes = list(topo.nodes)
         fresh_mst = edcg._mst_on_terminals
         for S in [nodes] + [rng.sample(nodes, rng.randint(2, len(nodes))) for _ in range(4)]:
-            order, sizes = edcg._cascade(topo, sorted(S))
-
+            plan = edcg_cost(topo, S)
+            order = list(plan.order)
             for walk in (order, sorted(S)):
                 fresh_builds = []
                 monkeypatch.setattr(edcg, "_mst_on_terminals",
@@ -288,8 +295,8 @@ class TestCost:
                 assert fresh_builds == [sorted(walk)]
 
             trees = [steiner_tree(topo, order[k:]) for k in range(len(order) - 1)]
-            assert sizes == [len(tree) for tree in trees]
-            assert list(edcg_cost(topo, S)[0].suffix_trees) == trees
+            assert list(plan.tree_sizes) == [len(tree) for tree in trees]
+            assert list(plan.suffix_trees) == trees
 
     def test_closure_mst_repairs_a_hub_removal(self):
         """Dropping a terminal of closure-MST degree 4 leaves four pieces;
@@ -356,9 +363,9 @@ class TestCost:
         assert backward[::-1] == forward
 
     def test_single_target_costs_nothing(self):
-        _, cost = edcg_cost(line_topology(3), ["n01"])
-        assert cost.epr_pairs == 0
-        assert cost.timesteps == 0
+        plan = edcg_cost(line_topology(3), ["n01"])
+        assert plan.epr_pairs == 0
+        assert plan.timesteps == 0
 
 
 
@@ -494,14 +501,15 @@ def test_theta_unions_need_the_bfs_and_deep_pruning():
         chain = edcg._SuffixChain(topo, core)
         if len(chain.count) != len(chain.adj) - 1:
             deep += len(chain.adj) - 1 - len(chain.tree()) > 1
-        order = edcg._cascade(topo, sorted(core))[0]
+        order = list(edcg_cost(topo, core).order)
         for walk in (order, sorted(core), core[::-1]):
             check_chain_against_reference(topo, walk)
         for extra in topo.nodes:
             S = sorted(set(core) | {extra})
-            order, sizes = edcg._cascade(topo, S)
+            plan = edcg_cost(topo, S)
             ref_order, ref_trees = reference_peel(topo, S)
-            assert (order, sizes) == (ref_order, [len(tree) for tree in ref_trees])
+            assert (list(plan.order), list(plan.tree_sizes)) == \
+                (ref_order, [len(tree) for tree in ref_trees])
     assert deep >= 5
 
 
@@ -515,8 +523,10 @@ def test_suffix_chain_trees_match_the_reference(case, data):
     S = sorted(set(core) | set(extra))
     how = data.draw(hs.sampled_from(["peel", "lex", "random"]))
     if how == "peel":
-        order, sizes = edcg._cascade(topo, S)
-        assert sizes == [len(reference_steiner_tree(topo, order[k:])) for k in range(len(order) - 1)]
+        plan = edcg_cost(topo, S)
+        order = list(plan.order)
+        assert list(plan.tree_sizes) == \
+            [len(reference_steiner_tree(topo, order[k:])) for k in range(len(order) - 1)]
     else:
         order = S if how == "lex" else data.draw(hs.permutations(S))
     check_chain_against_reference(topo, order)
@@ -547,7 +557,7 @@ def test_edcg_cost_matches_the_reference_cascade(case, mode, data):
                                max_size=6 - len(core) if mode == "exhaustive" else None,
                                unique=True))
     S = sorted(set(core) | set(extra))
-    plan, cost = edcg_cost(topo, S, mode)
+    plan = edcg_cost(topo, S, mode)
     if mode == "peel":
         order, trees = reference_peel(topo, S)
     else:
@@ -556,7 +566,6 @@ def test_edcg_cost_matches_the_reference_cascade(case, mode, data):
     assert list(plan.order) == order
     assert list(plan.tree_sizes) == [len(tree) for tree in trees]
     assert list(plan.suffix_trees) == trees
-    assert cost.epr_pairs == plan.epr_pairs
 
 
 def test_edcg_plan_keeps_only_the_order_and_tree_sizes():
@@ -568,13 +577,13 @@ def test_edcg_plan_keeps_only_the_order_and_tree_sizes():
     gc.collect()
     tracemalloc.start()
     try:
-        plan, cost = edcg_cost(topo, nodes)
+        plan = edcg_cost(topo, nodes)
         gc.collect()
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert retained < 1_000_000
-    assert cost.epr_pairs == len(nodes) * (len(nodes) - 1) // 2
+    assert plan.epr_pairs == len(nodes) * (len(nodes) - 1) // 2
     assert "suffix_trees" not in vars(plan)
     assert plan.suffix_trees == build_edcg_plan(topo, plan.order).suffix_trees
     assert [len(tree) for tree in plan.suffix_trees] == list(plan.tree_sizes)
@@ -589,7 +598,7 @@ def test_edcg_cost_leaves_nothing_on_the_topology():
     gc.collect()
     tracemalloc.start()
     try:
-        plan, cost = edcg_cost(topo, targets, "lex")
+        plan = edcg_cost(topo, targets, "lex")
         gc.collect()
         retained, _ = tracemalloc.get_traced_memory()
     finally:

@@ -39,6 +39,18 @@ class TestInstance:
         with pytest.raises(ValueError):
             FlowInstance(line_topology(3), "n00", ["n02"], 0)
 
+    def test_each_link_is_one_arc_pair(self):
+        """Link i is arcs 2i (u->v) and 2i + 1 (v->u), both of capacity k,
+        and each target one arc to the sink and its empty reverse."""
+        topo, targets = bowtie(), ["s1", "s2", "s3"]
+        inst = FlowInstance(topo, "root", targets, 3)
+        assert len(inst.to) == 2 * (len(topo.links) + len(targets))
+        links = len(topo.links)
+        assert inst.cap == [3] * (2 * links) + [1, 0] * len(targets)
+        index = {v: i for i, v in enumerate(topo.nodes)}
+        for i, (u, v) in enumerate(inst.links):
+            assert (inst.to[2 * i], inst.to[2 * i + 1]) == (index[v], index[u])
+
     def test_reusable_across_calls(self):
         inst = FlowInstance(bowtie(), "root", ["s1", "s2", "s3"], 2)
         first = max_flow(inst).value

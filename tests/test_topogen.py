@@ -80,6 +80,28 @@ def test_gnp_retry_budget_exhausts():
         gnp_topology(30, 0.0, seed=0)
 
 
+@pytest.mark.parametrize("limit, n, draws", [
+    (network.SIZE_LIMIT, 30, topogen.GNP_RETRY_BUDGET), (1000, 30, 2), (435, 30, 1),
+    (10 ** 6, 1000, 2),
+])
+def test_gnp_retries_stay_within_the_size_budget(monkeypatch, limit, n, draws):
+    """A spec with no connected draw makes min(GNP_RETRY_BUDGET,
+    SIZE_LIMIT // pairs) draws of its n(n - 1)/2 pairs, and names that
+    number."""
+    monkeypatch.setattr(topogen, "SIZE_LIMIT", limit)
+    made = []
+    real = topogen.NetworkTopology
+    monkeypatch.setattr(topogen, "NetworkTopology",
+                        lambda nodes, links: made.append(n) or real(nodes, links))
+    with pytest.raises(ValueError, match=rf"^no connected G\({n}, 0.0\) draw in {draws} attempt"):
+        gnp_topology(n, 0.0, seed=0)
+    assert len(made) == draws
+
+
+def test_gnp_single_node_has_no_link_draws():
+    assert gnp_topology(1, 0.0, seed=0).nodes == ("n00",)
+
+
 def test_generate_dispatch():
     t = generate_topology("tree", height=1)
     assert len(t.nodes) == 3
