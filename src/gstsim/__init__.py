@@ -21,10 +21,9 @@ _EXPORTS = {
                      "make_schedule", "plan_shortest"),
     "edcg": ("EdcgPlan", "build_edcg_plan", "edcg_cost", "steiner_tree"),
     "flow": ("FlowInstance", "FlowResult", "decompose_flow", "max_flow",
-             "min_saturating_k", "minimize_completion_time"),
+             "minimize_completion_time"),
     "oracle": ("StateVector", "build_graph_state", "certification_report",
-               "measure_pauli", "verify_graphical_rule", "verify_teleport_transfer",
-               "verify_transfer_sequence"),
+               "measure_pauli", "verify_graphical_rule", "verify_transfer_sequence"),
     "scenario": ("ScenarioConfig", "compare_scenario", "emit_report",
                  "optimize_scenario", "run_scenario"),
     "topogen": ("generate_topology",),

@@ -63,9 +63,6 @@ class DistributionPlan(Record):
         self.root = root
         self.paths = paths  # target NodeId -> [root, ..., target]
 
-    def hops(self, node: NodeId) -> int:
-        return len(self.paths[node]) - 1
-
     @property
     def epr_cost(self) -> int:
         return sum(len(p) - 1 for p in self.paths.values())

@@ -153,11 +153,6 @@ class _SuffixChain:
         for u, v in _mst_on_terminals(topology, terminals):
             self._add(u, v)
 
-    @property
-    def mst(self):
-        """The closure MST's edges (u, v), u < v: a view, not a copy."""
-        return self.paths.keys()
-
     def _add(self, u, v) -> None:
         self.near[u].add(v)
         self.near[v].add(u)

@@ -55,6 +55,8 @@ class FlowInstance(Record):
     def __post_init__(self):
         """Validate and build the arc arrays (bench/spans.py times this
         method by name, as ``flow.instance_s``)."""
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
+            raise ValueError(f"link capacity k must be an integer, not {self.k!r}")
         if self.k < 1:
             raise ValueError("link capacity k must be at least 1")
         targets = tuple(sorted(set(self.targets)))
@@ -322,12 +324,6 @@ def _smallest_k(topology: NetworkTopology, targets: tuple, root: NodeId,
         else:
             k, found = mid, result
     return k, found
-
-
-def min_saturating_k(topology: NetworkTopology, targets, root: NodeId) -> int:
-    """Smallest per-link capacity k at which all targets are reachable at once
-    from ``root``: the completion-time search with ``root`` its only candidate."""
-    return minimize_completion_time(topology, targets, [root])[1]
 
 
 def minimize_completion_time(topology: NetworkTopology, targets,

@@ -51,8 +51,8 @@ class NetworkTopology:
 
     The topology keeps no derived state: every distance query searches.
     ``shortest_paths`` runs one search per call that stops at its last
-    target.  Every full BFS is ``bfs_distances``: ``eccentricity`` runs one,
-    ``components`` one per component and ``center_root`` a few (see there).
+    target.  Every full BFS is ``bfs_distances``: ``components`` runs one per
+    component and ``center_root`` a few (see there).
     """
 
     def __init__(self, nodes, links):
@@ -95,9 +95,6 @@ class NetworkTopology:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def has_link(self, u: NodeId, v: NodeId) -> bool:
-        return link_key(u, v) in self._links
-
     def neighbors(self, v: NodeId) -> tuple:
         if v not in self._adj:
             raise ValueError(f"unknown node {v!r}")
@@ -119,8 +116,8 @@ class NetworkTopology:
     def bfs_distances(self, src: NodeId) -> dict:
         """Hop counts from ``src`` to every reachable node (a fresh dict).
 
-        The one full BFS: ``components``, ``eccentricity`` and
-        ``distribution.center_root`` all call it."""
+        The one full BFS: ``components`` and ``distribution.center_root``
+        call it."""
         if src not in self._adj:
             raise ValueError(f"unknown node {src!r}")
         dist = {src: 0}
@@ -189,9 +186,6 @@ class NetworkTopology:
     def shortest_path(self, src: NodeId, dst: NodeId) -> list[NodeId]:
         """Lexicographically smallest among all shortest src->dst paths."""
         return self.shortest_paths(src, (dst,))[dst]
-
-    def eccentricity(self, v: NodeId) -> int:
-        return max(self.bfs_distances(v).values())
 
 
 def check_node_ids(items, what: str) -> list:

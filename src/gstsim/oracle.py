@@ -317,15 +317,6 @@ def teleport_corrections(graph: GraphState, a: VertexId, b: VertexId,
     return labels
 
 
-def verify_teleport_transfer(graph: GraphState, a: VertexId, b: VertexId, c: VertexId) -> bool:
-    """True iff all four projection outcomes reach the moved-neighborhood state.
-
-    The projection basis is the four-vector family above; each outcome may
-    be corrected by a Pauli on c only (the designated receiving qubit).
-    """
-    return None not in teleport_corrections(graph, a, b, c)
-
-
 def verify_transfer_sequence(graph: GraphState, a: VertexId, b: VertexId, c: VertexId) -> bool:
     """Check the three-step transfer rewrite against full quantum simulation.
 

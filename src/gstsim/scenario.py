@@ -180,20 +180,19 @@ def _resolve_target_graph(spec, targets: list, rng: random.Random) -> GraphState
 
 
 class ResolvedScenario(Record):
-    """A checked scenario: its topology, sorted targets and target graph,
-    the fixed root (None for "center" and "optimize") and the one
-    ``DistributionRequest`` every leg executes."""
+    """A checked scenario: its topology, sorted targets, the one
+    ``DistributionRequest`` every leg executes (its ``target`` is the target
+    graph) and the fixed root (None for "center" and "optimize")."""
 
-    _fields = ("config", "topology", "targets", "target_graph", "root")
+    _fields = ("config", "topology", "targets", "request", "root")
 
     def __init__(self, config: ScenarioConfig, topology: NetworkTopology, targets: list,
-                 target_graph: GraphState, root: NodeId | None):
+                 target: GraphState, root: NodeId | None):
         self.config = config
         self.topology = topology
         self.targets = targets
-        self.target_graph = target_graph
+        self.request = DistributionRequest(target, {t: t for t in targets})
         self.root = root
-        self.request = DistributionRequest(target_graph, {t: t for t in targets})
 
 
 def resolve(config: ScenarioConfig) -> ResolvedScenario:

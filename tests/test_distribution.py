@@ -279,7 +279,7 @@ class TestPlanning:
         assert plan.paths["n00"] == ["n00"]
         assert plan.paths["n03"] == ["n00", "n01", "n02", "n03"]
         assert plan.epr_cost == 0 + 1 + 2 + 3
-        assert plan.hops("n02") == 2
+        assert len(plan.paths["n02"]) - 1 == 2
 
     def test_validate_plan_rejects_nonlink_step(self):
         topo = line(3)

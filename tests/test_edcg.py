@@ -289,7 +289,7 @@ class TestCost:
                                     lambda t, ts: fresh_builds.append(list(ts)) or fresh_mst(t, ts))
                 chain = edcg._SuffixChain(topo, walk)
                 for k, gone in enumerate(walk[:-1]):
-                    assert set(chain.mst) == set(fresh_mst(topo, sorted(walk[k:])))
+                    assert set(chain.paths) == set(fresh_mst(topo, sorted(walk[k:])))
                     chain.drop(gone)
                 monkeypatch.undo()
                 assert fresh_builds == [sorted(walk)]
@@ -304,10 +304,10 @@ class TestCost:
         topo = grid_topology(5, 5)
         hub, arms = "r02c02", ["r01c02", "r02c01", "r02c03", "r03c02"]
         chain = edcg._SuffixChain(topo, arms + [hub])
-        assert {e for e in chain.mst if hub in e} == {tuple(sorted((hub, a))) for a in arms}
+        assert {e for e in chain.paths if hub in e} == {tuple(sorted((hub, a))) for a in arms}
         chain.drop(hub)
-        assert set(chain.mst) == set(edcg._mst_on_terminals(topo, arms))
-        assert set(chain.mst) == {("r01c02", a) for a in arms[1:]}
+        assert set(chain.paths) == set(edcg._mst_on_terminals(topo, arms))
+        assert set(chain.paths) == {("r01c02", a) for a in arms[1:]}
         assert chain.tree() == steiner_tree(topo, arms)
 
     def test_closure_mst_repair_with_tied_largest_pieces(self):
@@ -326,7 +326,7 @@ class TestCost:
             assert chain._reconnect(heads) == expected
         chain = edcg._SuffixChain(topo, S)
         chain.drop(hub)
-        assert set(chain.mst) == set(reference_closure_mst(topo, S[1:]))
+        assert set(chain.paths) == set(reference_closure_mst(topo, S[1:]))
         assert chain.tree() == reference_steiner_tree(topo, S[1:])
 
     def test_closure_mst_repair_joins_two_small_pieces_first(self):
@@ -340,8 +340,8 @@ class TestCost:
         assert chain.near["a0"] == {"b", "c", "x1"}
         chain.drop("a0")
         rest = list(topo.nodes)[1:]
-        assert set(chain.mst) == {("b", "c"), ("b", "x1"), ("x1", "x2"), ("x2", "x3")}
-        assert set(chain.mst) == set(reference_closure_mst(topo, rest))
+        assert set(chain.paths) == {("b", "c"), ("b", "x1"), ("x1", "x2"), ("x2", "x3")}
+        assert set(chain.paths) == set(reference_closure_mst(topo, rest))
         assert chain.tree() == reference_steiner_tree(topo, rest)
 
     def test_closure_mst_rebuilds_for_other_sets(self, monkeypatch):
@@ -418,7 +418,7 @@ def check_chain_against_reference(topo, order):
     Kruskal's, and its counted path union is the one a fresh chain holds."""
     chain = edcg._SuffixChain(topo, order)
     for k, gone in enumerate(order[:-1]):
-        assert set(chain.mst) == set(reference_closure_mst(topo, order[k:]))
+        assert set(chain.paths) == set(reference_closure_mst(topo, order[k:]))
         fresh = edcg._SuffixChain(topo, order[k:])
         assert (chain.count, chain.adj) == (fresh.count, fresh.adj)
         assert chain.tree() == reference_steiner_tree(topo, order[k:])
@@ -468,7 +468,7 @@ def test_repaired_closure_mst_matches_all_pairs_kruskal(topo, sizes, monkeypatch
             chain = edcg._SuffixChain(topo, walk)
             for k, gone in enumerate(walk[:-1]):
                 chain.drop(gone)
-                assert set(chain.mst) == set(reference_closure_mst(topo, walk[k + 1:]))
+                assert set(chain.paths) == set(reference_closure_mst(topo, walk[k + 1:]))
     # a piece of several terminals that searches: only a repair passes one
     assert any(len(piece) > 1 for pieces in searched for piece in pieces[:-1])
 
@@ -484,11 +484,11 @@ def test_repair_pairs_a_tied_terminal_with_the_lesser_of_its_piece():
          ("z", "z2"), ("c", "g1"), ("g1", "g"), ("g", "g2"), ("g2", "z")])
     terminals = ["b", "c", "g", "y", "z", "z2"]
     chain = edcg._SuffixChain(topo, terminals)
-    assert set(chain.mst) == {("b", "c"), ("c", "g"), ("g", "z"), ("y", "z"), ("z", "z2")}
+    assert set(chain.paths) == {("b", "c"), ("c", "g"), ("g", "z"), ("y", "z"), ("z", "z2")}
     assert chain.near["g"] == {"c", "z"}
     chain.drop("g")
-    assert set(chain.mst) == {("b", "c"), ("b", "y"), ("y", "z"), ("z", "z2")}
-    assert set(chain.mst) == set(reference_closure_mst(topo, terminals[:2] + terminals[3:]))
+    assert set(chain.paths) == {("b", "c"), ("b", "y"), ("y", "z"), ("z", "z2")}
+    assert set(chain.paths) == set(reference_closure_mst(topo, terminals[:2] + terminals[3:]))
 
 
 def test_theta_unions_need_the_bfs_and_deep_pruning():

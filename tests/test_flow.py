@@ -13,7 +13,6 @@ from gstsim.flow import (
     _smallest_k,
     decompose_flow,
     max_flow,
-    min_saturating_k,
     minimize_completion_time,
 )
 from gstsim.network import NetworkTopology, link_key
@@ -38,6 +37,14 @@ class TestInstance:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             FlowInstance(line_topology(3), "n00", ["n02"], 0)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2"])
+    def test_k_must_be_an_integer(self, k):
+        """Each augmentation moves one whole unit, so a fractional k would
+        let a link overfill (two units over a capacity of 1.5), and True
+        would pass as 1."""
+        with pytest.raises(ValueError, match=f"must be an integer, not {k!r}"):
+            FlowInstance(line_topology(4), "n00", ["n01", "n03"], k)
 
     def test_each_link_is_one_arc_pair(self):
         """Link i is arcs 2i (u->v) and 2i + 1 (v->u), both of capacity k,
@@ -114,7 +121,7 @@ class TestDecomposition:
         for t, path in plan.paths.items():
             assert path[0] == "root" and path[-1] == t
             for i in range(len(path) - 1):
-                assert topo.has_link(path[i], path[i + 1])
+                assert link_key(path[i], path[i + 1]) in topo.links
                 key = tuple(sorted((path[i], path[i + 1])))
                 usage[key] = usage.get(key, 0) + 1
         assert max(usage.values()) <= 2
@@ -152,8 +159,8 @@ class TestOptimizer:
     def test_min_saturating_k_on_line(self):
         topo = line_topology(5)
         S = list(topo.nodes)
-        assert min_saturating_k(topo, S, "n00") == 4
-        assert min_saturating_k(topo, S, "n02") == 2
+        assert minimize_completion_time(topo, S, ["n00"])[1] == 4
+        assert minimize_completion_time(topo, S, ["n02"])[1] == 2
 
     def test_min_saturating_k_brute_checked(self):
         rng = random.Random(3)
@@ -162,7 +169,7 @@ class TestOptimizer:
             nodes = list(topo.nodes)
             root = rng.choice(nodes)
             S = sorted(rng.sample(nodes, 3))
-            k = min_saturating_k(topo, S, root)
+            k = minimize_completion_time(topo, S, [root])[1]
             assert path_multiset_exists(topo, root, S, k)
             if k > 1:
                 assert not path_multiset_exists(topo, root, S, k - 1)
@@ -182,8 +189,8 @@ class TestOptimizer:
         for root in ("h", "a1", far[0]):
             want = next(k for k in range(1, t + 1)
                         if max_flow(FlowInstance(topo, root, far, k)).value == t)
-            assert min_saturating_k(topo, far, root) == want
-        assert min_saturating_k(topo, far, "h") == -(-t // 2)
+            assert minimize_completion_time(topo, far, [root])[1] == want
+        assert minimize_completion_time(topo, far, ["h"])[1] == -(-t // 2)
 
     def test_bowtie_pinned_vs_free_root(self):
         topo = bowtie()
@@ -243,7 +250,7 @@ class TestDeepPaths:
 
     def test_min_saturating_k_to_the_far_end(self):
         topo = line_topology(1500)
-        assert min_saturating_k(topo, ["n1499"], "n0000") == 1
+        assert minimize_completion_time(topo, ["n1499"], ["n0000"])[1] == 1
         plan = decompose_flow(max_flow(FlowInstance(topo, "n0000", ["n1499"], 1)))
         assert plan.paths["n1499"] == list(topo.nodes)
 
@@ -326,7 +333,7 @@ def _check_link_flow(result: FlowResult) -> None:
     inst = result.instance
     balance = {v: 0 for v in inst.topology.nodes}
     for (u, v), units in result.link_flow.items():
-        assert inst.topology.has_link(u, v)
+        assert link_key(u, v) in inst.topology.links
         assert 0 < units <= inst.k
         assert (v, u) not in result.link_flow
         balance[u] -= units
@@ -478,7 +485,7 @@ def test_min_saturating_k_on_a_tree_is_no_call(monkeypatch):
     topo = tree_topology(5)
     calls = _count_max_flow(monkeypatch)
     # n01's link to the top carries the top and its other half-tree: 1 + 31
-    assert min_saturating_k(topo, topo.nodes, "n01") == 32
+    assert minimize_completion_time(topo, topo.nodes, ["n01"])[1] == 32
     assert calls == []
 
 

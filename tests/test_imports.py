@@ -22,8 +22,7 @@ import pytest
 import gstsim
 
 ORACLE_NAMES = ["StateVector", "build_graph_state", "certification_report",
-                "measure_pauli", "verify_graphical_rule",
-                "verify_teleport_transfer", "verify_transfer_sequence"]
+                "measure_pauli", "verify_graphical_rule", "verify_transfer_sequence"]
 
 KEPT_OFF = ["dataclasses", "inspect", "logging", "numpy"]
 
@@ -171,3 +170,18 @@ def test_each_public_name_is_its_home_modules_object():
         assert home.__name__.startswith("gstsim.")
         assert getattr(home, name) is obj
         assert getattr(gstsim, home.__name__.split(".")[1]) is home
+
+
+def test_no_member_restates_another_public_call():
+    """Seven names that only restated another public call are gone; each
+    caller reads the call it restated."""
+    from gstsim import distribution, edcg, flow, network, oracle, scenario
+
+    resolved = scenario.resolve(scenario.ScenarioConfig.from_dict(
+        {"topology": {"kind": "line", "n": 3}}))
+    gone = [(network.NetworkTopology, "has_link"), (network.NetworkTopology, "eccentricity"),
+            (distribution.DistributionPlan, "hops"), (flow, "min_saturating_k"),
+            (oracle, "verify_teleport_transfer"), (edcg._SuffixChain, "mst"),
+            (resolved, "target_graph")]
+    assert [name for owner, name in gone if hasattr(owner, name)] == []
+    assert len(gstsim.__all__) == 39 + 1 and gstsim.__all__[-1] == "__version__"

@@ -131,7 +131,7 @@ class TestResolve:
         scn = resolve(tree_cfg(root=policy))
         assert scn.root == root
         assert scn.request.assignment == {t: t for t in scn.targets}
-        assert scn.request.target is scn.target_graph
+        assert scn.request.target.vertices == frozenset(scn.targets)
 
     def test_topology_from_file(self, tmp_path):
         p = tmp_path / "topo.json"
@@ -145,12 +145,12 @@ class TestResolve:
     def test_named_edge_shapes(self, shape, count):
         scn = resolve(tree_cfg(targets=["n00", "n01", "n02"],
                                target_edges=shape))
-        assert len(scn.target_graph.edges) == count
+        assert len(scn.request.target.edges) == count
 
     def test_explicit_edge_list(self):
         scn = resolve(tree_cfg(targets=["n00", "n01", "n02"],
                                target_edges=[["n00", "n02"]]))
-        assert scn.target_graph.edges == frozenset({("n00", "n02")})
+        assert scn.request.target.edges == frozenset({("n00", "n02")})
 
     @pytest.mark.parametrize("edges, message", [
         ([["n00", "n01"], ["n01", "n00"]], "repeated target edge ('n01', 'n00')"),
@@ -167,7 +167,7 @@ class TestResolve:
     def test_gnp_edges_seeded(self):
         a = resolve(tree_cfg(target_edges={"gnp": 0.5}, seed=3))
         b = resolve(tree_cfg(target_edges={"gnp": 0.5}, seed=3))
-        assert a.target_graph.edges == b.target_graph.edges
+        assert a.request.target.edges == b.request.target.edges
 
     def test_generated_edges_draw_in_pair_order(self):
         """A complete target has every pair, and a G(n, p) target keeps pair
@@ -192,7 +192,7 @@ class TestResolve:
         assert len(resolve(tree_cfg(targets={"random": 6}, target_edges=edges)).targets) == 6
         with pytest.raises(ValueError, match=f"^21 {what} exceed the size limit of 20$"):
             resolve(tree_cfg(targets="all", target_edges=edges))
-        assert resolve(tree_cfg(targets="all", target_edges="path")).target_graph.edges
+        assert resolve(tree_cfg(targets="all", target_edges="path")).request.target.edges
 
 
 class TestRunners:

@@ -27,7 +27,7 @@ def test_tree_shape():
     assert len(t.nodes) == 7
     assert ("n00", "n01") in t.links and ("n00", "n02") in t.links
     assert ("n02", "n06") in t.links  # child 2i+2
-    assert t.eccentricity("n00") == 2
+    assert max(t.bfs_distances("n00").values()) == 2
 
 
 def test_tree_height_zero():
